@@ -1,10 +1,10 @@
 """Command-line entry point: analyze polynomials, generate instances, run suites.
 
 Exit codes: 0 success, 1 a statistical hard check failed, 2 usage or input
-error, 3 infeasible request (enumeration cap), 4 an exact algebraic
-identity failed (implementation bug).  Every randomized command prints the
-effective seed to stderr, and report bundles contain no timestamps, so a
-fixed seed and worker count reproduce byte-identical output.
+error, 3 infeasible request (over the enumeration budget), 4 an exact
+algebraic identity row failed (implementation bug).  Every randomized
+command prints the effective seed to stderr, and report bundles contain no
+timestamps, so a fixed seed and worker count reproduce byte-identical output.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from .decompose import (
     small_alpha_check,
     tree_sensitivity_check,
 )
-from .errors import CapExceededError, InputError, InvariantViolationError
+from .errors import CapExceededError, InputError
 from .hypercube import (
-    ENUMERATION_CAP,
     SignFunction,
     all_points,
     average_sensitivity_exact,
@@ -47,11 +46,11 @@ from .hypercube import (
     middle_layers_witness,
     noise_sensitivity_exact,
     theorem_bound,
+    theorem_log_bound,
     truth_table,
 )
-from .polynomial import MultilinearPolynomial
+from .polynomial import ENUMERATION_BUDGET, MultilinearPolynomial, check_enumeration
 from .randomized import (
-    EXACT_ALPHA_CAP,
     Rng,
     abs_comparison_gap,
     carbery_wright_estimate,
@@ -94,9 +93,6 @@ def _guarded(fn):
         except CapExceededError as e:
             click.echo(f"error: {e}", err=True)
             sys.exit(EXIT_INFEASIBLE)
-        except InvariantViolationError as e:
-            click.echo(f"error: {e}", err=True)
-            sys.exit(EXIT_INVARIANT)
 
     return wrapper
 
@@ -222,12 +218,11 @@ def _analyze_report(
 ) -> dict:
     mom = p.moments()
     degree = p.degree
-    exact_ok = p.n <= ENUMERATION_CAP
-    if not exact_ok and samples == 0:
-        raise CapExceededError(
-            f"nothing computable: n={p.n} exceeds the enumeration cap ({ENUMERATION_CAP}) "
-            "and --samples is 0"
-        )
+    # every exact quantity is a function of the support variables only
+    compressed, _ = p.compress_support()
+    k = compressed.n
+    if samples == 0:
+        check_enumeration(f"analyze with --samples 0 over {k} support variables", 1 << k)
     report: dict = {
         "command": "analyze",
         "polynomial": {
@@ -259,8 +254,8 @@ def _analyze_report(
     )
 
     as_value = None
-    if exact_ok:
-        f = SignFunction(p)
+    if (1 << k) <= ENUMERATION_BUDGET:
+        f = SignFunction(compressed)
         as_value = average_sensitivity_exact(f)
         report["as"] = {"value": as_value, "method": "enumeration"}
         report["noise_sensitivity"] = [
@@ -276,12 +271,13 @@ def _analyze_report(
                 "reference": two_path,
             }
         )
+        del f  # drops the cached table and spectrum before the Monte Carlo section
     else:
         report["as"] = None
         report["noise_sensitivity"] = None
 
-    if p.n <= EXACT_ALPHA_CAP:
-        report["alpha"] = {"value": exact_alpha(p), "method": "enumeration"}
+    if (1 << (2 * k)) <= ENUMERATION_BUDGET:
+        report["alpha"] = {"value": exact_alpha(compressed), "method": "enumeration"}
     elif samples > 0:
         result = estimate_alpha(p, samples, Rng(seed, 1), workers=workers)
         report["alpha"] = {"method": "monte_carlo", **result.to_json_dict()}
@@ -292,8 +288,11 @@ def _analyze_report(
         bound = gl_bound(p.n, degree)
         report["gl_bound"] = bound
         report["gl_ratio"] = None if as_value is None else as_value / bound
+        value = theorem_bound(p.n, degree, c_log, c_exp)
         report["theorem_bound"] = {
-            "value": theorem_bound(p.n, degree, c_log, c_exp),
+            # JSON carries no infinity: a bound beyond the float range is null
+            "value": None if math.isinf(value) else value,
+            "log_value": theorem_log_bound(p.n, degree, c_log, c_exp),
             "c_log": c_log,
             "c_exp": c_exp,
             "note": "parameterized envelope; the constants are user inputs, not claims",

@@ -19,8 +19,9 @@ from typing import Union
 
 import numpy as np
 
-from .errors import CapExceededError, InputError
+from .errors import InputError
 from .hypercube import SignFunction, average_sensitivity_exact, evaluate_on_hypercube, truth_table
+from .hypercube import _table_average_sensitivity
 from .polynomial import MultilinearPolynomial, sign_pm1
 from .randomized import (
     EstimatorResult,
@@ -33,10 +34,12 @@ from .randomized import (
     exact_alpha,
 )
 
-BLOCK_IDENTITY_CAP = 20
-SMALL_ALPHA_CAP = 12
-
 _FORMULA_DOMAIN_CAP = 0.2499999999
+# per-leaf cost policy, not a feasibility limit: a leaf whose support has at
+# most this many variables gets its sign label verified by enumeration
+_EXACT_LEAF_SUPPORT = 12
+# at most this many influential coordinates are restricted per leaf and round
+_EXPAND_BUDGET = 12
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,9 @@ class RegularityConfig:
     ``big_m`` the exponent constant of the influence-threshold formula.
     ``max_depth`` / ``max_rounds`` / ``max_leaves`` are hard budgets
     (``None`` picks defaults: the dimension, and 8 * 2^degree * ceil(ln(1/delta))
-    rounds).  Leaves whose support fits ``exact_cap`` variables get their
-    sign label verified by enumeration.
+    rounds).  Each round restricts at most 12 coordinates per bad leaf, and
+    leaves are labelled by :func:`classify_leaf`, which enumerates leaves of
+    at most 12 support variables; neither number is configurable.
     """
 
     tau: float
@@ -58,8 +62,6 @@ class RegularityConfig:
     big_m: float = 1.0
     max_depth: int | None = None
     max_rounds: int | None = None
-    exact_cap: int = 12
-    expand_budget: int = 12
     max_leaves: int = 1 << 16
 
     def __post_init__(self) -> None:
@@ -75,8 +77,8 @@ class RegularityConfig:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise InputError(f"{name} must be non-negative, got {value}")
-        if self.exact_cap < 0 or self.expand_budget < 1 or self.max_leaves < 1:
-            raise InputError("caps must be positive")
+        if self.max_leaves < 1:
+            raise InputError(f"max_leaves must be positive, got {self.max_leaves}")
 
     def rounds_budget(self, degree: int) -> int:
         if self.max_rounds is not None:
@@ -129,12 +131,17 @@ class Node:
 TreeNode = Union[Node, Leaf]
 
 
-def _collect_leaves(node: TreeNode, out: list[Leaf]) -> None:
+def _collect_leaves(node: TreeNode, out: list[Leaf]) -> list[Leaf]:
     if isinstance(node, Leaf):
         out.append(node)
     else:
         _collect_leaves(node.minus, out)
         _collect_leaves(node.plus, out)
+    return out
+
+
+def _bad_mass(leaves: list[Leaf] | tuple[Leaf, ...]) -> float:
+    return sum(leaf.probability for leaf in leaves if leaf.label.kind is LeafKind.BAD)
 
 
 @dataclass(frozen=True)
@@ -154,9 +161,7 @@ class DecisionTree:
     leaves: tuple[Leaf, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        acc: list[Leaf] = []
-        _collect_leaves(self.root, acc)
-        object.__setattr__(self, "leaves", tuple(acc))
+        object.__setattr__(self, "leaves", tuple(_collect_leaves(self.root, [])))
 
     @property
     def depth(self) -> int:
@@ -167,7 +172,7 @@ class DecisionTree:
         return len(self.leaves)
 
     def bad_mass(self) -> float:
-        return sum(leaf.probability for leaf in self.leaves if leaf.label.kind is LeafKind.BAD)
+        return _bad_mass(self.leaves)
 
     def leaf_counts(self) -> dict[str, int]:
         counts = Counter(leaf.label.kind.value for leaf in self.leaves)
@@ -222,15 +227,13 @@ def default_threshold(tau: float, eps: float, d: int, big_m: float) -> float:
     return tau * base ** (-big_m * d)
 
 
-def classify_leaf(
-    p: MultilinearPolynomial, tau: float, eps: float, exact_cap: int = 12
-) -> LeafClass:
+def classify_leaf(p: MultilinearPolynomial, tau: float, eps: float) -> LeafClass:
     """Label a restricted polynomial Regular, NearConstant(sign) or Bad.
 
-    Checked in that order.  The sign test prefers exact enumeration over
-    the support variables whenever they fit ``exact_cap``; otherwise it
-    falls back to the variance criterion
-    var <= (4 ln(1/eps))^(-d/2) * mean^2.
+    Checked in that order.  The sign test enumerates the support variables
+    when there are at most 12 of them (a per-leaf cost policy, far inside
+    the enumeration budget); otherwise it falls back to the variance
+    criterion var <= (4 ln(1/eps))^(-d/2) * mean^2.
     """
     if not 0 < eps < 1:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
@@ -239,10 +242,8 @@ def classify_leaf(
         return LeafClass(LeafKind.REGULAR)
     sign = sign_pm1(mom.mean)
     compressed, _ = p.compress_support()
-    if compressed.n <= exact_cap:
-        values = evaluate_on_hypercube(compressed)
-        labels = np.where(values >= 0.0, 1, -1)
-        mismatch = float(np.mean(labels != sign))
+    if compressed.n <= _EXACT_LEAF_SUPPORT:
+        mismatch = float(np.mean((evaluate_on_hypercube(compressed) >= 0.0) != (sign > 0)))
         if mismatch <= eps:
             return LeafClass(LeafKind.NEAR_CONSTANT, sign=sign, exact_verified=True)
         return LeafClass(LeafKind.BAD)
@@ -278,7 +279,7 @@ def build_regularity_tree(p: MultilinearPolynomial, config: RegularityConfig) ->
     """
 
     def classify(poly: MultilinearPolynomial) -> LeafClass:
-        return classify_leaf(poly, config.tau, config.eps, config.exact_cap)
+        return classify_leaf(poly, config.tau, config.eps)
 
     depth_cap = p.n if config.max_depth is None else min(config.max_depth, p.n)
     rounds_budget = config.rounds_budget(p.degree)
@@ -316,7 +317,7 @@ def build_regularity_tree(p: MultilinearPolynomial, config: RegularityConfig) ->
         if not coords:
             coords = {poly.max_influence()[0]}
         infl = poly.influences()
-        order = sorted(coords, key=lambda i: (-infl[i], i))[: config.expand_budget]
+        order = sorted(coords, key=lambda i: (-infl[i], i))[:_EXPAND_BUDGET]
         order = order[: depth_cap - leaf.depth]
         if not order:
             return leaf
@@ -331,20 +332,14 @@ def build_regularity_tree(p: MultilinearPolynomial, config: RegularityConfig) ->
 
     root: TreeNode = Leaf(p, classify(p), ())
     rounds_used = 0
-
-    def bad_mass_of(node: TreeNode) -> float:
-        acc: list[Leaf] = []
-        _collect_leaves(node, acc)
-        return sum(l.probability for l in acc if l.label.kind is LeafKind.BAD)
-
-    while bad_mass_of(root) > config.delta and rounds_used < rounds_budget:
+    while _bad_mass(_collect_leaves(root, [])) > config.delta and rounds_used < rounds_budget:
         counter["splits_this_round"] = 0
         root = rebuild(root)
         rounds_used += 1
         if counter["splits_this_round"] == 0:
             break
 
-    final_bad = bad_mass_of(root)
+    final_bad = _bad_mass(_collect_leaves(root, []))
     tree = DecisionTree(
         root=root,
         n=p.n,
@@ -374,10 +369,7 @@ class TreeSensitivityCheck:
 
 
 def _leaf_average_sensitivity(poly: MultilinearPolynomial) -> float:
-    compressed, _ = poly.compress_support()
-    if compressed.n == 0:
-        return 0.0
-    return average_sensitivity_exact(SignFunction(compressed))
+    return average_sensitivity_exact(SignFunction(poly.compress_support()[0]))
 
 
 def tree_sensitivity_check(f: SignFunction, tree: DecisionTree) -> TreeSensitivityCheck:
@@ -442,37 +434,21 @@ def block_sensitivity_identity_check(f: SignFunction, partition: BlockPartition)
 
     The right side enumerates, per block, every assignment of the outside
     coordinates and the edge count of the restricted sub-function; the two
-    sides agree identically, so any gap beyond rounding is a bug.
+    sides agree identically, so any gap beyond rounding is a bug.  Both
+    sides read the cached truth table of f.
     """
     n = f.n
-    if n > BLOCK_IDENTITY_CAP:
-        raise CapExceededError(
-            f"the double enumeration is capped at n <= {BLOCK_IDENTITY_CAP}, got n={n}"
-        )
     if partition.n != n:
         raise InputError(f"partition is for n={partition.n}, function has n={n}")
-    table = truth_table(f).values
+    cube = truth_table(f).values.reshape((2,) * n)  # axis n-1-i holds coordinate i
     lhs = average_sensitivity_exact(f)
     rhs = 0.0
     for block in partition.blocks:
-        inside = list(block)
-        outside = [i for i in range(n) if i not in set(inside)]
-        rows = 1 << len(outside)
-        cols = 1 << len(inside)
-        row_index = np.zeros(rows, dtype=np.int64)
-        r = np.arange(rows, dtype=np.int64)
-        for j, coord in enumerate(outside):
-            row_index |= ((r >> j) & 1) << coord
-        col_index = np.zeros(cols, dtype=np.int64)
-        c = np.arange(cols, dtype=np.int64)
-        for j, coord in enumerate(inside):
-            col_index |= ((c >> j) & 1) << coord
-        sub = table[row_index[:, None] | col_index[None, :]]
-        diffs = 0
-        local = np.arange(cols, dtype=np.int64)
-        for j in range(len(inside)):
-            diffs += int(np.count_nonzero(sub != sub[:, local ^ (1 << j)]))
-        rhs += diffs / (rows * cols)
+        outside = [i for i in range(n) if i not in block]
+        axes = [n - 1 - i for i in reversed(outside)] + [n - 1 - i for i in reversed(block)]
+        # row: one assignment of the outside coordinates; column: the block's sub-cube
+        sub = cube.transpose(axes).reshape(-1, 1 << len(block))
+        rhs += _table_average_sensitivity(sub, len(block))
     return BlockIdentityCheck(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs))
 
 
@@ -728,10 +704,6 @@ class SmallAlphaCheck:
 
 def small_alpha_check(p: MultilinearPolynomial) -> SmallAlphaCheck:
     """Exact alpha next to exact average sensitivity of sgn(p), with their ratio."""
-    if p.n > SMALL_ALPHA_CAP:
-        raise CapExceededError(
-            f"the exact paths are capped at n <= {SMALL_ALPHA_CAP}, got n={p.n}"
-        )
     alpha = exact_alpha(p)
     sensitivity = average_sensitivity_exact(SignFunction(p))
     ratio = 0.0 if sensitivity == 0.0 else sensitivity / alpha

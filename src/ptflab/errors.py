@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: ``InputError`` -> 2,
-``CapExceededError`` -> 3, ``InvariantViolationError`` -> 4.
+The CLI maps these onto process exit codes: ``InputError`` -> 2 and
+``CapExceededError`` -> 3.  Exit 4 comes from failed identity rows of a
+suite report, not from an exception.
 """
 
 
@@ -14,8 +15,4 @@ class InputError(PtflabError, ValueError):
 
 
 class CapExceededError(PtflabError):
-    """The request needs an enumeration larger than the exact-path cap allows."""
-
-
-class InvariantViolationError(PtflabError):
-    """An algebraic identity the implementation guarantees failed to hold."""
+    """An infeasible request: over the enumeration budget, or too many distinct terms."""

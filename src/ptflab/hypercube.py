@@ -7,9 +7,10 @@ multilinear polynomial over the whole cube is the Walsh-Hadamard transform
 of its coefficient vector, and the transform of a truth table divided by
 2^n gives the correlation coefficients E[f(A) * prod_{i in S} A_i].
 
-Everything in this module enumerates all 2^n points and is capped at
-``ENUMERATION_CAP`` variables; the sampling estimators in
-:mod:`ptflab.randomized` have no such cap.
+Every function here enumerates the cube within the element budget
+:data:`ptflab.polynomial.ENUMERATION_BUDGET`.  A sign function builds its
+truth table, and the table its spectrum, once; every exact quantity reads
+those cached, read-only arrays.
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .errors import CapExceededError, InputError
-from .polynomial import MultilinearPolynomial, RealPoint, sign_pm1
-
-ENUMERATION_CAP = 24
+from .errors import InputError
+from .polynomial import MultilinearPolynomial, RealPoint, check_enumeration, sign_pm1
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,12 @@ class SignFunction:
     def __call__(self, x: RealPoint) -> int:
         return sign_pm1(self.source.eval(x))
 
+    @cached_property
+    def _table(self) -> "TruthTable":
+        signs = np.where(evaluate_on_hypercube(self.source) >= 0.0, np.int8(1), np.int8(-1))
+        signs.flags.writeable = False
+        return TruthTable(self.n, signs)
+
 
 @dataclass(frozen=True, eq=False)
 class TruthTable:
@@ -59,6 +65,14 @@ class TruthTable:
             raise InputError("truth table entries must all be +-1")
         object.__setattr__(self, "values", vals)
 
+    @cached_property
+    def _spectrum(self) -> "FourierSpectrum":
+        check_enumeration("the Fourier spectrum", 1 << self.n)
+        coeffs = fwht(self.values)  # its float64 copy of the table is the spectrum
+        coeffs /= float(1 << self.n)
+        coeffs.flags.writeable = False
+        return FourierSpectrum(self.n, coeffs)
+
 
 @dataclass(frozen=True, eq=False)
 class FourierSpectrum:
@@ -70,24 +84,42 @@ class FourierSpectrum:
     def coefficient(self, mask: int) -> float:
         return float(self.coefficients[mask])
 
+    @cached_property
+    def level_weights(self) -> np.ndarray:
+        """W_k = sum of coeff(S)^2 over the sets S of size k, for k = 0..n."""
+        # blocks of 2^16 aligned masks: |S| = popcount(block start) + popcount(offset)
+        block = min(1 << self.n, 1 << 16)
+        low_sizes = np.bitwise_count(np.arange(block, dtype=np.uint32))
+        weights = np.zeros(self.n + 1)
+        for start in range(0, 1 << self.n, block):
+            chunk = self.coefficients[start : start + block]
+            counts = np.bincount(low_sizes, weights=chunk * chunk)
+            high = start.bit_count()
+            weights[high : high + counts.size] += counts
+        weights.flags.writeable = False
+        return weights
+
 
 def fwht(values: np.ndarray) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform (Hadamard ordering).
 
     Returns y with y[a] = sum_b x[b] * (-1)^popcount(a & b); applying it
-    twice multiplies by the length.
+    twice multiplies by the length.  The input is left untouched: the
+    butterflies run in place on one float64 copy, with one half-length
+    buffer reused across stages.
     """
     a = np.array(values, dtype=np.float64, copy=True)
-    size = a.shape[0]
-    if size & (size - 1):
-        raise InputError(f"transform length must be a power of two, got {size}")
+    size = a.size
+    if a.ndim != 1 or size & (size - 1):
+        raise InputError(f"transform needs a vector of power-of-two length, got shape {a.shape}")
+    top = np.empty(size // 2)
     h = 1
     while h < size:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :].copy()
-        a[:, 0, :] = top + a[:, 1, :]
-        a[:, 1, :] = top - a[:, 1, :]
-        a = a.reshape(size)
+        pairs = a.reshape(-1, 2, h)
+        upper = top.reshape(-1, h)
+        np.copyto(upper, pairs[:, 0, :])
+        np.add(upper, pairs[:, 1, :], out=pairs[:, 0, :])
+        np.subtract(upper, pairs[:, 1, :], out=pairs[:, 1, :])
         h *= 2
     return a
 
@@ -100,7 +132,7 @@ def point_from_mask(n: int, mask: int) -> np.ndarray:
 
 def all_points(n: int) -> np.ndarray:
     """The full (2^n, n) matrix of hypercube points in mask order."""
-    _check_cap(n)
+    check_enumeration(f"the point matrix of n={n}", n << n)
     masks = np.arange(1 << n, dtype=np.int64)
     bits = (masks[:, None] >> np.arange(n)[None, :]) & 1
     return 1.0 - 2.0 * bits
@@ -108,28 +140,30 @@ def all_points(n: int) -> np.ndarray:
 
 def evaluate_on_hypercube(p: MultilinearPolynomial) -> np.ndarray:
     """p evaluated at every point, in mask order, via the transform."""
-    _check_cap(p.n)
     return fwht(p.dense_coefficients())
 
 
 def truth_table(f: SignFunction) -> TruthTable:
-    values = evaluate_on_hypercube(f.source)
-    return TruthTable(f.n, np.where(values >= 0.0, 1, -1).astype(np.int8))
+    """The table of f, built on first use and cached on f."""
+    return f._table
 
 
 def fourier(t: TruthTable) -> FourierSpectrum:
-    """Spectrum of a truth table; satisfies Parseval for +-1 functions."""
-    coeffs = fwht(t.values.astype(np.float64)) / float(1 << t.n)
-    return FourierSpectrum(t.n, coeffs)
+    """Spectrum of a truth table, built on first use and cached on t.
+
+    Satisfies Parseval for +-1 functions.
+    """
+    return t._spectrum
 
 
 def _table_average_sensitivity(values: np.ndarray, n: int) -> float:
-    size = 1 << n
-    idx = np.arange(size, dtype=np.int64)
-    total = 0
+    """Mean sensitivity of the length-2^n tables along the last axis of ``values``."""
+    # each edge along coordinate i joins the two halves of one reshaped pair
+    edges = 0
     for i in range(n):
-        total += int(np.count_nonzero(values != values[idx ^ (1 << i)]))
-    return total / size
+        pairs = values.reshape(*values.shape[:-1], -1, 2, 1 << i)
+        edges += int(np.count_nonzero(pairs[..., 0, :] != pairs[..., 1, :]))
+    return 2 * edges / values.size
 
 
 def average_sensitivity_exact(f: SignFunction) -> float:
@@ -139,22 +173,20 @@ def average_sensitivity_exact(f: SignFunction) -> float:
 
 def average_sensitivity_fourier(t: TruthTable) -> float:
     """Second path for the same quantity: sum over S of |S| * coeff(S)^2."""
-    spectrum = fourier(t)
-    sizes = np.bitwise_count(np.arange(1 << t.n, dtype=np.uint64)).astype(np.float64)
-    return float(np.dot(sizes, spectrum.coefficients**2))
+    return float(np.dot(np.arange(t.n + 1, dtype=np.float64), fourier(t).level_weights))
 
 
 def noise_sensitivity_exact(f: SignFunction, delta: float) -> float:
     """Pr[f(A) != f(A~)] where A~ flips each coordinate with probability delta.
 
-    Computed through the spectrum: 1/2 - 1/2 * sum_S coeff(S)^2 (1-2 delta)^|S|.
+    Computed through the spectrum: 1/2 - 1/2 * sum_k W_k (1-2 delta)^k, with
+    W_k the spectral weight at level k.
     """
     if not 0.0 <= delta <= 0.5:
         raise InputError(f"noise rate must lie in [0, 1/2], got {delta}")
-    spectrum = fourier(truth_table(f))
-    sizes = np.bitwise_count(np.arange(1 << f.n, dtype=np.uint64)).astype(np.float64)
+    weights = fourier(truth_table(f)).level_weights
     rho = 1.0 - 2.0 * delta
-    return float(0.5 - 0.5 * np.dot(spectrum.coefficients**2, rho**sizes))
+    return float(0.5 - 0.5 * np.dot(weights, rho ** np.arange(f.n + 1, dtype=np.float64)))
 
 
 def gl_bound(n: int, d: int) -> float:
@@ -218,6 +250,18 @@ def gl_report_row(n: int, d: int) -> dict:
     }
 
 
+def theorem_log_bound(n: float, d: int, c_log: float = 1.0, c_exp: float = 1.0) -> float:
+    """Natural log of :func:`theorem_bound`, finite where the bound overflows."""
+    if not n > 1:
+        raise InputError(f"need n > 1, got n={n}")
+    if not isinstance(d, int) or d < 1:
+        raise InputError(f"degree must be a positive integer, got d={d}")
+    if c_log < 0 or c_exp < 0:
+        raise InputError("constants must be non-negative")
+    log_d, ln_n = max(1.0, math.log(d)), math.log(n)
+    return 0.5 * ln_n + d * log_d * (c_log * math.log(ln_n) + c_exp * d * math.log(2.0))
+
+
 def theorem_bound(n: float, d: int, c_log: float = 1.0, c_exp: float = 1.0) -> float:
     """Parameterized bound template sqrt(n) * (ln n)^{c_log d ln d} * 2^{c_exp d^2 ln d}.
 
@@ -225,24 +269,10 @@ def theorem_bound(n: float, d: int, c_log: float = 1.0, c_exp: float = 1.0) -> f
     comparison envelope rather than a literature claim.  Convention: natural
     logs, and the ln(d) factor in both exponents is replaced by
     max(1, ln d) so the degree factors never vanish (in particular d = 1
-    contributes exponent c_log resp. c_exp, not 0).
+    contributes exponent c_log resp. c_exp, not 0).  Computed from
+    :func:`theorem_log_bound`; ``math.inf`` when the value exceeds a float.
     """
-    if not n > 1:
-        raise InputError(f"need n > 1, got n={n}")
-    if not isinstance(d, int) or d < 1:
-        raise InputError(f"degree must be a positive integer, got d={d}")
-    if c_log < 0 or c_exp < 0:
-        raise InputError("constants must be non-negative")
-    log_d = max(1.0, math.log(d))
-    return (
-        math.sqrt(n)
-        * math.log(n) ** (c_log * d * log_d)
-        * 2.0 ** (c_exp * d * d * log_d)
-    )
-
-
-def _check_cap(n: int) -> None:
-    if n > ENUMERATION_CAP:
-        raise CapExceededError(
-            f"full enumeration is capped at n <= {ENUMERATION_CAP}, got n={n}"
-        )
+    try:
+        return math.exp(theorem_log_bound(n, d, c_log, c_exp))
+    except OverflowError:
+        return math.inf

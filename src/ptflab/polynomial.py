@@ -3,10 +3,11 @@
 A polynomial is stored as a map from subset bitmasks to real coefficients
 (bit ``i`` set means variable ``i`` occurs in the monomial).  Keys are
 plain Python integers, so the representation itself scales to the sampling
-regime (hundreds of variables); only the full-enumeration paths carry hard
-caps.  Canonical form never stores coefficients with absolute value below
-``COEFF_EPS``; all operations return new canonical polynomials, so
-instances are safe to share between workers.
+regime (hundreds of variables); only the full-enumeration paths are limited,
+all by the one element budget ``ENUMERATION_BUDGET``.  Canonical form never
+stores coefficients with absolute value below ``COEFF_EPS``; all operations
+return new canonical polynomials, so instances are safe to share between
+workers.
 
 Points are plain numpy vectors: a ``RealPoint`` is any finite length-n float
 vector, a ``HypercubePoint`` additionally has every entry equal to +-1.
@@ -25,7 +26,7 @@ from .errors import CapExceededError, InputError
 
 MAX_VARIABLES = 4096
 COEFF_EPS = 1e-15
-DENSE_CAP = 24
+ENUMERATION_BUDGET = 1 << 24
 
 RealPoint = np.ndarray
 HypercubePoint = np.ndarray
@@ -49,6 +50,15 @@ def mask_from_indices(indices: Iterable[int]) -> int:
     for i in indices:
         mask |= 1 << i
     return mask
+
+
+def check_enumeration(operation: str, cost: int) -> None:
+    """Refuse an exact path whose ``cost`` in elements (2^n, n 2^n or 4^n) is over budget."""
+    if cost > ENUMERATION_BUDGET:
+        raise CapExceededError(
+            f"{operation} needs {cost} elements, over the enumeration budget of"
+            f" {ENUMERATION_BUDGET}"
+        )
 
 
 def _as_point(x, n: int, name: str = "point") -> np.ndarray:
@@ -347,10 +357,7 @@ class MultilinearPolynomial:
 
     def dense_coefficients(self) -> np.ndarray:
         """Length-2^n coefficient vector indexed by subset bitmask."""
-        if self.n > DENSE_CAP:
-            raise CapExceededError(
-                f"dense enumeration is capped at n <= {DENSE_CAP}, got n={self.n}"
-            )
+        check_enumeration(f"the dense coefficient vector of n={self.n}", 1 << self.n)
         out = np.zeros(1 << self.n)
         for mask, coeff in self.terms.items():
             out[mask] = coeff

@@ -26,12 +26,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CapExceededError, InputError
-from .hypercube import all_points, evaluate_on_hypercube, fwht
-from .polynomial import MultilinearPolynomial, mask_from_indices
-
-EXACT_ALPHA_CAP = 12
-WEAK_ANTICONCENTRATION_CAP = 20
-HYPERCONTRACTIVITY_CAP = 16
+from .hypercube import all_points, evaluate_on_hypercube
+from .polynomial import MultilinearPolynomial, check_enumeration, mask_from_indices
 
 BERNOULLI = "bernoulli"
 GAUSSIAN = "gaussian"
@@ -320,22 +316,15 @@ def estimate_beta(
 def exact_alpha(p: MultilinearPolynomial) -> float:
     """Exact expectation of the alpha integrand over all 2^{2n} (A, B) pairs.
 
-    Serves as the oracle for :func:`estimate_alpha`; capped at n <= 12.
+    Serves as the oracle for :func:`estimate_alpha`.  Its cost is the 4^n
+    pairs, so the enumeration budget admits n <= 12.
     """
-    if p.n > EXACT_ALPHA_CAP:
-        raise CapExceededError(
-            f"exact alpha enumerates 2^(2n) pairs and is capped at n <= {EXACT_ALPHA_CAP},"
-            f" got n={p.n}"
-        )
     n = p.n
+    check_enumeration(f"exact alpha over the (A, B) pairs of n={n}", 1 << (2 * n))
     size = 1 << n
     values = evaluate_on_hypercube(p)
-    if n:
-        grads = np.stack(
-            [fwht(p.partial_derivative(i).dense_coefficients()) for i in range(n)]
-        )
-    else:
-        grads = np.zeros((0, size))
+    grads = np.array([evaluate_on_hypercube(p.partial_derivative(i)) for i in range(n)])
+    grads = grads.reshape(n, size)
     grad_sq = (grads**2).sum(axis=0)
     zero = values == 0.0
     safe = np.where(zero, 1.0, values)
@@ -426,10 +415,6 @@ def tail_curve(
 def weak_anticoncentration_exact(p: MultilinearPolynomial) -> float:
     """Pr(|p(A)| >= |p|_2 / 2) by full enumeration (Paley-Zygmund check)."""
     l2 = _require_nonzero(p)
-    if p.n > WEAK_ANTICONCENTRATION_CAP:
-        raise CapExceededError(
-            f"exact path capped at n <= {WEAK_ANTICONCENTRATION_CAP}, got n={p.n}"
-        )
     values = evaluate_on_hypercube(p)
     return float(np.mean(np.abs(values) >= l2 / 2.0))
 
@@ -645,10 +630,6 @@ def hypercontractivity_check(p: MultilinearPolynomial, t: int) -> Hypercontracti
     """
     if not isinstance(t, int) or t % 2 != 0 or t < 2:
         raise InputError(f"the exact path needs an even moment order >= 2, got {t!r}")
-    if p.n > HYPERCONTRACTIVITY_CAP:
-        raise CapExceededError(
-            f"exact path capped at n <= {HYPERCONTRACTIVITY_CAP}, got n={p.n}"
-        )
     values = evaluate_on_hypercube(p)
     lhs = float(np.mean(np.abs(values) ** t) ** (1.0 / t))
     rhs = math.sqrt(t - 1.0) ** p.degree * p.moments().l2_norm
@@ -694,7 +675,8 @@ def random_polynomial(
         weights /= weights.sum()
         while len(chosen) < terms:
             k = int(gen.choice(degree + 1, p=weights))
-            mask = 0 if k == 0 else mask_from_indices(gen.choice(n, size=k, replace=False))
+            indices = gen.choice(n, size=k, replace=False) if k else ()
+            mask = mask_from_indices(int(i) for i in indices)
             if mask in chosen:
                 continue
             chosen[mask] = float(gen.standard_normal())

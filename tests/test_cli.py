@@ -106,6 +106,46 @@ def test_analyze_infeasible_exits_3(runner, tmp_path):
     assert result.exit_code == 3
 
 
+def test_analyze_infeasible_states_cost_and_budget(runner, tmp_path):
+    p = MultilinearPolynomial(30, {1 << i: 1.0 for i in range(30)})
+    path = tmp_path / "big.json"
+    path.write_text(p.to_json() + "\n")
+    result = runner.invoke(main, ["analyze", "--input", str(path), "--samples", "0", "--seed", "1"])
+    assert result.exit_code == 3
+    assert str(1 << 30) in result.stderr and str(1 << 24) in result.stderr
+
+
+def test_analyze_enumerates_small_support_of_large_n(runner, tmp_path):
+    p = MultilinearPolynomial.from_vars(30, {(0, 11): 1.0, (29,): 0.5, (): -0.25})
+    path = tmp_path / "sparse.json"
+    path.write_text(p.to_json() + "\n")
+    result = runner.invoke(main, ["analyze", "--input", str(path), "--samples", "0", "--seed", "1"])
+    assert result.exit_code == 0
+    report = json.loads(result.stdout)
+    assert report["as"]["method"] == "enumeration"
+    assert report["alpha"]["method"] == "enumeration"
+    assert len(report["noise_sensitivity"]) == 3
+    assert report["polynomial"]["n"] == 30
+    assert len(report["influences"]["values"]) == 30
+
+
+def test_analyze_theorem_bound_overflow_exits_0(runner, tmp_path):
+    p = MultilinearPolynomial.from_vars(40, {tuple(range(30)): 1.0, (0,): 0.5})
+    path = tmp_path / "deg30.json"
+    path.write_text(p.to_json() + "\n")
+    args = ["analyze", "--input", str(path), "--samples", "100", "--seed", "1"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert "Infinity" not in result.stdout
+    theorem = json.loads(result.stdout)["theorem_bound"]
+    assert theorem["value"] is None
+    assert theorem["log_value"] > 709.0
+    result = runner.invoke(main, args + ["--format", "csv"])
+    assert result.exit_code == 0
+    header, row = result.stdout_bytes.decode().strip().split("\r\n")
+    assert dict(zip(header.split(","), row.split(",")))["theorem_bound"] == ""
+
+
 def test_analyze_echoes_seed_to_stderr(runner, tmp_path):
     result = runner.invoke(main, ["analyze", "--input", write_majority(tmp_path), "--seed", "9"])
     assert "seed: 9" in result.stderr
@@ -157,6 +197,13 @@ def test_random_degree_zero_constant(runner):
     assert result.exit_code == 0
     poly = MultilinearPolynomial.from_json(result.stdout)
     assert poly.degree == 0
+
+
+def test_random_sparse_path_exits_0(runner):
+    # more than 2^20 candidate subsets: the sampler draws indices one term at a time
+    result = runner.invoke(main, ["random", "--n", "200", "--d", "3", "--terms", "5", "--seed", "1"])
+    assert result.exit_code == 0
+    assert MultilinearPolynomial.from_json(result.stdout).term_count == 5
 
 
 def test_random_unsatisfiable_sparsity_exits_3(runner):

@@ -112,7 +112,7 @@ def test_classify_near_constant_variance_path():
     n = 15
     terms = {0: 1.0}
     terms.update({1 << i: 0.001 for i in range(n)})
-    label = classify_leaf(MultilinearPolynomial(n, terms), 1e-9, 0.05, exact_cap=12)
+    label = classify_leaf(MultilinearPolynomial(n, terms), 1e-9, 0.05)
     assert label.kind is LeafKind.NEAR_CONSTANT
     assert label.sign == 1
     assert not label.exact_verified
@@ -121,7 +121,7 @@ def test_classify_near_constant_variance_path():
 def test_classify_bad_variance_path():
     n = 14
     p = MultilinearPolynomial(n, {(1 | (1 << j)): 1.0 for j in range(1, n)})
-    label = classify_leaf(p, 0.1, 0.05, exact_cap=12)
+    label = classify_leaf(p, 0.1, 0.05)
     assert label.kind is LeafKind.BAD
 
 
@@ -292,9 +292,9 @@ def test_block_identity_sweep():
 
 
 def test_block_identity_cap():
-    f = SignFunction(MultilinearPolynomial.coordinate_sum(21))
+    f = SignFunction(MultilinearPolynomial.coordinate_sum(25))
     with pytest.raises(CapExceededError):
-        block_sensitivity_identity_check(f, block_partition(21, 3))
+        block_sensitivity_identity_check(f, block_partition(25, 3))
 
 
 # ---------------------------------------------------------------------------

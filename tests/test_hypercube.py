@@ -5,6 +5,7 @@ import pytest
 
 from ptflab import (
     CapExceededError,
+    FourierSpectrum,
     InputError,
     MultilinearPolynomial,
     SignFunction,
@@ -18,6 +19,7 @@ from ptflab import (
     middle_layers_witness,
     noise_sensitivity_exact,
     theorem_bound,
+    theorem_log_bound,
     truth_table,
 )
 from ptflab.hypercube import point_from_mask
@@ -47,6 +49,30 @@ def test_fwht_is_involution_up_to_scale():
 def test_fwht_rejects_non_power_of_two():
     with pytest.raises(InputError):
         fwht(np.zeros(3))
+
+
+def _fwht_stage_copy(values):
+    """Reference butterfly that copies the upper half at every stage."""
+    a = np.array(values, dtype=np.float64, copy=True)
+    size = a.shape[0]
+    h = 1
+    while h < size:
+        a = a.reshape(-1, 2, h)
+        top = a[:, 0, :].copy()
+        a[:, 0, :] = top + a[:, 1, :]
+        a[:, 1, :] = top - a[:, 1, :]
+        a = a.reshape(size)
+        h *= 2
+    return a
+
+
+def test_fwht_bitwise_equal_to_stage_copy_reference():
+    rng = np.random.default_rng(11)
+    for n in range(13):
+        x = rng.standard_normal(1 << n)
+        before = x.copy()
+        assert np.array_equal(fwht(x), _fwht_stage_copy(x))
+        assert np.array_equal(x, before)  # the input is left untouched
 
 
 def test_evaluate_on_hypercube_matches_pointwise():
@@ -86,6 +112,27 @@ def test_truth_table_maj3_matches_pointwise():
 def test_truth_table_cap():
     with pytest.raises(CapExceededError):
         truth_table(SignFunction(MultilinearPolynomial.coordinate_sum(25)))
+
+
+def test_truth_table_and_spectrum_built_once_read_only():
+    f = SignFunction(poly(3, {(0, 1): 1.0, (2,): -0.5}))
+    table = truth_table(f)
+    assert truth_table(f) is table
+    spectrum = fourier(table)
+    assert fourier(table) is spectrum
+    assert spectrum.level_weights is spectrum.level_weights
+    for array in (table.values, spectrum.coefficients, spectrum.level_weights):
+        assert not array.flags.writeable
+
+
+def test_level_weights_match_direct_sum_across_blocks():
+    # n = 18 spans several 2^16 blocks of the level-weight accumulation
+    rng = np.random.default_rng(12)
+    for n in (0, 3, 16, 18):
+        coeffs = rng.standard_normal(1 << n)
+        sizes = np.array([bin(s).count("1") for s in range(1 << n)])
+        direct = np.bincount(sizes, weights=coeffs**2, minlength=n + 1)
+        np.testing.assert_allclose(FourierSpectrum(n, coeffs).level_weights, direct, rtol=1e-12)
 
 
 def test_fourier_dictator_and_constant():
@@ -184,6 +231,17 @@ def test_ns_zero_and_monotone():
         values = [noise_sensitivity_exact(f, d) for d in grid]
         assert values[0] == pytest.approx(0.0, abs=1e-12)
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def test_ns_matches_direct_subset_sum():
+    for _, p in random_instances(26, 8, n_range=(1, 8)):
+        f = SignFunction(p)
+        coeffs = fourier(truth_table(f)).coefficients
+        sizes = [bin(s).count("1") for s in range(1 << p.n)]
+        for delta in (0.001, 0.1, 0.37):
+            rho = 1.0 - 2.0 * delta
+            direct = 0.5 - 0.5 * sum(c * c * rho**k for c, k in zip(coeffs, sizes))
+            assert abs(noise_sensitivity_exact(f, delta) - direct) <= 1e-12
 
 
 def test_ns_rejects_bad_delta():
@@ -295,6 +353,13 @@ def test_theorem_bound_convention_frozen_value():
 def test_theorem_bound_monotone_in_n():
     values = [theorem_bound(float(n), 2, 1.0, 1.0) for n in (3, 10, 100, 10_000)]
     assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+def test_theorem_bound_overflow_is_inf_with_finite_log():
+    assert theorem_bound(40, 30) == math.inf
+    assert math.isfinite(theorem_log_bound(40, 30))
+    value = theorem_bound(22.0, 3, 1.0, 1.0)
+    assert math.log(value) == pytest.approx(theorem_log_bound(22.0, 3, 1.0, 1.0), rel=1e-14)
 
 
 def test_theorem_bound_validation():

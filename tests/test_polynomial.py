@@ -6,7 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptflab import InputError, MultilinearPolynomial, sign_pm1
+from ptflab import (
+    CapExceededError,
+    InputError,
+    MultilinearPolynomial,
+    SignFunction,
+    block_partition,
+    block_sensitivity_identity_check,
+    evaluate_on_hypercube,
+    exact_alpha,
+    hypercontractivity_check,
+    sign_pm1,
+    small_alpha_check,
+    truth_table,
+    weak_anticoncentration_exact,
+)
+from ptflab.hypercube import all_points
+from ptflab.polynomial import ENUMERATION_BUDGET, check_enumeration
 
 from conftest import brute_gradient, brute_influence, brute_second_moment, iter_cube, poly, random_instances
 
@@ -324,3 +340,56 @@ def test_json_loader_rejects_bad_text():
 def test_json_empty_vars_is_constant_term():
     p = MultilinearPolynomial.from_json(json.dumps({"n": 1, "terms": [{"vars": [], "coeff": 2.5}]}))
     assert p == MultilinearPolynomial.constant(1, 2.5)
+
+
+# ---------------------------------------------------------------------------
+# the enumeration budget
+
+
+def test_enumeration_budget_boundary():
+    assert ENUMERATION_BUDGET == 1 << 24
+    check_enumeration("probe", 1 << 24)
+    with pytest.raises(CapExceededError) as info:
+        check_enumeration("probe", (1 << 24) + 1)
+    message = str(info.value)
+    assert "probe" in message
+    assert str((1 << 24) + 1) in message
+    assert str(1 << 24) in message
+
+
+@pytest.mark.parametrize(
+    "call, cost",
+    [
+        (lambda: MultilinearPolynomial.coordinate_sum(25).dense_coefficients(), 1 << 25),
+        (lambda: truth_table(SignFunction(MultilinearPolynomial.coordinate_sum(25))), 1 << 25),
+        (lambda: evaluate_on_hypercube(MultilinearPolynomial.coordinate_sum(25)), 1 << 25),
+        (lambda: all_points(20), 20 << 20),
+        (lambda: exact_alpha(MultilinearPolynomial.coordinate_sum(13)), 1 << 26),
+        (lambda: small_alpha_check(MultilinearPolynomial.coordinate_sum(13)), 1 << 26),
+        (
+            lambda: weak_anticoncentration_exact(MultilinearPolynomial.coordinate_sum(25)),
+            1 << 25,
+        ),
+        (
+            lambda: hypercontractivity_check(MultilinearPolynomial.coordinate_sum(25), 4),
+            1 << 25,
+        ),
+        (
+            lambda: block_sensitivity_identity_check(
+                SignFunction(MultilinearPolynomial.coordinate_sum(25)), block_partition(25, 3)
+            ),
+            1 << 25,
+        ),
+    ],
+)
+def test_every_exact_path_states_cost_and_budget(call, cost):
+    with pytest.raises(CapExceededError) as info:
+        call()
+    assert str(cost) in str(info.value)
+    assert str(ENUMERATION_BUDGET) in str(info.value)
+
+
+def test_enumeration_limits_in_variables():
+    # 2^n for one pass over the cube, n * 2^n for the point matrix, 4^n for pairs
+    assert all_points(19).shape == (1 << 19, 19)
+    assert exact_alpha(MultilinearPolynomial.coordinate_sum(12)) >= 0.0

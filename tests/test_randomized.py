@@ -444,7 +444,7 @@ def test_hypercontractivity_validation():
     with pytest.raises(InputError):
         hypercontractivity_check(X0, 4.0)
     with pytest.raises(CapExceededError):
-        hypercontractivity_check(MultilinearPolynomial.coordinate_sum(17), 4)
+        hypercontractivity_check(MultilinearPolynomial.coordinate_sum(25), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +471,14 @@ def test_random_polynomial_degree_zero_is_constant():
 def test_random_polynomial_unsatisfiable_sparsity():
     with pytest.raises(CapExceededError):
         random_polynomial(4, 1, 99, Rng(1))
+
+
+def test_random_polynomial_sparse_path_keys_are_ints():
+    p = random_polynomial(200, 3, 20, Rng(1))
+    assert p.term_count == 20
+    assert all(type(mask) is int for mask in p.terms)
+    assert any(mask >> 63 for mask in p.terms)  # a variable index >= 63
+    assert MultilinearPolynomial.from_json(p.to_json()) == p
 
 
 def test_random_polynomial_exhaustive_request():
