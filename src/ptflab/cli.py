@@ -780,7 +780,7 @@ def main() -> None:
 @click.option("--cexp", type=float, default=1.0, show_default=True, help="Envelope exp constant.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--out", type=str, default=None, help="Output path (default stdout).")
-@click.option("--workers", type=int, default=1, show_default=True, help="Worker count.")
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True, help="Worker count.")
 @_guarded
 def cmd_analyze(input_path, n, d, terms, seed, samples, clog, cexp, fmt, out, workers):
     """Report sensitivity, spectra and ratio statistics for one polynomial."""
@@ -824,16 +824,12 @@ def cmd_random(n, d, terms, seed, out):
 @click.option("--eps", type=float, default=0.05, show_default=True, help="Sign-constancy tolerance.")
 @click.option("--delta", type=float, default=0.05, show_default=True, help="Bad-leaf mass target.")
 @click.option("--bigM", "big_m", type=float, default=1.0, show_default=True, help="Threshold exponent constant.")
-@click.option("--c1", type=float, default=1.0, show_default=True, help="Block reference constant.")
-@click.option("--c2", type=float, default=1.0, show_default=True, help="Block reference constant.")
-@click.option("--clog", type=float, default=1.0, show_default=True, help="Envelope log constant.")
-@click.option("--cexp", type=float, default=1.0, show_default=True, help="Envelope exp constant.")
 @click.option("--blocks", type=int, default=3, show_default=True, help="Block count for block checks.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--out", type=str, default=None, help="Output path (default stdout).")
-@click.option("--workers", type=int, default=1, show_default=True, help="Worker count.")
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True, help="Worker count.")
 @_guarded
-def cmd_suite(suite_name, seed, samples, tau, eps, delta, big_m, c1, c2, clog, cexp, blocks, fmt, out, workers):
+def cmd_suite(suite_name, seed, samples, tau, eps, delta, big_m, blocks, fmt, out, workers):
     """Run a named check battery and emit one report row per check."""
     if samples < 1:
         raise InputError("--samples must be positive")
@@ -863,10 +859,6 @@ def cmd_suite(suite_name, seed, samples, tau, eps, delta, big_m, c1, c2, clog, c
                 "eps": eps,
                 "delta": delta,
                 "big_m": big_m,
-                "c1": c1,
-                "c2": c2,
-                "c_log": clog,
-                "c_exp": cexp,
                 "blocks": blocks,
             },
             "rows": [r.to_json_dict() for r in rows],

@@ -23,16 +23,7 @@ from .errors import InputError
 from .hypercube import SignFunction, average_sensitivity_exact, evaluate_on_hypercube, truth_table
 from .hypercube import _table_average_sensitivity
 from .polynomial import MultilinearPolynomial, sign_pm1
-from .randomized import (
-    EstimatorResult,
-    Rng,
-    _clamped_ratio_values,
-    _pm1_batch,
-    _run_mc,
-    _support_partials,
-    estimate_alpha,
-    exact_alpha,
-)
+from .randomized import BERNOULLI, EstimatorResult, Rng, estimate_alpha, exact_alpha, ratio_estimate
 
 _FORMULA_DOMAIN_CAP = 0.2499999999
 # per-leaf cost policy, not a feasibility limit: a leaf whose support has at
@@ -476,26 +467,21 @@ def block_alpha_sum(
 ) -> BlockAlphaReport:
     """Estimate sum over blocks of E[alpha of the block restriction].
 
-    Each draw samples the outside assignment and the inner point jointly
-    (one full +-1 point) plus a direction supported on the block, so each
-    block term is an unbiased single-level expectation.  When ``tau`` is
+    Block ``j`` is :func:`ptflab.randomized.ratio_estimate` under +-1 inputs
+    with ``coords`` set to the block, on stream ``rng.child(j)``: each draw
+    samples the outside assignment and the inner point jointly (one full
+    +-1 point) plus a direction supported on the block, so each block term
+    is an unbiased single-level expectation.  ``alpha_hat`` is
+    :func:`estimate_alpha` on stream ``rng.child(b)``.  When ``tau`` is
     given the report also carries the comparison value
     c1 d^3 alpha_hat sqrt(b) + c2 d^4 b tau^(1/(8d)).
     """
     if partition.n != p.n:
         raise InputError(f"partition is for n={partition.n}, polynomial has n={p.n}")
-    n = p.n
-    per_block = []
-    for j, block in enumerate(partition.blocks):
-        parts = _support_partials(p, block)
-
-        def batch(gen: np.random.Generator, m: int, parts=parts) -> np.ndarray:
-            points = _pm1_batch(gen, m, n)
-            directions = _pm1_batch(gen, m, n)
-            return _clamped_ratio_values(p, parts, points, directions)
-
-        per_block.append(_run_mc(batch, samples, rng.child(j), workers)[0])
-
+    per_block = [
+        ratio_estimate(p, BERNOULLI, samples, rng.child(j), workers=workers, coords=block)
+        for j, block in enumerate(partition.blocks)
+    ]
     total = EstimatorResult(
         estimate=float(sum(r.estimate for r in per_block)),
         std_error=float(math.sqrt(sum(r.std_error**2 for r in per_block))),

@@ -1,11 +1,17 @@
-"""Seeded Monte Carlo samplers and estimators, with exact small-n oracles.
+"""Seeded Monte Carlo estimators, with exact small-n oracles.
 
 Reproducibility contract: every estimator is a pure function of
 ``(polynomial, parameters, seed, stream, samples, workers)``.  Draws come
 from numpy's PCG64 seeded through ``SeedSequence(seed, spawn_key=...)``;
 the sample budget is split into ``workers`` contiguous chunks, chunk ``c``
 using spawn key ``(stream, c)``, and chunk results are merged in index
-order.  Results are therefore bit-stable for a fixed worker count (and may
+order.  Each chunk draws in batches of at most 2^22 float64 elements
+(``2^22 // w`` rows when one row materialises ``w`` elements: n for one
+draw, 2n for a point and a direction, or the output column count if that
+is larger), so memory does not grow with n or the sample count, and seeded
+values depend on that batch rule.  Chunks run on at most
+``os.cpu_count()`` threads; the thread count never changes a result.
+Results are therefore bit-stable for a fixed worker count (and may
 legitimately differ between worker counts).  Gaussian draws use numpy's
 ziggurat, fixed within one build.
 
@@ -19,9 +25,10 @@ exists for robustness.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -35,6 +42,8 @@ _DISTRIBUTIONS = (BERNOULLI, GAUSSIAN)
 
 _M64 = (1 << 64) - 1
 _BATCH_ELEMENTS = 1 << 22
+
+T = TypeVar("T")
 
 
 def _splitmix64(x: int) -> int:
@@ -105,71 +114,89 @@ class EstimatorResult:
 # Monte Carlo engine
 
 
+def _batch_rows(width: int) -> int:
+    """Rows per batch when one row materialises ``width`` float64 elements."""
+    return max(1, _BATCH_ELEMENTS // max(1, width))
+
+
 def _chunk_sizes(samples: int, workers: int) -> list[int]:
     base, extra = divmod(samples, workers)
     return [base + (1 if c < extra else 0) for c in range(workers)]
 
 
-def _run_mc(
+def _run_chunks(
     batch_fn: Callable[[np.random.Generator, int], np.ndarray],
+    reduce: Callable[[Iterator[np.ndarray]], T],
     samples: int,
     rng: Rng,
-    workers: int = 1,
-    columns: int = 1,
-) -> list[EstimatorResult]:
-    """Accumulate ``batch_fn`` values over a chunked, seeded sample budget.
+    workers: int,
+    width: int,
+) -> list[T]:
+    """Split ``samples`` into ``workers`` seeded chunks and reduce each one.
 
-    ``batch_fn(gen, m)`` must return ``m`` integrand values (or an
-    ``(m, columns)`` matrix).  One :class:`EstimatorResult` per column.
+    Chunk ``c`` draws from ``rng.chunk_generator(c)`` in batches of
+    :func:`_batch_rows` ``(width)`` rows; ``batch_fn(gen, m)`` returns the
+    values of ``m`` rows and ``reduce`` folds one chunk's batches.  Chunk
+    results come back in chunk order, whatever the thread count.
     """
     if samples < 1:
         raise InputError(f"need at least one sample, got {samples}")
     if workers < 1:
         raise InputError(f"worker count must be positive, got {workers}")
-    workers = min(workers, samples)
-    batch_rows = max(1, _BATCH_ELEMENTS // max(1, columns))
+    rows = _batch_rows(width)
 
-    def run_chunk(args: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, int]:
-        index, size = args
+    def run_chunk(task: tuple[int, int]) -> T:
+        index, size = task
         gen = rng.chunk_generator(index)
-        total = np.zeros(columns)
-        total_sq = np.zeros(columns)
-        done = 0
-        while done < size:
-            m = min(batch_rows, size - done)
-            values = np.asarray(batch_fn(gen, m), dtype=np.float64)
-            if values.ndim == 1:
-                values = values[:, None]
-            total += values.sum(axis=0)
-            total_sq += (values * values).sum(axis=0)
-            done += m
-        return total, total_sq, size
+        return reduce(batch_fn(gen, min(rows, size - done)) for done in range(0, size, rows))
 
-    tasks = list(enumerate(_chunk_sizes(samples, workers)))
-    if workers == 1:
-        chunk_results = [run_chunk(tasks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunk_results = list(pool.map(run_chunk, tasks))
+    tasks = list(enumerate(_chunk_sizes(samples, min(workers, samples))))
+    threads = min(len(tasks), os.cpu_count() or 1)
+    if threads == 1:
+        return [run_chunk(task) for task in tasks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(run_chunk, tasks))
 
-    total = np.zeros(columns)
-    total_sq = np.zeros(columns)
+
+def _moments(batches: Iterator[np.ndarray]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Per-column sum, sum of squares and row count of integrand batches."""
+    total = total_sq = 0.0
     count = 0
-    for part_total, part_sq, part_count in chunk_results:
-        total += part_total
-        total_sq += part_sq
-        count += part_count
+    for values in batches:
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim == 1:
+            values = values[:, None]
+        total = total + values.sum(axis=0)
+        total_sq = total_sq + (values * values).sum(axis=0)
+        count += values.shape[0]
+    return total, total_sq, count
 
+
+def _concatenate(batches: Iterator[np.ndarray]) -> np.ndarray:
+    return np.concatenate(list(batches))
+
+
+def _estimate(
+    batch_fn: Callable[[np.random.Generator, int], np.ndarray],
+    samples: int,
+    rng: Rng,
+    workers: int,
+    width: int,
+) -> list[EstimatorResult]:
+    """Sample means of ``batch_fn`` values, one :class:`EstimatorResult` per column."""
+    chunks = _run_chunks(batch_fn, _moments, samples, rng, workers, width)
+    total = total_sq = 0.0
+    count = 0
+    for part_total, part_sq, part_count in chunks:
+        total = total + part_total
+        total_sq = total_sq + part_sq
+        count += part_count
     out = []
-    for j in range(columns):
-        mean = total[j] / count
-        if count > 1:
-            var = max(0.0, (total_sq[j] - total[j] * total[j] / count) / (count - 1))
-        else:
-            var = 0.0
+    for t, t_sq in zip(total, total_sq):
+        var = max(0.0, (t_sq - t * t / count) / (count - 1)) if count > 1 else 0.0
         out.append(
             EstimatorResult(
-                estimate=float(mean),
+                estimate=float(t / count),
                 std_error=float(math.sqrt(var / count)),
                 samples=count,
                 seed=rng.seed,
@@ -179,43 +206,10 @@ def _run_mc(
     return out
 
 
-# ---------------------------------------------------------------------------
-# samplers
-
-
-def _pm1_batch(gen: np.random.Generator, m: int, n: int) -> np.ndarray:
-    return (gen.integers(0, 2, size=(m, n), dtype=np.int8) * 2 - 1).astype(np.float64)
-
-
-def sample_bernoulli(n: int, rng: Rng) -> np.ndarray:
-    """One uniform +-1 point; the same (seed, stream) repeats the same point."""
-    if n < 1:
-        raise InputError(f"dimension must be positive, got {n}")
-    return _pm1_batch(rng.generator(), 1, n)[0]
-
-
-def sample_gaussian(n: int, rng: Rng) -> np.ndarray:
-    """One standard normal point; deterministic per (seed, stream)."""
-    if n < 1:
-        raise InputError(f"dimension must be positive, got {n}")
-    return rng.generator().standard_normal(n)
-
-
-def sample_bernoulli_many(n: int, count: int, rng: Rng) -> np.ndarray:
-    if n < 1 or count < 1:
-        raise InputError("dimension and count must be positive")
-    return _pm1_batch(rng.generator(), count, n)
-
-
-def sample_gaussian_many(n: int, count: int, rng: Rng) -> np.ndarray:
-    if n < 1 or count < 1:
-        raise InputError("dimension and count must be positive")
-    return rng.generator().standard_normal((count, n))
-
-
 def _draw(gen: np.random.Generator, dist: str, m: int, n: int) -> np.ndarray:
+    """An ``(m, n)`` float64 matrix of uniform +-1 or standard normal entries."""
     if dist == BERNOULLI:
-        return _pm1_batch(gen, m, n)
+        return (gen.integers(0, 2, size=(m, n), dtype=np.int8) * 2 - 1).astype(np.float64)
     return gen.standard_normal((m, n))
 
 
@@ -236,6 +230,19 @@ def _support_partials(
     return [(i, p.partial_derivative(i)) for i in active]
 
 
+def _value_and_derivative(
+    p: MultilinearPolynomial,
+    parts: Sequence[tuple[int, MultilinearPolynomial]],
+    points: np.ndarray,
+    directions: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of p(x) and D_v p(x), the latter summed over the coordinates of ``parts``."""
+    deriv = np.zeros(points.shape[0])
+    for i, part in parts:
+        deriv += directions[:, i] * part.eval_many(points)
+    return p.eval_many(points), deriv
+
+
 def _clamped_ratio_values(
     p: MultilinearPolynomial,
     parts: Sequence[tuple[int, MultilinearPolynomial]],
@@ -243,10 +250,7 @@ def _clamped_ratio_values(
     directions: np.ndarray,
 ) -> np.ndarray:
     """min(1, |D_v p(x)|^2 / |p(x)|^2) rows, with the zero-denominator rule."""
-    values = p.eval_many(points)
-    deriv = np.zeros(points.shape[0])
-    for i, part in parts:
-        deriv += directions[:, i] * part.eval_many(points)
+    values, deriv = _value_and_derivative(p, parts, points, directions)
     zero = values == 0.0
     safe = np.where(zero, 1.0, values)
     ratio = deriv / safe
@@ -260,57 +264,50 @@ def _clamped_ratio_values(
     return out
 
 
-def _ratio_estimator(
+def ratio_estimate(
     p: MultilinearPolynomial,
     dist: str,
     samples: int,
     rng: Rng,
-    workers: int,
-    antithetic: bool,
+    *,
+    workers: int = 1,
+    coords: Sequence[int] | None = None,
 ) -> EstimatorResult:
-    parts = _support_partials(p)
+    """Expected clamped squared derivative-to-value ratio under ``dist`` inputs.
+
+    Each draw uses an independent point A and direction B from ``dist``.
+    With ``coords`` the derivative only runs along those coordinates (B
+    restricted to them), which is the per-block statistic of
+    :func:`ptflab.decompose.block_alpha_sum`.
+    """
+    _check_dist(dist)
+    parts = _support_partials(p, coords)
     n = p.n
 
     def batch(gen: np.random.Generator, m: int) -> np.ndarray:
         points = _draw(gen, dist, m, n)
         directions = _draw(gen, dist, m, n)
-        if antithetic:
-            return 0.5 * (
-                _clamped_ratio_values(p, parts, points, directions)
-                + _clamped_ratio_values(p, parts, -points, directions)
-            )
         return _clamped_ratio_values(p, parts, points, directions)
 
-    return _run_mc(batch, samples, rng, workers)[0]
+    return _estimate(batch, samples, rng, workers, width=2 * n)[0]
 
 
 def estimate_alpha(
-    p: MultilinearPolynomial,
-    samples: int,
-    rng: Rng,
-    *,
-    workers: int = 1,
-    antithetic: bool = False,
+    p: MultilinearPolynomial, samples: int, rng: Rng, *, workers: int = 1
 ) -> EstimatorResult:
     """Expected clamped squared derivative-to-value ratio under +-1 inputs.
 
     Each draw uses an independent point A and direction B; the statistic is
-    scale invariant and always lies in [0, 1].  With ``antithetic`` on,
-    ``samples`` counts (A, -A) pair averages.
+    scale invariant and always lies in [0, 1].
     """
-    return _ratio_estimator(p, BERNOULLI, samples, rng, workers, antithetic)
+    return ratio_estimate(p, BERNOULLI, samples, rng, workers=workers)
 
 
 def estimate_beta(
-    p: MultilinearPolynomial,
-    samples: int,
-    rng: Rng,
-    *,
-    workers: int = 1,
-    antithetic: bool = False,
+    p: MultilinearPolynomial, samples: int, rng: Rng, *, workers: int = 1
 ) -> EstimatorResult:
     """Gaussian analogue of :func:`estimate_alpha`."""
-    return _ratio_estimator(p, GAUSSIAN, samples, rng, workers, antithetic)
+    return ratio_estimate(p, GAUSSIAN, samples, rng, workers=workers)
 
 
 def exact_alpha(p: MultilinearPolynomial) -> float:
@@ -330,7 +327,7 @@ def exact_alpha(p: MultilinearPolynomial) -> float:
     safe = np.where(zero, 1.0, values)
     points = all_points(n)
     total = 0.0
-    chunk = max(1, _BATCH_ELEMENTS // size)
+    chunk = _batch_rows(size)
     for start in range(0, size, chunk):
         deriv = points[start : start + chunk] @ grads
         ratio = deriv / safe[None, :]
@@ -398,7 +395,7 @@ def tail_curve(
         magnitudes = np.abs(p.eval_many(_draw(gen, dist, m, n)))
         return (magnitudes[:, None] > cuts[None, :]).astype(np.float64)
 
-    results = _run_mc(batch, samples, rng, workers, columns=len(levels))
+    results = _estimate(batch, samples, rng, workers, width=max(n, len(levels)))
     d_eff = max(1, p.degree)
     envelope = tuple(2.0 ** (-((t / 2.0) ** (2.0 / d_eff))) for t in levels)
     return TailCurve(
@@ -434,7 +431,7 @@ def weak_anticoncentration_estimate(
     def batch(gen: np.random.Generator, m: int) -> np.ndarray:
         return (np.abs(p.eval_many(_draw(gen, dist, m, n))) >= l2 / 2.0).astype(np.float64)
 
-    return _run_mc(batch, samples, rng, workers)[0]
+    return _estimate(batch, samples, rng, workers, width=n)[0]
 
 
 def carbery_wright_estimate(
@@ -454,7 +451,7 @@ def carbery_wright_estimate(
     def batch(gen: np.random.Generator, m: int) -> np.ndarray:
         return (np.abs(p.eval_many(gen.standard_normal((m, n)))) <= eps * l2).astype(np.float64)
 
-    return _run_mc(batch, samples, rng, workers)[0]
+    return _estimate(batch, samples, rng, workers, width=n)[0]
 
 
 def rotation_pair(x: np.ndarray, y: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -490,13 +487,10 @@ def strong_anticoncentration_estimate(
     def batch(gen: np.random.Generator, m: int) -> np.ndarray:
         points = gen.standard_normal((m, n))
         directions = gen.standard_normal((m, n))
-        values = np.abs(p.eval_many(points))
-        deriv = np.zeros(m)
-        for i, part in parts:
-            deriv += directions[:, i] * part.eval_many(points)
-        return (values <= eps * np.abs(deriv)).astype(np.float64)
+        values, deriv = _value_and_derivative(p, parts, points, directions)
+        return (np.abs(values) <= eps * np.abs(deriv)).astype(np.float64)
 
-    return _run_mc(batch, samples, rng, workers)[0]
+    return _estimate(batch, samples, rng, workers, width=2 * n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -515,22 +509,6 @@ class InvarianceGap:
     stream: int
 
 
-def _collect_values(
-    p: MultilinearPolynomial, dist: str, samples: int, rng: Rng, workers: int
-) -> np.ndarray:
-    n = p.n
-    batch_rows = max(1, _BATCH_ELEMENTS // max(1, n))
-    pieces = []
-    for index, size in enumerate(_chunk_sizes(samples, min(workers, samples))):
-        gen = rng.chunk_generator(index)
-        done = 0
-        while done < size:
-            m = min(batch_rows, size - done)
-            pieces.append(p.eval_many(_draw(gen, dist, m, n)))
-            done += m
-    return np.concatenate(pieces)
-
-
 def invariance_gap(
     p: MultilinearPolynomial,
     t_grid: Sequence[float] | None,
@@ -546,10 +524,16 @@ def invariance_gap(
     is None the grid is ``grid_points`` evenly spaced quantiles of the
     pooled sample, which adapts to wherever the distributions put mass.
     """
-    if samples < 1:
-        raise InputError(f"need at least one sample, got {samples}")
-    gaussian = _collect_values(p, GAUSSIAN, samples, rng.child(0), workers)
-    bernoulli = _collect_values(p, BERNOULLI, samples, rng.child(1), workers)
+    n = p.n
+
+    def values(dist: str, stream: Rng) -> np.ndarray:
+        def batch(gen: np.random.Generator, m: int) -> np.ndarray:
+            return p.eval_many(_draw(gen, dist, m, n))
+
+        return np.concatenate(_run_chunks(batch, _concatenate, samples, stream, workers, width=n))
+
+    gaussian = values(GAUSSIAN, rng.child(0))
+    bernoulli = values(BERNOULLI, rng.child(1))
     if t_grid is None:
         pooled = np.concatenate([gaussian, bernoulli])
         grid = np.quantile(pooled, np.linspace(0.0, 1.0, grid_points))
@@ -598,8 +582,8 @@ def abs_comparison_gap(
 
         return batch
 
-    bern = _run_mc(make_batch(BERNOULLI), samples, rng.child(0), workers)[0]
-    gauss = _run_mc(make_batch(GAUSSIAN), samples, rng.child(1), workers)[0]
+    bern = _estimate(make_batch(BERNOULLI), samples, rng.child(0), workers, width=n)[0]
+    gauss = _estimate(make_batch(GAUSSIAN), samples, rng.child(1), workers, width=n)[0]
     return EstimatorResult(
         estimate=abs(bern.estimate - gauss.estimate),
         std_error=math.hypot(bern.std_error, gauss.std_error),

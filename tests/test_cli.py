@@ -269,6 +269,28 @@ def test_suite_rejects_nonpositive_samples(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_suite_rejects_nonpositive_workers(runner, workers):
+    args = ["suite", "--suite", "invariance", "--workers", workers, "--samples", "1000", "--seed", "1"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "--workers" in result.output
+
+
+def test_analyze_rejects_nonpositive_workers(runner, tmp_path):
+    # alpha is enumerated here, so no estimator would ever see the worker count
+    args = ["analyze", "--input", write_majority(tmp_path), "--seed", "1", "--workers", "0"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "--workers" in result.output
+
+
+def test_suite_has_no_unused_constant_options(runner):
+    for option in ("--c1", "--c2", "--clog", "--cexp"):
+        result = runner.invoke(main, ["suite", "--suite", "gl", "--seed", "1", option, "2"])
+        assert result.exit_code == 2, option
+
+
 # ---------------------------------------------------------------------------
 # exit-code policy
 

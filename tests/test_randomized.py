@@ -22,15 +22,14 @@ from ptflab import (
     invariance_gap,
     random_polynomial,
     rotation_pair,
-    sample_bernoulli,
-    sample_bernoulli_many,
-    sample_gaussian,
-    sample_gaussian_many,
     strong_anticoncentration_estimate,
     tail_curve,
     weak_anticoncentration_estimate,
     weak_anticoncentration_exact,
 )
+
+from ptflab import randomized
+from ptflab.randomized import _BATCH_ELEMENTS, _draw
 
 from conftest import brute_alpha, poly, random_instances
 
@@ -52,13 +51,15 @@ X0 = poly(1, {(0,): 1.0})
 
 def test_rng_repeat_call_is_identical():
     rng = Rng(123, 4)
-    np.testing.assert_array_equal(sample_bernoulli(6, rng), sample_bernoulli(6, rng))
-    np.testing.assert_array_equal(sample_gaussian(6, rng), sample_gaussian(6, rng))
+    for dist in (BERNOULLI, GAUSSIAN):
+        np.testing.assert_array_equal(
+            _draw(rng.generator(), dist, 1, 6), _draw(rng.generator(), dist, 1, 6)
+        )
 
 
 def test_rng_streams_differ():
-    a = sample_gaussian(8, Rng(1, 0))
-    b = sample_gaussian(8, Rng(1, 1))
+    a = _draw(Rng(1, 0).generator(), GAUSSIAN, 1, 8)
+    b = _draw(Rng(1, 1).generator(), GAUSSIAN, 1, 8)
     assert not np.allclose(a, b)
 
 
@@ -68,25 +69,28 @@ def test_rng_child_is_deterministic():
 
 
 def test_bernoulli_entries_are_pm1():
-    pts = sample_bernoulli_many(5, 1000, Rng(3))
+    pts = _draw(Rng(3).generator(), BERNOULLI, 1000, 5)
+    assert pts.dtype == np.float64
     assert set(np.unique(pts)) == {-1.0, 1.0}
 
 
 def test_bernoulli_mean_window():
-    means = sample_bernoulli_many(4, 1_000_000, Rng(21)).mean(axis=0)
+    means = _draw(Rng(21).generator(), BERNOULLI, 1_000_000, 4).mean(axis=0)
     assert np.all(np.abs(means) < 0.01)
 
 
 def test_gaussian_variance_window():
-    variances = sample_gaussian_many(4, 1_000_000, Rng(22)).var(axis=0)
+    variances = _draw(Rng(22).generator(), GAUSSIAN, 1_000_000, 4).var(axis=0)
     assert np.all((variances > 0.99) & (variances < 1.01))
 
 
 def test_sampler_validation():
     with pytest.raises(InputError):
-        sample_bernoulli(0, Rng(1))
+        tail_curve(X0, "cauchy", [1.0], 100, Rng(1))
     with pytest.raises(InputError):
-        sample_gaussian_many(3, 0, Rng(1))
+        weak_anticoncentration_estimate(X0, "cauchy", 100, Rng(1))
+    with pytest.raises(InputError):
+        invariance_gap(X0, None, 0, Rng(1))
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +125,65 @@ def test_estimators_reproducible_per_worker_count():
     a = estimate_alpha(p, 30_000, Rng(6, 1), workers=3)
     b = estimate_alpha(p, 30_000, Rng(6, 1), workers=3)
     assert a == b
+
+
+def test_invariance_gap_reproducible_per_worker_count():
+    a = invariance_gap(scaled_sum(25), None, 30_001, Rng(6, 2), workers=3)
+    b = invariance_gap(scaled_sum(25), None, 30_001, Rng(6, 2), workers=3)
+    assert a.gap == b.gap
+    np.testing.assert_array_equal(a.thresholds, b.thresholds)
+    np.testing.assert_array_equal(a.per_t, b.per_t)
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_driver_rejects_nonpositive_workers(workers):
+    with pytest.raises(InputError):
+        invariance_gap(X0, None, 1_000, Rng(1), workers=workers)
+    with pytest.raises(InputError):
+        strong_anticoncentration_estimate(X0, 0.1, 1_000, Rng(1), workers=workers)
+
+
+def test_thread_pool_is_capped_at_cpu_count(monkeypatch):
+    sizes = []
+
+    class RecordingPool(randomized.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(randomized, "ThreadPoolExecutor", RecordingPool)
+    p = random_polynomial(6, 2, 6, Rng(43))
+    monkeypatch.setattr(randomized.os, "cpu_count", lambda: 4)
+    pooled = estimate_alpha(p, 6_400, Rng(6, 3), workers=64)
+    assert sizes == [4]
+    monkeypatch.setattr(randomized.os, "cpu_count", lambda: None)
+    serial = estimate_alpha(p, 6_400, Rng(6, 3), workers=64)
+    assert sizes == [4]  # one CPU: the chunks run without a pool
+    assert pooled == serial
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda p, m: estimate_beta(p, m, Rng(8, 1)),
+        lambda p, m: strong_anticoncentration_estimate(p, 0.1, m, Rng(8, 2)),
+    ],
+    ids=["beta", "strong"],
+)
+def test_estimator_memory_is_bounded_by_the_batch_budget(estimate):
+    import tracemalloc
+
+    n = 1024
+    p = MultilinearPolynomial(n, {0: 0.2, 1 << 3: 1.0, (1 << 10) | (1 << 500): 0.5, 1 << 1023: -0.7})
+    samples = 3 * (_BATCH_ELEMENTS // (2 * n)) + 100  # a few thousand rows, several batches
+    tracemalloc.start()
+    try:
+        result = estimate(p, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.samples == samples and 0.0 <= result.estimate <= 1.0
+    assert peak < 2 * _BATCH_ELEMENTS * 8, f"peak {peak / 2**20:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +239,6 @@ def test_estimate_alpha_within_ci_of_exact():
         estimate_alpha(p, 100_000, Rng(500, s)).covers(0.75) for s in range(20)
     )
     assert hits >= 17
-
-
-def test_alpha_antithetic_flag_is_deterministic():
-    p = random_polynomial(5, 2, 6, Rng(45))
-    a = estimate_alpha(p, 10_000, Rng(9), antithetic=True)
-    b = estimate_alpha(p, 10_000, Rng(9), antithetic=True)
-    assert a == b and 0.0 <= a.estimate <= 1.0
 
 
 # ---------------------------------------------------------------------------
