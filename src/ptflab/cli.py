@@ -403,7 +403,7 @@ def _suite_invariants(rng: Rng, workers: int) -> list[SuiteRow]:
                 l2_enum,
             )
         )
-        f = SignFunction(p)
+        f = SignFunction.from_values(p, values)
         table = truth_table(f)
         spectrum = fourier(table)
         parseval = float((spectrum.coefficients**2).sum())
@@ -640,11 +640,8 @@ def _suite_decompose(
             successes += 1
         for leaf in tree.leaves:
             if leaf.label.kind is LeafKind.NEAR_CONSTANT and leaf.label.exact_verified:
-                compressed, _ = leaf.polynomial.compress_support()
-                values = evaluate_on_hypercube(compressed)
-                mismatch = float(((values >= 0) != (leaf.label.sign > 0)).mean())
-                worst = max(worst, mismatch)
-                if mismatch > eps:
+                worst = max(worst, leaf.label.mismatch)
+                if leaf.label.mismatch > eps:
                     soundness_ok = False
     rows.append(
         _row(

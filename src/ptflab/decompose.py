@@ -85,9 +85,12 @@ class LeafKind(Enum):
 
 @dataclass(frozen=True)
 class LeafClass:
+    """``mismatch``: the enumerated share of points off ``sign`` when ``exact_verified``."""
+
     kind: LeafKind
     sign: int | None = None
     exact_verified: bool = False
+    mismatch: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind is LeafKind.NEAR_CONSTANT:
@@ -236,7 +239,7 @@ def classify_leaf(p: MultilinearPolynomial, tau: float, eps: float) -> LeafClass
     if compressed.n <= _EXACT_LEAF_SUPPORT:
         mismatch = float(np.mean((evaluate_on_hypercube(compressed) >= 0.0) != (sign > 0)))
         if mismatch <= eps:
-            return LeafClass(LeafKind.NEAR_CONSTANT, sign=sign, exact_verified=True)
+            return LeafClass(LeafKind.NEAR_CONSTANT, sign, exact_verified=True, mismatch=mismatch)
         return LeafClass(LeafKind.BAD)
     criterion = (4.0 * math.log(1.0 / eps)) ** (-p.degree / 2.0) * mom.mean**2
     if mom.variance <= criterion:

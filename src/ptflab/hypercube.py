@@ -43,11 +43,19 @@ class SignFunction:
     def __call__(self, x: RealPoint) -> int:
         return sign_pm1(self.source.eval(x))
 
+    @classmethod
+    def from_values(cls, source: MultilinearPolynomial, values: np.ndarray) -> "SignFunction":
+        """The sign function of ``source``, its table built from ``values``,
+        the :func:`evaluate_on_hypercube` array a caller already holds."""
+        signs = np.where(values >= 0.0, np.int8(1), np.int8(-1))
+        signs.flags.writeable = False
+        f = cls(source)
+        f.__dict__["_table"] = TruthTable(source.n, signs)
+        return f
+
     @cached_property
     def _table(self) -> "TruthTable":
-        signs = np.where(evaluate_on_hypercube(self.source) >= 0.0, np.int8(1), np.int8(-1))
-        signs.flags.writeable = False
-        return TruthTable(self.n, signs)
+        return SignFunction.from_values(self.source, evaluate_on_hypercube(self.source))._table
 
 
 @dataclass(frozen=True, eq=False)

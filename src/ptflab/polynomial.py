@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -27,6 +28,9 @@ from .errors import CapExceededError, InputError
 MAX_VARIABLES = 4096
 COEFF_EPS = 1e-15
 ENUMERATION_BUDGET = 1 << 24
+# float64 rows eval_many holds besides its inputs: value, derivative, one
+# term's running product and derivative, and a scratch row
+KERNEL_ROWS = 5
 
 RealPoint = np.ndarray
 HypercubePoint = np.ndarray
@@ -166,17 +170,23 @@ class MultilinearPolynomial:
         """Indices of variables that actually occur in some term."""
         return tuple(iter_bits(self.support_mask))
 
-    def compress_support(self) -> tuple["MultilinearPolynomial", tuple[int, ...]]:
+    def compress_support(
+        self, support: Sequence[int] | None = None
+    ) -> tuple["MultilinearPolynomial", tuple[int, ...]]:
         """Re-index onto the support variables only.
 
         Returns the compressed polynomial on ``k = len(support)`` variables
         together with the original indices, position ``j`` holding the old
         index of new variable ``j``.  Distributional quantities (moments,
         sign probabilities, sensitivities) are unchanged because dropped
-        coordinates never occur in any term.
+        coordinates never occur in any term.  A given ``support`` (distinct
+        indices covering :attr:`support`) re-indexes onto those variables
+        instead, so that several polynomials share one index space.
         """
-        support = self.support
+        support = self.support if support is None else tuple(support)
         position = {old: new for new, old in enumerate(support)}
+        if len(position) != len(support) or self.support_mask & ~mask_from_indices(support):
+            raise InputError(f"{support} are not distinct indices covering {self.support}")
         new_terms = {
             mask_from_indices(position[i] for i in iter_bits(mask)): coeff
             for mask, coeff in self.terms.items()
@@ -197,18 +207,62 @@ class MultilinearPolynomial:
             total += prod
         return total
 
-    def eval_many(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on a ``(m, n)`` matrix of points."""
+    @cached_property
+    def _kernel(self) -> tuple[float, np.ndarray | None, tuple[tuple[float, tuple[int, ...]], ...]]:
+        """What :meth:`eval_many` runs: the constant, the dense linear
+        coefficients (None without linear terms: the matrix-vector product
+        would run BLAS threads for zeros) and the (coefficient, variables)
+        of each higher term."""
+        linear = np.zeros(self.n)
+        higher = []
+        for mask, coeff in self.terms.items():
+            if mask & (mask - 1):
+                higher.append((coeff, tuple(iter_bits(mask))))
+            elif mask:
+                linear[mask.bit_length() - 1] = coeff
+        linear.flags.writeable = False
+        return self.terms.get(0, 0.0), linear if linear.any() else None, tuple(higher)
+
+    def eval_many(
+        self, points: np.ndarray, directions: np.ndarray | None = None
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+        """Evaluate on the rows of an ``(m, n)`` matrix of points.
+
+        With ``directions``, a matrix of the same shape, returns the pair
+        ``(p(x), D_v p(x))`` row by row from one forward-mode pass: along
+        each term the running product P and its derivative D advance as
+        ``D <- D x_j + P v_j`` and ``P <- P x_j``.  The linear part is one
+        matrix-vector product.  Columns are read one at a time, so the
+        ``.T`` view of a C-order ``(n, m)`` array reads contiguous memory.
+        """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise InputError(f"expected an (m, {self.n}) matrix, got shape {pts.shape}")
-        out = np.zeros(pts.shape[0])
-        for mask, coeff in self.terms.items():
-            acc = np.full(pts.shape[0], coeff)
-            for i in iter_bits(mask):
-                acc *= pts[:, i]
-            out += acc
-        return out
+        constant, linear, higher = self._kernel
+        values = np.zeros(pts.shape[0]) if linear is None else pts @ linear
+        values += constant
+        if directions is None:
+            for coeff, idx in higher:
+                prod = pts[:, idx[0]] * coeff
+                for j in idx[1:]:
+                    prod *= pts[:, j]
+                values += prod
+            return values
+        dirs = np.asarray(directions, dtype=np.float64)
+        if dirs.shape != pts.shape:
+            raise InputError(f"directions of shape {dirs.shape} for points of shape {pts.shape}")
+        deriv = np.zeros(pts.shape[0]) if linear is None else dirs @ linear
+        scratch = np.empty(pts.shape[0])
+        for coeff, idx in higher:
+            prod = pts[:, idx[0]] * coeff
+            part = dirs[:, idx[0]] * coeff
+            for j in idx[1:]:
+                part *= pts[:, j]
+                part += np.multiply(prod, dirs[:, j], out=scratch)
+                prod *= pts[:, j]
+            values += prod
+            deriv += part
+        return values, deriv
 
     def gradient(self, x: RealPoint) -> np.ndarray:
         arr = _as_point(x, self.n)
@@ -223,9 +277,10 @@ class MultilinearPolynomial:
         return grad
 
     def directional_derivative(self, x: RealPoint, v: RealPoint) -> float:
-        """D_v p(x) = v . grad p(x), computed through :meth:`gradient`."""
+        """D_v p(x) = v . grad p(x), one row of :meth:`eval_many`'s kernel."""
+        arr = _as_point(x, self.n)
         vec = _as_point(v, self.n, "direction")
-        return float(np.dot(vec, self.gradient(x)))
+        return float(self.eval_many(arr[None, :], vec[None, :])[1][0])
 
     # ------------------------------------------------------------------
     # calculus and restriction

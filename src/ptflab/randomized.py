@@ -5,11 +5,17 @@ Reproducibility contract: every estimator is a pure function of
 from numpy's PCG64 seeded through ``SeedSequence(seed, spawn_key=...)``;
 the sample budget is split into ``workers`` contiguous chunks, chunk ``c``
 using spawn key ``(stream, c)``, and chunk results are merged in index
-order.  Each chunk draws in batches of at most 2^22 float64 elements
-(``2^22 // w`` rows when one row materialises ``w`` elements: n for one
-draw, 2n for a point and a direction, or the output column count if that
-is larger), so memory does not grow with n or the sample count, and seeded
-values depend on that batch rule.  Chunks run on at most
+order.  Every estimator first compresses the polynomial onto its k
+support variables (:meth:`MultilinearPolynomial.compress_support`, exact
+for every distributional quantity since the other coordinates occur in no
+term) and draws only those k coordinates, coordinate-major: a C-order
+``(k, m)`` array whose ``.T`` view goes to ``eval_many``, so each column
+the evaluation kernel reads is contiguous.  Each chunk draws in batches of
+at most 2^22 float64 elements (``2^22 // w`` rows when one row materialises
+``w`` elements: k drawn for a point, 2k for a point and a direction, plus
+the kernel's ``KERNEL_ROWS``, or the output column count if that is
+larger), so memory does not grow with n or the sample count, and seeded
+values depend on that batch rule and draw layout.  Chunks run on at most
 ``os.cpu_count()`` threads; the thread count never changes a result.
 Results are therefore bit-stable for a fixed worker count (and may
 legitimately differ between worker counts).  Gaussian draws use numpy's
@@ -34,7 +40,7 @@ import numpy as np
 
 from .errors import CapExceededError, InputError
 from .hypercube import all_points, evaluate_on_hypercube
-from .polynomial import MultilinearPolynomial, check_enumeration, mask_from_indices
+from .polynomial import KERNEL_ROWS, MultilinearPolynomial, check_enumeration, mask_from_indices
 
 BERNOULLI = "bernoulli"
 GAUSSIAN = "gaussian"
@@ -206,11 +212,11 @@ def _estimate(
     return out
 
 
-def _draw(gen: np.random.Generator, dist: str, m: int, n: int) -> np.ndarray:
-    """An ``(m, n)`` float64 matrix of uniform +-1 or standard normal entries."""
+def _draw(gen: np.random.Generator, dist: str, rows: int, cols: int) -> np.ndarray:
+    """A C-order ``(rows, cols)`` float64 matrix of uniform +-1 or standard normal entries."""
     if dist == BERNOULLI:
-        return (gen.integers(0, 2, size=(m, n), dtype=np.int8) * 2 - 1).astype(np.float64)
-    return gen.standard_normal((m, n))
+        return (gen.integers(0, 2, size=(rows, cols), dtype=np.int8) * 2 - 1).astype(np.float64)
+    return gen.standard_normal((rows, cols))
 
 
 def _check_dist(dist: str) -> str:
@@ -223,45 +229,23 @@ def _check_dist(dist: str) -> str:
 # clamped derivative-to-value ratio (the alpha / beta integrand)
 
 
-def _support_partials(
-    p: MultilinearPolynomial, coords: Sequence[int] | None = None
-) -> list[tuple[int, MultilinearPolynomial]]:
-    active = p.support if coords is None else [i for i in coords if i in set(p.support)]
-    return [(i, p.partial_derivative(i)) for i in active]
-
-
-def _value_and_derivative(
-    p: MultilinearPolynomial,
-    parts: Sequence[tuple[int, MultilinearPolynomial]],
-    points: np.ndarray,
-    directions: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of p(x) and D_v p(x), the latter summed over the coordinates of ``parts``."""
-    deriv = np.zeros(points.shape[0])
-    for i, part in parts:
-        deriv += directions[:, i] * part.eval_many(points)
-    return p.eval_many(points), deriv
-
-
-def _clamped_ratio_values(
-    p: MultilinearPolynomial,
-    parts: Sequence[tuple[int, MultilinearPolynomial]],
-    points: np.ndarray,
-    directions: np.ndarray,
+def _clamped_ratio(
+    values: np.ndarray, deriv: np.ndarray, points: np.ndarray, parts: Sequence[MultilinearPolynomial]
 ) -> np.ndarray:
-    """min(1, |D_v p(x)|^2 / |p(x)|^2) rows, with the zero-denominator rule."""
-    values, deriv = _value_and_derivative(p, parts, points, directions)
+    """min(1, (D_v p(x) / p(x))^2), computed in ``deriv``, with the zero-denominator rule.
+
+    ``points`` is the coordinate-major ``(k, m)`` draw; the squared gradient
+    over ``parts`` is evaluated only on the rows where p(x) = 0.
+    """
     zero = values == 0.0
-    safe = np.where(zero, 1.0, values)
-    ratio = deriv / safe
-    out = np.minimum(1.0, ratio * ratio)
+    values[zero] = 1.0
+    np.divide(deriv, values, out=deriv)
+    np.square(deriv, out=deriv)
+    np.minimum(deriv, 1.0, out=deriv)
     if zero.any():
-        grad_sq = np.zeros(int(zero.sum()))
-        at = points[zero]
-        for _, part in parts:
-            grad_sq += part.eval_many(at) ** 2
-        out[zero] = (grad_sq > 0.0).astype(np.float64)
-    return out
+        at = points[:, zero].T
+        deriv[zero] = sum(part.eval_many(at) ** 2 for part in parts) > 0.0
+    return deriv
 
 
 def ratio_estimate(
@@ -281,15 +265,21 @@ def ratio_estimate(
     :func:`ptflab.decompose.block_alpha_sum`.
     """
     _check_dist(dist)
-    parts = _support_partials(p, coords)
-    n = p.n
+    compressed, support = p.compress_support()
+    k = compressed.n
+    position = {old: new for new, old in enumerate(support)}
+    active = range(k) if coords is None else [position[i] for i in coords if i in position]
+    idle = sorted(set(range(k)) - set(active))
+    parts = [compressed.partial_derivative(j) for j in active]
 
     def batch(gen: np.random.Generator, m: int) -> np.ndarray:
-        points = _draw(gen, dist, m, n)
-        directions = _draw(gen, dist, m, n)
-        return _clamped_ratio_values(p, parts, points, directions)
+        points = _draw(gen, dist, k, m)
+        directions = _draw(gen, dist, k, m)
+        directions[idle] = 0.0
+        values, deriv = compressed.eval_many(points.T, directions.T)
+        return _clamped_ratio(values, deriv, points, parts)
 
-    return _estimate(batch, samples, rng, workers, width=2 * n)[0]
+    return _estimate(batch, samples, rng, workers, width=2 * k + KERNEL_ROWS)[0]
 
 
 def estimate_alpha(
@@ -389,13 +379,14 @@ def tail_curve(
     if not levels or levels[0] <= 0.0:
         raise InputError("thresholds must be positive")
     cuts = np.array(levels) * l2
-    n = p.n
+    compressed = p.compress_support()[0]
+    k = compressed.n
 
     def batch(gen: np.random.Generator, m: int) -> np.ndarray:
-        magnitudes = np.abs(p.eval_many(_draw(gen, dist, m, n)))
+        magnitudes = np.abs(compressed.eval_many(_draw(gen, dist, k, m).T))
         return (magnitudes[:, None] > cuts[None, :]).astype(np.float64)
 
-    results = _estimate(batch, samples, rng, workers, width=max(n, len(levels)))
+    results = _estimate(batch, samples, rng, workers, width=max(k + KERNEL_ROWS, len(levels)))
     d_eff = max(1, p.degree)
     envelope = tuple(2.0 ** (-((t / 2.0) ** (2.0 / d_eff))) for t in levels)
     return TailCurve(
@@ -426,12 +417,14 @@ def weak_anticoncentration_estimate(
 ) -> EstimatorResult:
     _check_dist(dist)
     l2 = _require_nonzero(p)
-    n = p.n
+    compressed = p.compress_support()[0]
+    k = compressed.n
 
     def batch(gen: np.random.Generator, m: int) -> np.ndarray:
-        return (np.abs(p.eval_many(_draw(gen, dist, m, n))) >= l2 / 2.0).astype(np.float64)
+        values = compressed.eval_many(_draw(gen, dist, k, m).T)
+        return (np.abs(values) >= l2 / 2.0).astype(np.float64)
 
-    return _estimate(batch, samples, rng, workers, width=n)[0]
+    return _estimate(batch, samples, rng, workers, width=k + KERNEL_ROWS)[0]
 
 
 def carbery_wright_estimate(
@@ -446,12 +439,14 @@ def carbery_wright_estimate(
     if eps <= 0.0:
         raise InputError(f"eps must be positive, got {eps}")
     l2 = _require_nonzero(p)
-    n = p.n
+    compressed = p.compress_support()[0]
+    k = compressed.n
 
     def batch(gen: np.random.Generator, m: int) -> np.ndarray:
-        return (np.abs(p.eval_many(gen.standard_normal((m, n)))) <= eps * l2).astype(np.float64)
+        values = compressed.eval_many(_draw(gen, GAUSSIAN, k, m).T)
+        return (np.abs(values) <= eps * l2).astype(np.float64)
 
-    return _estimate(batch, samples, rng, workers, width=n)[0]
+    return _estimate(batch, samples, rng, workers, width=k + KERNEL_ROWS)[0]
 
 
 def rotation_pair(x: np.ndarray, y: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -481,16 +476,16 @@ def strong_anticoncentration_estimate(
         raise InputError(f"eps must be positive, got {eps}")
     if p.degree < 1:
         raise InputError("degenerate for constant polynomials: the event has probability 0")
-    parts = _support_partials(p)
-    n = p.n
+    compressed = p.compress_support()[0]
+    k = compressed.n
 
     def batch(gen: np.random.Generator, m: int) -> np.ndarray:
-        points = gen.standard_normal((m, n))
-        directions = gen.standard_normal((m, n))
-        values, deriv = _value_and_derivative(p, parts, points, directions)
+        points = _draw(gen, GAUSSIAN, k, m)
+        directions = _draw(gen, GAUSSIAN, k, m)
+        values, deriv = compressed.eval_many(points.T, directions.T)
         return (np.abs(values) <= eps * np.abs(deriv)).astype(np.float64)
 
-    return _estimate(batch, samples, rng, workers, width=2 * n)[0]
+    return _estimate(batch, samples, rng, workers, width=2 * k + KERNEL_ROWS)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -524,13 +519,15 @@ def invariance_gap(
     is None the grid is ``grid_points`` evenly spaced quantiles of the
     pooled sample, which adapts to wherever the distributions put mass.
     """
-    n = p.n
+    compressed = p.compress_support()[0]
+    k = compressed.n
 
     def values(dist: str, stream: Rng) -> np.ndarray:
         def batch(gen: np.random.Generator, m: int) -> np.ndarray:
-            return p.eval_many(_draw(gen, dist, m, n))
+            return compressed.eval_many(_draw(gen, dist, k, m).T)
 
-        return np.concatenate(_run_chunks(batch, _concatenate, samples, stream, workers, width=n))
+        chunks = _run_chunks(batch, _concatenate, samples, stream, workers, width=k + KERNEL_ROWS)
+        return np.concatenate(chunks)
 
     gaussian = values(GAUSSIAN, rng.child(0))
     bernoulli = values(BERNOULLI, rng.child(1))
@@ -569,21 +566,25 @@ def abs_comparison_gap(
     """|Pr(|p(A)| <= |q(A)|) - Pr(|p(X)| <= |q(X)|)| from paired sample sets.
 
     The reported ``std_error`` is that of the signed difference of the two
-    independent proportion estimates.
+    independent proportion estimates.  Both polynomials are compressed onto
+    the union of their supports.
     """
     if p.n != q.n:
         raise InputError(f"dimension mismatch: n={p.n} vs n={q.n}")
-    n = p.n
+    support = tuple(sorted(set(p.support) | set(q.support)))
+    pc, qc = p.compress_support(support)[0], q.compress_support(support)[0]
+    k = len(support)
 
     def make_batch(dist: str):
         def batch(gen: np.random.Generator, m: int) -> np.ndarray:
-            pts = _draw(gen, dist, m, n)
-            return (np.abs(p.eval_many(pts)) <= np.abs(q.eval_many(pts))).astype(np.float64)
+            pts = _draw(gen, dist, k, m).T
+            return (np.abs(pc.eval_many(pts)) <= np.abs(qc.eval_many(pts))).astype(np.float64)
 
         return batch
 
-    bern = _estimate(make_batch(BERNOULLI), samples, rng.child(0), workers, width=n)[0]
-    gauss = _estimate(make_batch(GAUSSIAN), samples, rng.child(1), workers, width=n)[0]
+    width = k + KERNEL_ROWS
+    bern = _estimate(make_batch(BERNOULLI), samples, rng.child(0), workers, width=width)[0]
+    gauss = _estimate(make_batch(GAUSSIAN), samples, rng.child(1), workers, width=width)[0]
     return EstimatorResult(
         estimate=abs(bern.estimate - gauss.estimate),
         std_error=math.hypot(bern.std_error, gauss.std_error),

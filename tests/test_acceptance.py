@@ -10,6 +10,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from ptflab import (
@@ -40,6 +41,8 @@ from ptflab.cli import main as cli_main
 from ptflab.hypercube import all_points
 
 from conftest import random_instances
+
+pytestmark = pytest.mark.acceptance
 
 
 @contextmanager

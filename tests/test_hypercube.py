@@ -125,6 +125,15 @@ def test_truth_table_and_spectrum_built_once_read_only():
         assert not array.flags.writeable
 
 
+def test_sign_function_from_values_reuses_the_caller_array():
+    for _, p in random_instances(119, 10, n_range=(1, 8)):
+        values = evaluate_on_hypercube(p)
+        f = SignFunction.from_values(p, values)
+        assert f == SignFunction(p)
+        np.testing.assert_array_equal(truth_table(f).values, truth_table(SignFunction(p)).values)
+        assert not truth_table(f).values.flags.writeable
+
+
 def test_level_weights_match_direct_sum_across_blocks():
     # n = 18 spans several 2^16 blocks of the level-weight accumulation
     rng = np.random.default_rng(12)

@@ -22,7 +22,7 @@ from ptflab import (
     weak_anticoncentration_exact,
 )
 from ptflab.hypercube import all_points
-from ptflab.polynomial import ENUMERATION_BUDGET, check_enumeration
+from ptflab.polynomial import ENUMERATION_BUDGET, check_enumeration, mask_from_indices
 
 from conftest import brute_gradient, brute_influence, brute_second_moment, iter_cube, poly, random_instances
 
@@ -100,6 +100,56 @@ def test_directional_derivative_examples():
     assert poly(2, {(0,): 1.0, (1,): 1.0}).directional_derivative([0.3, -2.0], [1.0, 1.0]) == 2.0
     p = poly(2, {(0, 1): 1.0, (0,): 1.0})
     assert p.directional_derivative([-1.0, 2.0], [0.0, 1.0]) == pytest.approx(-1.0)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A polynomial of degree <= 6 (possibly empty, constant, or n = 0, or a
+    sparse support inside n = 64), points and directions, and a memory layout."""
+    n = draw(st.sampled_from([0, 1, 2, 5, 8, 64]))
+    support = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=8)) if n else []
+    subsets = st.lists(st.sampled_from(support), unique=True, max_size=6) if support else st.just([])
+    masks = draw(st.lists(subsets.map(mask_from_indices), unique=True, max_size=10))
+    coeff = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, width=32)
+    p = MultilinearPolynomial(n, {mask: draw(coeff) for mask in masks})
+    m = draw(st.integers(0, 4))
+    entry = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, width=32)
+    grid = st.lists(entry, min_size=m * n, max_size=m * n)
+    if draw(st.booleans()):  # C-order (m, n)
+        points = np.array(draw(grid)).reshape(m, n)
+        directions = np.array(draw(grid)).reshape(m, n)
+    else:  # the .T view of a C-order (n, m) array, as the estimators pass it
+        points = np.array(draw(grid)).reshape(n, m).T
+        directions = np.array(draw(grid)).reshape(n, m).T
+    return p, points, directions
+
+
+@given(kernel_cases())
+@settings(max_examples=150, deadline=None)
+def test_eval_many_value_and_derivative_match_pointwise(case):
+    p, points, directions = case
+    magnitude = MultilinearPolynomial(p.n, {mask: abs(c) for mask, c in p.terms.items()})
+    values = p.eval_many(points)
+    fused_values, deriv = p.eval_many(points, directions)
+    assert values.shape == fused_values.shape == deriv.shape == (points.shape[0],)
+    for x, v, value, fused, d in zip(points, directions, values, fused_values, deriv):
+        # 1e-12 relative to the sum of the absolute term values
+        value_scale = magnitude.eval(np.abs(x))
+        deriv_scale = float(np.dot(np.abs(v), magnitude.gradient(np.abs(x))))
+        assert abs(value - p.eval(x)) <= 1e-12 * value_scale
+        assert abs(fused - p.eval(x)) <= 1e-12 * value_scale
+        assert abs(d - np.dot(v, p.gradient(x))) <= 1e-12 * deriv_scale
+        assert abs(p.directional_derivative(x, v) - d) <= 1e-12 * deriv_scale
+
+
+def test_eval_many_validates_shapes():
+    p = poly(3, {(0, 2): 1.0})
+    with pytest.raises(InputError):
+        p.eval_many(np.zeros((4, 2)))
+    with pytest.raises(InputError):
+        p.eval_many(np.zeros((4, 3)), np.zeros((5, 3)))
+    with pytest.raises(InputError):
+        p.directional_derivative([1.0, 1.0, 1.0], [1.0, 1.0])
 
 
 def test_gradient_matches_difference_oracle():
@@ -297,6 +347,18 @@ def test_compress_support_preserves_moments():
     assert support == (3, 7)
     assert compressed.n == 2
     assert compressed.moments() == p.moments()
+
+
+def test_compress_support_onto_a_shared_support():
+    p = MultilinearPolynomial(10, {(1 << 3) | (1 << 7): 2.0})
+    q = MultilinearPolynomial(10, {(1 << 5): 1.0})
+    compressed, support = p.compress_support((3, 5, 7))
+    assert support == (3, 5, 7)
+    assert compressed == MultilinearPolynomial(3, {0b101: 2.0})
+    assert q.compress_support((3, 5, 7))[0] == MultilinearPolynomial(3, {0b010: 1.0})
+    for bad in [(3,), (3, 7, 7)]:
+        with pytest.raises(InputError):
+            p.compress_support(bad)
 
 
 # ---------------------------------------------------------------------------

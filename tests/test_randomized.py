@@ -29,7 +29,7 @@ from ptflab import (
 )
 
 from ptflab import randomized
-from ptflab.randomized import _BATCH_ELEMENTS, _draw
+from ptflab.randomized import _BATCH_ELEMENTS, _draw, ratio_estimate
 
 from conftest import brute_alpha, poly, random_instances
 
@@ -184,6 +184,81 @@ def test_estimator_memory_is_bounded_by_the_batch_budget(estimate):
         tracemalloc.stop()
     assert result.samples == samples and 0.0 <= result.estimate <= 1.0
     assert peak < 2 * _BATCH_ELEMENTS * 8, f"peak {peak / 2**20:.1f} MB"
+
+
+def _embed(p, n, positions):
+    """p with its variable i moved to positions[i] in an n-variable space."""
+    return MultilinearPolynomial(n, {
+        sum(1 << positions[i] for i in range(p.n) if mask >> i & 1): c
+        for mask, c in p.terms.items()
+    })
+
+
+def _gap_fields(gap):
+    return gap.gap, gap.thresholds.tolist(), gap.per_t.tolist(), gap.samples
+
+
+_SCATTERED = (3, 64, 65, 200, 311, 402, 477, 511)
+_BASE = random_polynomial(8, 3, 10, Rng(42)) + poly(8, {(): 0.3, (2,): -0.7})  # support 0..7
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda p, pos: estimate_alpha(p, 20_000, Rng(9, 1)),
+        lambda p, pos: estimate_beta(p, 20_000, Rng(9, 2), workers=2),
+        lambda p, pos: ratio_estimate(p, GAUSSIAN, 20_000, Rng(9, 3), coords=pos((1, 4, 6))),
+        lambda p, pos: ratio_estimate(p, BERNOULLI, 20_000, Rng(9, 3), coords=pos((0, 5))),
+        lambda p, pos: strong_anticoncentration_estimate(p, 0.1, 20_000, Rng(9, 4)),
+        lambda p, pos: tail_curve(p, GAUSSIAN, [0.5, 1.0, 2.0], 20_000, Rng(9, 5)),
+        lambda p, pos: weak_anticoncentration_estimate(p, BERNOULLI, 20_000, Rng(9, 6)),
+        lambda p, pos: carbery_wright_estimate(p, 0.1, 20_000, Rng(9, 7)),
+        lambda p, pos: _gap_fields(invariance_gap(p, None, 20_000, Rng(9, 8))),
+    ],
+    ids=["alpha", "beta", "ratio_coords_gaussian", "ratio_coords_bernoulli", "strong", "tail",
+         "weak", "carbery_wright", "invariance_gap"],
+)
+def test_estimators_are_invariant_under_support_compression(estimate):
+    # the embedded polynomial and its compressed form draw the same k columns
+    wide = _embed(_BASE, 512, _SCATTERED)
+    compressed, support = wide.compress_support()
+    assert support == _SCATTERED and compressed == _BASE
+    in_wide = lambda block: [_SCATTERED[i] for i in block] + [0, 100]  # plus unused indices
+    in_base = lambda block: list(block)
+    assert estimate(wide, in_wide) == estimate(_BASE, in_base)
+
+
+def test_abs_comparison_gap_is_invariant_under_union_support_compression():
+    p = poly(3, {(0, 1): 1.0, (0,): 0.5})
+    q = poly(3, {(1, 2): 0.8, (2,): -0.3})
+    positions = (7, 130, 509)  # p lives on {7, 130}, q on {130, 509}
+    wide_p, wide_q = _embed(p, 512, positions), _embed(q, 512, positions)
+    assert wide_p.support != wide_q.support
+    assert abs_comparison_gap(wide_p, wide_q, 20_000, Rng(9, 9)) == abs_comparison_gap(
+        p, q, 20_000, Rng(9, 9)
+    )
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda p: strong_anticoncentration_estimate(p, 0.01, 400_000, Rng(9006, 1)),
+        lambda p: estimate_alpha(p, 400_000, Rng(9006, 2)),
+    ],
+    ids=["strong", "alpha"],
+)
+def test_criterion_6_polynomial_peak_allocation(estimate):
+    import tracemalloc
+
+    p = random_polynomial(8, 3, 8, Rng(900).child(0))
+    p = MultilinearPolynomial(8, {m: c for m, c in p.terms.items() if m != 0})
+    tracemalloc.start()
+    try:
+        estimate(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 45 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
