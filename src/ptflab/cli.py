@@ -23,7 +23,6 @@ import click
 
 from .decompose import (
     LeafKind,
-    RecursionSchedule,
     RegularityConfig,
     block_alpha_sum,
     block_partition,
@@ -69,13 +68,33 @@ EXIT_INFEASIBLE = 3
 EXIT_INVARIANT = 4
 
 NS_DELTAS = (0.001, 0.01, 0.1)
-SUITE_NAMES = ("invariants", "gl", "anticoncentration", "invariance", "decompose", "all")
 
 IDENTITY_TOL = 1e-9
 
 
 def _normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+# Exact identities that both ``analyze`` and the invariants suite report, each
+# as (holds, value, reference).
+
+
+def _influence_sandwich(p: MultilinearPolynomial) -> tuple[bool, float, float]:
+    """Var[p] <= I[p] <= max(1, deg p) Var[p]: (holds, I[p], Var[p])."""
+    variance, total = p.moments().variance, p.total_influence()
+    holds = (
+        variance <= total + IDENTITY_TOL
+        and total <= max(1, p.degree) * variance + IDENTITY_TOL
+    )
+    return holds, total, variance
+
+
+def _as_two_path(f: SignFunction) -> tuple[bool, float, float]:
+    """as(f) by edge counting and by Fourier weights: (holds, edges, Fourier)."""
+    edges = average_sensitivity_exact(f)
+    weighted = average_sensitivity_fourier(truth_table(f))
+    return abs(edges - weighted) <= IDENTITY_TOL, edges, weighted
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +126,20 @@ def _resolve_seed(seed: int | None) -> int:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as e:
+        raise InputError(f"cannot write {out}: {e}") from e
+
+
+def _emit_json(obj: dict, out: str | None) -> None:
+    """Write ``obj`` as strict JSON; a non-finite number is an input error."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as e:
+        raise InputError(f"the report holds a non-finite number ({e})") from e
+    _emit(text, out)
 
 
 def _load_polynomial(path: str) -> MultilinearPolynomial:
@@ -239,38 +270,22 @@ def _analyze_report(
         "total_influence": p.total_influence(),
     }
 
-    checks = []
-    sandwich_ok = (
-        mom.variance <= p.total_influence() + IDENTITY_TOL
-        and p.total_influence() <= max(degree, 1) * mom.variance + IDENTITY_TOL
-    )
-    checks.append(
-        {
-            "name": "influence_sandwich",
-            "passed": bool(sandwich_ok),
-            "value": p.total_influence(),
-            "reference": mom.variance,
-        }
-    )
+    def check(name: str, identity: tuple[bool, float, float]) -> dict:
+        holds, value, reference = identity
+        return {"name": name, "passed": bool(holds), "value": value, "reference": reference}
 
+    checks = [check("influence_sandwich", _influence_sandwich(p))]
     as_value = None
     if (1 << k) <= ENUMERATION_BUDGET:
         f = SignFunction(compressed)
-        as_value = average_sensitivity_exact(f)
+        two_path = _as_two_path(f)
+        as_value = two_path[1]
         report["as"] = {"value": as_value, "method": "enumeration"}
         report["noise_sensitivity"] = [
             {"delta": d_, "value": noise_sensitivity_exact(f, d_), "method": "enumeration"}
             for d_ in NS_DELTAS
         ]
-        two_path = average_sensitivity_fourier(truth_table(f))
-        checks.append(
-            {
-                "name": "as_two_path",
-                "passed": bool(abs(as_value - two_path) <= IDENTITY_TOL),
-                "value": as_value,
-                "reference": two_path,
-            }
-        )
+        checks.append(check("as_two_path", two_path))
         del f  # drops the cached table and spectrum before the Monte Carlo section
     else:
         report["as"] = None
@@ -340,7 +355,27 @@ def _analyze_csv(report: dict) -> str:
 # suites
 
 
-def _suite_gl(rng: Rng, workers: int) -> list[SuiteRow]:
+def _scaled_sum(n: int) -> MultilinearPolynomial:
+    """The unit-variance linear form (x_0 + ... + x_{n-1}) / sqrt(n)."""
+    return MultilinearPolynomial(n, {1 << i: 1.0 / math.sqrt(n) for i in range(n)})
+
+
+def _within_4se_row(check: str, instance: str, result, reference: float) -> SuiteRow:
+    """Hard row: a Monte Carlo estimate within 4 standard errors of its closed form."""
+    return _row(
+        check,
+        instance,
+        "hard",
+        abs(result.estimate - reference) <= 4.0 * max(result.std_error, 1e-12),
+        result.estimate,
+        reference,
+        f"std_error={result.std_error!r}",
+    )
+
+
+def _suite_gl(
+    rng: Rng, config: RegularityConfig, samples: int, blocks: int, workers: int
+) -> list[SuiteRow]:
     rows = []
     for n in (3, 5, 7, 9, 11, 13, 15):
         table = gl_report_row(n, 1)
@@ -387,7 +422,9 @@ def _suite_gl(rng: Rng, workers: int) -> list[SuiteRow]:
     return rows
 
 
-def _suite_invariants(rng: Rng, workers: int) -> list[SuiteRow]:
+def _suite_invariants(
+    rng: Rng, config: RegularityConfig, samples: int, blocks: int, workers: int
+) -> list[SuiteRow]:
     rows = []
     for k, p in sweep_instances(rng.child(0), 200):
         values = evaluate_on_hypercube(p)
@@ -404,41 +441,14 @@ def _suite_invariants(rng: Rng, workers: int) -> list[SuiteRow]:
             )
         )
         f = SignFunction.from_values(p, values)
-        table = truth_table(f)
-        spectrum = fourier(table)
+        spectrum = fourier(truth_table(f))
         parseval = float((spectrum.coefficients**2).sum())
         rows.append(
             _row("parseval", f"instance={k}", "identity", abs(parseval - 1.0) <= 1e-9, parseval, 1.0)
         )
-        mom = p.moments()
-        total = p.total_influence()
-        sandwich = (
-            mom.variance <= total + IDENTITY_TOL
-            and total <= max(1, p.degree) * mom.variance + IDENTITY_TOL
-        )
-        rows.append(
-            _row(
-                "influence_sandwich",
-                f"instance={k}",
-                "identity",
-                sandwich,
-                total,
-                mom.variance,
-                f"d={p.degree}",
-            )
-        )
-        edge = average_sensitivity_exact(f)
-        weighted = average_sensitivity_fourier(table)
-        rows.append(
-            _row(
-                "as_two_path",
-                f"instance={k}",
-                "identity",
-                abs(edge - weighted) <= IDENTITY_TOL,
-                edge,
-                weighted,
-            )
-        )
+        sandwich = _influence_sandwich(p)
+        rows.append(_row("influence_sandwich", f"instance={k}", "identity", *sandwich, f"d={p.degree}"))
+        rows.append(_row("as_two_path", f"instance={k}", "identity", *_as_two_path(f)))
         i = p.support[0]
         s = 1 if k % 2 == 0 else -1
         points = all_points(p.n)
@@ -461,7 +471,9 @@ def _suite_invariants(rng: Rng, workers: int) -> list[SuiteRow]:
     return rows
 
 
-def _suite_anticoncentration(rng: Rng, samples: int, workers: int) -> list[SuiteRow]:
+def _suite_anticoncentration(
+    rng: Rng, config: RegularityConfig, samples: int, blocks: int, workers: int
+) -> list[SuiteRow]:
     rows = []
     for k, p in sweep_instances(rng.child(0), 60, d_max=4):
         prob = weak_anticoncentration_exact(p)
@@ -491,41 +503,20 @@ def _suite_anticoncentration(rng: Rng, samples: int, workers: int) -> list[Suite
     x0 = MultilinearPolynomial.from_vars(1, {(0,): 1.0})
     strong = strong_anticoncentration_estimate(x0, 0.1, samples, rng.child(1), workers=workers)
     strong_ref = (2.0 / math.pi) * math.atan(0.1)
-    rows.append(
-        _row(
-            "strong_anticoncentration_x0",
-            "eps=0.1",
-            "hard",
-            abs(strong.estimate - strong_ref) <= 4.0 * max(strong.std_error, 1e-12),
-            strong.estimate,
-            strong_ref,
-            f"std_error={strong.std_error!r}",
-        )
-    )
+    rows.append(_within_4se_row("strong_anticoncentration_x0", "eps=0.1", strong, strong_ref))
     cw = carbery_wright_estimate(x0, 0.1, samples, rng.child(2), workers=workers)
-    cw_ref = 2.0 * (_normal_cdf(0.1) - 0.5)
-    rows.append(
-        _row(
-            "carbery_wright_x0",
-            "eps=0.1",
-            "hard",
-            abs(cw.estimate - cw_ref) <= 4.0 * max(cw.std_error, 1e-12),
-            cw.estimate,
-            cw_ref,
-            f"std_error={cw.std_error!r}",
-        )
-    )
+    rows.append(_within_4se_row("carbery_wright_x0", "eps=0.1", cw, 2.0 * (_normal_cdf(0.1) - 0.5)))
     _, p_scale = next(iter(sweep_instances(rng.child(3), 1, n_range=(6, 8))))
     wide = strong_anticoncentration_estimate(p_scale, 0.02, samples, rng.child(4), workers=workers)
     narrow = strong_anticoncentration_estimate(p_scale, 0.01, samples, rng.child(5), workers=workers)
-    ratio = wide.estimate / narrow.estimate if narrow.estimate > 0 else float("inf")
     rows.append(
         _row(
             "strong_anticoncentration_scaling",
             "eps=0.02/0.01",
             "info",
             True,
-            ratio,
+            # no ratio when the narrow event was never drawn; the detail keeps both
+            wide.estimate / narrow.estimate if narrow.estimate > 0 else None,
             2.0,
             f"wide={wide.estimate!r};narrow={narrow.estimate!r}",
         )
@@ -533,7 +524,9 @@ def _suite_anticoncentration(rng: Rng, samples: int, workers: int) -> list[Suite
     return rows
 
 
-def _suite_invariance(rng: Rng, samples: int, workers: int) -> list[SuiteRow]:
+def _suite_invariance(
+    rng: Rng, config: RegularityConfig, samples: int, blocks: int, workers: int
+) -> list[SuiteRow]:
     rows = []
     x0 = MultilinearPolynomial.from_vars(1, {(0,): 1.0})
     gap = invariance_gap(x0, [-0.5], samples, rng.child(0), workers=workers)
@@ -548,12 +541,8 @@ def _suite_invariance(rng: Rng, samples: int, workers: int) -> list[SuiteRow]:
             reference,
         )
     )
-
-    def scaled_sum(n: int) -> MultilinearPolynomial:
-        return MultilinearPolynomial(n, {1 << i: 1.0 / math.sqrt(n) for i in range(n)})
-
-    small = invariance_gap(scaled_sum(25), None, samples, rng.child(1), workers=workers)
-    large = invariance_gap(scaled_sum(100), None, samples, rng.child(2), workers=workers)
+    small = invariance_gap(_scaled_sum(25), None, samples, rng.child(1), workers=workers)
+    large = invariance_gap(_scaled_sum(100), None, samples, rng.child(2), workers=workers)
     rows.append(
         _row(
             "invariance_gap_decay",
@@ -564,13 +553,13 @@ def _suite_invariance(rng: Rng, samples: int, workers: int) -> list[SuiteRow]:
             small.gap,
         )
     )
-    p = scaled_sum(9)
+    p = _scaled_sum(9)
     same = abs_comparison_gap(p, p, samples, rng.child(3), workers=workers)
     rows.append(
         _row("abs_comparison_self", "q=p", "identity", same.estimate == 0.0, same.estimate, 0.0)
     )
     for idx, n in enumerate((9, 100)):
-        base = scaled_sum(n)
+        base = _scaled_sum(n)
         gen = rng.child(4 + idx).generator()
         weights = 0.1 * gen.standard_normal(n)
         q = MultilinearPolynomial(n, {1 << i: float(weights[i]) for i in range(n)})
@@ -590,14 +579,7 @@ def _suite_invariance(rng: Rng, samples: int, workers: int) -> list[SuiteRow]:
 
 
 def _suite_decompose(
-    rng: Rng,
-    samples: int,
-    tau: float,
-    eps: float,
-    delta: float,
-    big_m: float,
-    blocks: int,
-    workers: int,
+    rng: Rng, config: RegularityConfig, samples: int, blocks: int, workers: int
 ) -> list[SuiteRow]:
     rows = []
     for k, p in sweep_instances(rng.child(0), 25, n_range=(4, 10)):
@@ -615,7 +597,6 @@ def _suite_decompose(
                     f"gap={check.gap!r}",
                 )
             )
-    config = RegularityConfig(tau=tau, eps=eps, delta=delta, big_m=big_m)
     for k, p in sweep_instances(rng.child(1), 15, n_range=(4, 10)):
         tree = build_regularity_tree(p, config)
         check = tree_sensitivity_check(SignFunction(p), tree)
@@ -631,7 +612,6 @@ def _suite_decompose(
             )
         )
     successes = 0
-    soundness_ok = True
     worst = 0.0
     total_trees = 20
     for k, p in sweep_instances(rng.child(2), total_trees, n_range=(6, 12)):
@@ -641,8 +621,6 @@ def _suite_decompose(
         for leaf in tree.leaves:
             if leaf.label.kind is LeafKind.NEAR_CONSTANT and leaf.label.exact_verified:
                 worst = max(worst, leaf.label.mismatch)
-                if leaf.label.mismatch > eps:
-                    soundness_ok = False
     rows.append(
         _row(
             "regularity_success_rate",
@@ -653,16 +631,8 @@ def _suite_decompose(
             0.8 * total_trees,
         )
     )
-    rows.append(
-        _row(
-            "leaf_soundness",
-            "exact_path",
-            "identity",
-            soundness_ok,
-            worst,
-            eps,
-        )
-    )
+    eps = config.eps
+    rows.append(_row("leaf_soundness", "exact_path", "identity", worst <= eps, worst, eps))
     for t in (0.05, 0.1, 0.2):
         n = 10
         terms = {0: 1.0}
@@ -682,10 +652,10 @@ def _suite_decompose(
     witness = middle_layers_witness(10, 2)
     report = block_alpha_sum(
         witness,
-        block_partition(10, max(1, min(blocks, 10))),
+        block_partition(10, min(blocks, 10)),
         min(samples, 20_000),
         rng.child(3),
-        tau=tau,
+        tau=config.tau,
         workers=workers,
     )
     rows.append(
@@ -699,13 +669,10 @@ def _suite_decompose(
             f"alpha_hat={report.alpha_hat.estimate!r}",
         )
     )
-    n_rec = 12
-    p_rec = MultilinearPolynomial(
-        n_rec, {1 << i: 1.0 / math.sqrt(n_rec) for i in range(n_rec)}
-    )
     trace = recursion_trace(
-        p_rec,
-        RecursionSchedule(blocks_per_level=(max(2, blocks), 2), tau=tau, eps=eps, delta=delta),
+        _scaled_sum(12),
+        (max(2, blocks), 2),
+        config,
         min(samples, 10_000),
         rng.child(5),
         workers=workers,
@@ -726,6 +693,17 @@ def _suite_decompose(
     return rows
 
 
+# section -> (stream index under the suite seed, rows); ``all`` runs them in this order
+_SECTIONS = {
+    "invariants": (10, _suite_invariants),
+    "gl": (11, _suite_gl),
+    "anticoncentration": (12, _suite_anticoncentration),
+    "invariance": (13, _suite_invariance),
+    "decompose": (14, _suite_decompose),
+}
+SUITE_NAMES = (*_SECTIONS, "all")
+
+
 def run_suite(
     name: str,
     seed: int,
@@ -737,24 +715,22 @@ def run_suite(
     blocks: int,
     workers: int,
 ) -> list[SuiteRow]:
-    rng = Rng(seed)
-    sections = {
-        "invariants": lambda: _suite_invariants(rng.child(10), workers),
-        "gl": lambda: _suite_gl(rng.child(11), workers),
-        "anticoncentration": lambda: _suite_anticoncentration(rng.child(12), samples, workers),
-        "invariance": lambda: _suite_invariance(rng.child(13), samples, workers),
-        "decompose": lambda: _suite_decompose(
-            rng.child(14), samples, tau, eps, delta, big_m, blocks, workers
-        ),
-    }
-    if name == "all":
-        rows = []
-        for key in ("invariants", "gl", "anticoncentration", "invariance", "decompose"):
-            rows.extend(sections[key]())
-        return rows
-    if name not in sections:
+    """Rows of one suite section, or of every section in table order for ``all``.
+
+    The tree parameters are validated once, as one :class:`RegularityConfig`,
+    before any section runs; every section reads that config.
+    """
+    if name != "all" and name not in _SECTIONS:
         raise InputError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return sections[name]()
+    if samples < 1:
+        raise InputError(f"samples must be positive, got {samples}")
+    config = RegularityConfig(tau=tau, eps=eps, delta=delta, big_m=big_m)
+    rng = Rng(seed)
+    rows = []
+    for key in _SECTIONS if name == "all" else (name,):
+        stream, section = _SECTIONS[key]
+        rows.extend(section(rng.child(stream), config, samples, blocks, workers))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +770,7 @@ def cmd_analyze(input_path, n, d, terms, seed, samples, clog, cexp, fmt, out, wo
         raise InputError("provide --input, or all of --n/--d/--terms to generate an instance")
     report = _analyze_report(poly, samples, seed, clog, cexp, workers, source)
     if fmt == "json":
-        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
+        _emit_json(report, out)
     else:
         _emit(_analyze_csv(report), out)
 
@@ -809,8 +785,7 @@ def cmd_analyze(input_path, n, d, terms, seed, samples, clog, cexp, fmt, out, wo
 def cmd_random(n, d, terms, seed, out):
     """Write a random multilinear polynomial in the JSON wire format."""
     seed = _resolve_seed(seed)
-    poly = random_polynomial(n, d, terms, Rng(seed))
-    _emit(poly.to_json() + "\n", out)
+    _emit_json(random_polynomial(n, d, terms, Rng(seed)).to_json_dict(), out)
 
 
 @main.command("suite")
@@ -821,15 +796,13 @@ def cmd_random(n, d, terms, seed, out):
 @click.option("--eps", type=float, default=0.05, show_default=True, help="Sign-constancy tolerance.")
 @click.option("--delta", type=float, default=0.05, show_default=True, help="Bad-leaf mass target.")
 @click.option("--bigM", "big_m", type=float, default=1.0, show_default=True, help="Threshold exponent constant.")
-@click.option("--blocks", type=int, default=3, show_default=True, help="Block count for block checks.")
+@click.option("--blocks", type=click.IntRange(min=1), default=3, show_default=True, help="Block count for block checks.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--out", type=str, default=None, help="Output path (default stdout).")
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True, help="Worker count.")
 @_guarded
 def cmd_suite(suite_name, seed, samples, tau, eps, delta, big_m, blocks, fmt, out, workers):
     """Run a named check battery and emit one report row per check."""
-    if samples < 1:
-        raise InputError("--samples must be positive")
     seed = _resolve_seed(seed)
     rows = run_suite(suite_name, seed, samples, tau, eps, delta, big_m, blocks, workers)
     summary = {
@@ -861,7 +834,7 @@ def cmd_suite(suite_name, seed, samples, tau, eps, delta, big_m, blocks, fmt, ou
             "rows": [r.to_json_dict() for r in rows],
             "summary": summary,
         }
-        _emit(json.dumps(bundle, indent=2, sort_keys=True) + "\n", out)
+        _emit_json(bundle, out)
     else:
         _emit(_rows_to_csv(rows), out)
     code = _bundle_exit_code(rows)

@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -31,6 +31,10 @@ _FORMULA_DOMAIN_CAP = 0.2499999999
 _EXACT_LEAF_SUPPORT = 12
 # at most this many influential coordinates are restricted per leaf and round
 _EXPAND_BUDGET = 12
+# recursion trace: leaves measured and restrictions carried per level, and
+# random outside assignments drawn per block
+_RECURSION_POOL = 6
+_RESTRICTIONS_PER_BLOCK = 2
 
 
 @dataclass(frozen=True)
@@ -56,14 +60,14 @@ class RegularityConfig:
     max_leaves: int = 1 << 16
 
     def __post_init__(self) -> None:
-        if not self.tau > 0:
-            raise InputError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise InputError(f"tau must be positive and finite, got {self.tau}")
         if not 0 < self.eps < 0.25:
             raise InputError(f"eps must lie in (0, 1/4), got {self.eps}")
         if not 0 < self.delta < 0.25:
             raise InputError(f"delta must lie in (0, 1/4), got {self.delta}")
-        if not self.big_m > 0:
-            raise InputError(f"big_m must be positive, got {self.big_m}")
+        if not 0 < self.big_m < math.inf:
+            raise InputError(f"big_m must be positive and finite, got {self.big_m}")
         for name in ("max_depth", "max_rounds"):
             value = getattr(self, name)
             if value is not None and value < 0:
@@ -446,6 +450,12 @@ def block_sensitivity_identity_check(f: SignFunction, partition: BlockPartition)
     return BlockIdentityCheck(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs))
 
 
+def _block_reference(degree: int, alpha: float, b: int, tau: float) -> float:
+    """Comparison value d^3 alpha sqrt(b) + d^4 b tau^(1/(8d)), with d = max(1, degree)."""
+    d = max(1, degree)
+    return d**3 * alpha * math.sqrt(b) + d**4 * b * tau ** (1.0 / (8.0 * d))
+
+
 @dataclass(frozen=True)
 class BlockAlphaReport:
     """Monte Carlo estimate of the summed per-block ratio statistic."""
@@ -464,8 +474,6 @@ def block_alpha_sum(
     rng: Rng,
     *,
     tau: float | None = None,
-    c1: float = 1.0,
-    c2: float = 1.0,
     workers: int = 1,
 ) -> BlockAlphaReport:
     """Estimate sum over blocks of E[alpha of the block restriction].
@@ -477,7 +485,8 @@ def block_alpha_sum(
     is an unbiased single-level expectation.  ``alpha_hat`` is
     :func:`estimate_alpha` on stream ``rng.child(b)``.  When ``tau`` is
     given the report also carries the comparison value
-    c1 d^3 alpha_hat sqrt(b) + c2 d^4 b tau^(1/(8d)).
+    d^3 alpha_hat sqrt(b) + d^4 b tau^(1/(8d)), the block reference with
+    both constants fixed at 1.
     """
     if partition.n != p.n:
         raise InputError(f"partition is for n={partition.n}, polynomial has n={p.n}")
@@ -495,11 +504,7 @@ def block_alpha_sum(
     alpha_hat = estimate_alpha(p, samples, rng.child(partition.b), workers=workers)
     reference = None
     if tau is not None:
-        d = max(1, p.degree)
-        reference = (
-            c1 * d**3 * alpha_hat.estimate * math.sqrt(partition.b)
-            + c2 * d**4 * partition.b * tau ** (1.0 / (8.0 * d))
-        )
+        reference = _block_reference(p.degree, alpha_hat.estimate, partition.b, tau)
     return BlockAlphaReport(
         total=total,
         per_block=tuple(per_block),
@@ -511,31 +516,6 @@ def block_alpha_sum(
 
 # ---------------------------------------------------------------------------
 # observational recursion trace
-
-
-@dataclass(frozen=True)
-class RecursionSchedule:
-    """Per-level block counts plus the tree and comparison parameters."""
-
-    blocks_per_level: tuple[int, ...]
-    tau: float = 0.1
-    eps: float = 0.05
-    delta: float = 0.05
-    big_m: float = 1.0
-    c1: float = 1.0
-    c2: float = 1.0
-    max_pool: int = 6
-    restrictions_per_block: int = 2
-
-    def __post_init__(self) -> None:
-        levels = tuple(int(b) for b in self.blocks_per_level)
-        object.__setattr__(self, "blocks_per_level", levels)
-        if not 1 <= len(levels) <= 3:
-            raise InputError("desk-scale schedules run between 1 and 3 levels")
-        if any(b < 1 for b in levels):
-            raise InputError("block counts must be positive")
-        if self.max_pool < 1 or self.restrictions_per_block < 1:
-            raise InputError("pool sizes must be positive")
 
 
 @dataclass(frozen=True)
@@ -576,7 +556,8 @@ class RecursionTrace:
 
 def recursion_trace(
     p: MultilinearPolynomial,
-    schedule: RecursionSchedule,
+    blocks_per_level: Sequence[int],
+    config: RegularityConfig,
     samples: int,
     rng: Rng,
     *,
@@ -586,14 +567,23 @@ def recursion_trace(
 
     Purely observational: it records the empirical distribution of the
     per-block ratio statistics and the level-over-level decay, without any
-    claim beyond the measured numbers.  Level k+1 works on support-compressed
-    random block restrictions of level k's regular leaves.
+    claim beyond the measured numbers.  ``blocks_per_level`` gives 1 to 3
+    positive block counts.  Every level builds its restriction trees with
+    ``config`` and compares against the block reference of
+    :func:`block_alpha_sum` at ``config.tau``.  Each level measures at
+    most 6 of its heaviest regular leaves, and level k+1 starts from the 6
+    heaviest of their support-compressed random block restrictions (2 per
+    block).
     """
-    config = RegularityConfig(schedule.tau, schedule.eps, schedule.delta, schedule.big_m)
+    levels_b = tuple(int(b) for b in blocks_per_level)
+    if not 1 <= len(levels_b) <= 3:
+        raise InputError("desk-scale schedules run between 1 and 3 levels")
+    if any(b < 1 for b in levels_b):
+        raise InputError("block counts must be positive")
     pool: list[tuple[float, MultilinearPolynomial]] = [(1.0, p)]
     levels = []
     tree_failures = 0
-    for level, b in enumerate(schedule.blocks_per_level):
+    for level, b in enumerate(levels_b):
         level_rng = rng.child(level)
         leaf_counts: Counter = Counter()
         regular_entries: list[tuple[float, MultilinearPolynomial]] = []
@@ -607,7 +597,7 @@ def recursion_trace(
                 if leaf.label.kind is LeafKind.REGULAR:
                     regular_entries.append((weight * leaf.probability, leaf.polynomial))
         regular_entries.sort(key=lambda entry: -entry[0])
-        selected = regular_entries[: schedule.max_pool]
+        selected = regular_entries[:_RECURSION_POOL]
 
         per_block: list[float] = []
         alpha_sums: list[tuple[float, float]] = []
@@ -620,28 +610,19 @@ def recursion_trace(
             active_vars = max(active_vars, compressed.n)
             partition = block_partition(compressed.n, min(b, compressed.n))
             report = block_alpha_sum(
-                compressed,
-                partition,
-                samples,
-                level_rng.child(index),
-                tau=schedule.tau,
-                c1=schedule.c1,
-                c2=schedule.c2,
-                workers=workers,
+                compressed, partition, samples, level_rng.child(index), workers=workers
             )
             per_block.extend(r.estimate for r in report.per_block)
             alpha_sums.append((weight, report.total.estimate))
             draw_rng = level_rng.child(10_000 + index)
             for block_idx, block in enumerate(partition.blocks):
                 outside = [i for i in range(compressed.n) if i not in set(block)]
-                for rep in range(schedule.restrictions_per_block):
-                    gen = draw_rng.child(
-                        block_idx * schedule.restrictions_per_block + rep
-                    ).generator()
+                for rep in range(_RESTRICTIONS_PER_BLOCK):
+                    gen = draw_rng.child(block_idx * _RESTRICTIONS_PER_BLOCK + rep).generator()
                     assignment = {
                         i: int(v) for i, v in zip(outside, gen.integers(0, 2, len(outside)) * 2 - 1)
                     }
-                    share = weight / (partition.b * schedule.restrictions_per_block)
+                    share = weight / (partition.b * _RESTRICTIONS_PER_BLOCK)
                     next_pool.append((share, compressed.restrict_many(assignment)))
 
         total_weight = sum(w for w, _ in alpha_sums)
@@ -650,12 +631,8 @@ def recursion_trace(
         )
         reference = None
         if alpha_sums:
-            d = max(1, p.degree)
             mean_alpha = float(np.mean([v for _, v in alpha_sums]))
-            reference = (
-                schedule.c1 * d**3 * mean_alpha * math.sqrt(b)
-                + schedule.c2 * d**4 * b * schedule.tau ** (1.0 / (8.0 * d))
-            )
+            reference = _block_reference(p.degree, mean_alpha, b, config.tau)
         levels.append(
             RecursionLevel(
                 level=level,
@@ -670,7 +647,7 @@ def recursion_trace(
             )
         )
         next_pool.sort(key=lambda entry: -entry[0])
-        pool = next_pool[: schedule.max_pool]
+        pool = next_pool[:_RECURSION_POOL]
         if not pool:
             break
     return RecursionTrace(

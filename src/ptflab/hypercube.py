@@ -132,12 +132,6 @@ def fwht(values: np.ndarray) -> np.ndarray:
     return a
 
 
-def point_from_mask(n: int, mask: int) -> np.ndarray:
-    """Decode a point bitmask into coordinates (bit set -> -1)."""
-    bits = (mask >> np.arange(n)) & 1
-    return 1.0 - 2.0 * bits
-
-
 def all_points(n: int) -> np.ndarray:
     """The full (2^n, n) matrix of hypercube points in mask order."""
     check_enumeration(f"the point matrix of n={n}", n << n)
@@ -259,13 +253,16 @@ def gl_report_row(n: int, d: int) -> dict:
 
 
 def theorem_log_bound(n: float, d: int, c_log: float = 1.0, c_exp: float = 1.0) -> float:
-    """Natural log of :func:`theorem_bound`, finite where the bound overflows."""
+    """Natural log of :func:`theorem_bound`, finite where the bound overflows.
+
+    The constants must be finite and non-negative.
+    """
     if not n > 1:
         raise InputError(f"need n > 1, got n={n}")
     if not isinstance(d, int) or d < 1:
         raise InputError(f"degree must be a positive integer, got d={d}")
-    if c_log < 0 or c_exp < 0:
-        raise InputError("constants must be non-negative")
+    if not (0 <= c_log < math.inf and 0 <= c_exp < math.inf):
+        raise InputError(f"constants must be non-negative and finite, got {c_log}, {c_exp}")
     log_d, ln_n = max(1.0, math.log(d)), math.log(n)
     return 0.5 * ln_n + d * log_d * (c_log * math.log(ln_n) + c_exp * d * math.log(2.0))
 

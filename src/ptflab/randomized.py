@@ -48,6 +48,8 @@ _DISTRIBUTIONS = (BERNOULLI, GAUSSIAN)
 
 _M64 = (1 << 64) - 1
 _BATCH_ELEMENTS = 1 << 22
+# invariance_gap without a threshold grid: evenly spaced pooled quantiles
+_QUANTILE_GRID_POINTS = 201
 
 T = TypeVar("T")
 
@@ -356,12 +358,6 @@ class TailCurve:
     seed: int
     stream: int
 
-    def to_csv(self) -> str:
-        lines = ["threshold,probability,envelope"]
-        for t, prob, env in zip(self.thresholds, self.probabilities, self.envelope):
-            lines.append(f"{t!r},{prob!r},{env!r}")
-        return "\r\n".join(lines) + "\r\n"
-
 
 def tail_curve(
     p: MultilinearPolynomial,
@@ -449,20 +445,6 @@ def carbery_wright_estimate(
     return _estimate(batch, samples, rng, workers, width=k + KERNEL_ROWS)[0]
 
 
-def rotation_pair(x: np.ndarray, y: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate a pair of vectors: (cos t * x + sin t * y, -sin t * x + cos t * y).
-
-    For independent standard Gaussians the output pair is again a pair of
-    independent standard Gaussians, for every fixed angle.
-    """
-    a = np.asarray(x, dtype=np.float64)
-    b = np.asarray(y, dtype=np.float64)
-    if a.shape != b.shape:
-        raise InputError(f"length mismatch: {a.shape} vs {b.shape}")
-    c, s = math.cos(theta), math.sin(theta)
-    return c * a + s * b, -s * a + c * b
-
-
 def strong_anticoncentration_estimate(
     p: MultilinearPolynomial,
     eps: float,
@@ -511,12 +493,11 @@ def invariance_gap(
     rng: Rng,
     *,
     workers: int = 1,
-    grid_points: int = 201,
 ) -> InvarianceGap:
     """Estimate sup_t |Pr(p(X) <= t) - Pr(p(A) <= t)| on a threshold grid.
 
     Both CDFs are estimated from ``samples`` fresh draws.  When ``t_grid``
-    is None the grid is ``grid_points`` evenly spaced quantiles of the
+    is None the grid is 201 evenly spaced quantiles of the
     pooled sample, which adapts to wherever the distributions put mass.
     """
     compressed = p.compress_support()[0]
@@ -533,7 +514,7 @@ def invariance_gap(
     bernoulli = values(BERNOULLI, rng.child(1))
     if t_grid is None:
         pooled = np.concatenate([gaussian, bernoulli])
-        grid = np.quantile(pooled, np.linspace(0.0, 1.0, grid_points))
+        grid = np.quantile(pooled, np.linspace(0.0, 1.0, _QUANTILE_GRID_POINTS))
     else:
         grid = np.asarray(list(t_grid), dtype=np.float64)
         if grid.size == 0:

@@ -1,0 +1,50 @@
+"""The names the benchmark harness in ``perfbench/`` reaches into must exist.
+
+``perfbench/tracing.py`` wraps library functions and methods by name, and
+``perfbench/workloads.py`` calls ``run_suite`` positionally; a rename or
+deletion in the library would otherwise break the benchmark silently.
+The harness module is loaded by path and only read.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+from ptflab import MultilinearPolynomial, Rng
+from ptflab.cli import SUITE_NAMES, run_suite
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_resolve(tracing):
+    for table in (tracing.MC_FUNCTIONS, tracing.LAYER_FUNCTIONS):
+        for module, names in table.items():
+            mod = importlib.import_module(f"ptflab.{module}")
+            for name in names:
+                assert callable(getattr(mod, name, None)), f"ptflab.{module}.{name}"
+    for name in tracing.POLYNOMIAL_METHODS:
+        assert callable(getattr(MultilinearPolynomial, name, None)), name
+    for name in ("generator", "chunk_generator"):
+        assert callable(getattr(Rng, name, None)), name
+    for name in tracing._MODULES:
+        importlib.import_module(name)
+
+
+def test_suite_sections_match(tracing):
+    assert tracing.SUITE_SECTIONS == tuple(name for name in SUITE_NAMES if name != "all")
+
+
+def test_run_suite_binds_the_positional_call():
+    # perfbench/workloads.py: run_suite(section, seed, samples, 0.1, 0.05, 0.05, 1.0, 3, 1)
+    inspect.signature(run_suite).bind("gl", 7, 1000, 0.1, 0.05, 0.05, 1.0, 3, 1)

@@ -303,3 +303,76 @@ def test_bundle_exit_code_mapping():
     assert _bundle_exit_code([ok, info]) == 0
     assert _bundle_exit_code([ok, hard_fail]) == 1
     assert _bundle_exit_code([hard_fail, identity_fail]) == 4
+
+
+# ---------------------------------------------------------------------------
+# bundles are strict JSON and record only options that ran
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_loads(text):
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def test_suite_scaling_ratio_with_zero_narrow_estimate_is_null(runner, tmp_path):
+    out = tmp_path / "anti.json"
+    args = ["suite", "--suite", "anticoncentration", "--seed", "1", "--samples", "20"]
+    runner.invoke(main, args + ["--out", str(out)])
+    rows = strict_loads(out.read_text())["rows"]
+    (scaling,) = [r for r in rows if r["check"] == "strong_anticoncentration_scaling"]
+    assert scaling["value"] is None
+    assert scaling["detail"] == "wide=0.0;narrow=0.0"
+
+
+@pytest.mark.parametrize("option", [["--clog", "nan"], ["--cexp", "inf"]])
+def test_analyze_rejects_non_finite_envelope_constants(runner, option):
+    args = ["analyze", "--n", "3", "--d", "2", "--terms", "2", "--seed", "1", *option]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+
+
+def test_analyze_overflowing_moments_exit_2(runner, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 1, "terms": [{"vars": [0], "coeff": 1e200}]}\n')
+    result = runner.invoke(main, ["analyze", "--input", str(path), "--seed", "1"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.output
+    # squares that stay finite are reported as usual
+    path.write_text('{"n": 1, "terms": [{"vars": [0], "coeff": 1e150}]}\n')
+    result = runner.invoke(main, ["analyze", "--input", str(path), "--seed", "1"])
+    assert result.exit_code == 0
+    assert strict_loads(result.stdout)["variance"] == pytest.approx(1e300)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze", "--n", "2", "--d", "1", "--terms", "1", "--seed", "1"],
+        ["random", "--n", "2", "--d", "1", "--terms", "1", "--seed", "1"],
+        ["suite", "--suite", "gl", "--seed", "1"],
+    ],
+    ids=["analyze", "random", "suite"],
+)
+def test_unwritable_out_exits_2(runner, tmp_path, args):
+    out = tmp_path / "missing" / "x.out"
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "cannot write" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "option",
+    [["--blocks", "0"], ["--blocks", "-3"], ["--eps", "0.3"], ["--tau", "nan"], ["--bigM", "inf"]],
+)
+def test_suite_rejects_options_that_would_not_run(runner, tmp_path, option):
+    out = tmp_path / "gl.json"
+    args = ["suite", "--suite", "gl", "--seed", "1", "--out", str(out), *option]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert not out.exists()

@@ -8,7 +8,6 @@ from ptflab import (
     LeafClass,
     LeafKind,
     MultilinearPolynomial,
-    RecursionSchedule,
     RegularityConfig,
     Rng,
     SignFunction,
@@ -379,8 +378,8 @@ def test_block_alpha_sum_witness_matches_exact_restriction_average():
 
 
 def test_recursion_trace_single_level_is_alpha():
-    p = scaled_sum(12)  # regular at the schedule default tau = 0.1
-    trace = recursion_trace(p, RecursionSchedule(blocks_per_level=(1,)), 20_000, Rng(86))
+    p = scaled_sum(12)  # regular at tau = 0.1
+    trace = recursion_trace(p, (1,), CONFIG, 20_000, Rng(86))
     assert len(trace.levels) == 1
     level = trace.levels[0]
     assert level.b == 1
@@ -389,14 +388,14 @@ def test_recursion_trace_single_level_is_alpha():
 
 def test_recursion_trace_constant_is_all_zero():
     p = MultilinearPolynomial.constant(6, 3.0)
-    trace = recursion_trace(p, RecursionSchedule(blocks_per_level=(2, 2)), 1_000, Rng(87))
+    trace = recursion_trace(p, (2, 2), CONFIG, 1_000, Rng(87))
     assert all(level.measured_alpha_sum == 0.0 for level in trace.levels)
     assert all(level.mean_block_alpha == 0.0 for level in trace.levels)
 
 
 def test_recursion_trace_two_levels_records_leaf_counts():
     p = scaled_sum(12)
-    trace = recursion_trace(p, RecursionSchedule(blocks_per_level=(3, 2)), 5_000, Rng(88))
+    trace = recursion_trace(p, (3, 2), CONFIG, 5_000, Rng(88))
     assert len(trace.levels) == 2
     first = trace.levels[0]
     assert first.leaf_counts["regular"] == 1
@@ -406,12 +405,10 @@ def test_recursion_trace_two_levels_records_leaf_counts():
 
 
 def test_recursion_trace_schedule_validation():
-    with pytest.raises(InputError):
-        RecursionSchedule(blocks_per_level=(2, 2, 2, 2))
-    with pytest.raises(InputError):
-        RecursionSchedule(blocks_per_level=())
-    with pytest.raises(InputError):
-        RecursionSchedule(blocks_per_level=(0,))
+    p = scaled_sum(4)
+    for blocks_per_level in ((2, 2, 2, 2), (), (0,)):
+        with pytest.raises(InputError):
+            recursion_trace(p, blocks_per_level, CONFIG, 100, Rng(1))
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,13 @@ from ptflab import (
     theorem_log_bound,
     truth_table,
 )
-from ptflab.hypercube import point_from_mask
-
 from conftest import brute_average_sensitivity, brute_values, poly, random_instances
+
+
+def point_from_mask(n, mask):
+    """Decode a point bitmask into coordinates (bit set -> -1)."""
+    bits = (mask >> np.arange(n)) & 1
+    return 1.0 - 2.0 * bits
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from ptflab import (
     hypercontractivity_check,
     invariance_gap,
     random_polynomial,
-    rotation_pair,
     strong_anticoncentration_estimate,
     tail_curve,
     weak_anticoncentration_estimate,
@@ -370,13 +369,6 @@ def test_tail_curve_validation():
         tail_curve(X0, "cauchy", [1.0], 100, Rng(1))
 
 
-def test_tail_curve_csv_shape():
-    curve = tail_curve(X0, BERNOULLI, [0.5, 2.0], 1_000, Rng(16))
-    lines = curve.to_csv().strip().split("\r\n")
-    assert lines[0] == "threshold,probability,envelope"
-    assert len(lines) == 3
-
-
 def test_weak_anticoncentration_examples():
     assert weak_anticoncentration_exact(X0) == 1.0
     p = poly(2, {(0, 1): 1.0, (0,): 1.0, (1,): 1.0, (): 1.0})
@@ -430,41 +422,7 @@ def test_carbery_wright_validation():
 
 
 # ---------------------------------------------------------------------------
-# rotation coupling and strong anticoncentration
-
-
-def test_rotation_identity_and_quarter_turn():
-    x = np.array([1.0, 2.0, 3.0])
-    y = np.array([-1.0, 0.5, 2.0])
-    xt, yt = rotation_pair(x, y, 0.0)
-    np.testing.assert_allclose(xt, x)
-    np.testing.assert_allclose(yt, y)
-    xq, yq = rotation_pair(x, y, math.pi / 2.0)
-    np.testing.assert_allclose(xq, y, atol=1e-12)
-    np.testing.assert_allclose(yq, -x, atol=1e-12)
-
-
-def test_rotation_preserves_norm():
-    gen = Rng(20).generator()
-    x, y = gen.standard_normal(10), gen.standard_normal(10)
-    xt, yt = rotation_pair(x, y, 0.618)
-    assert np.dot(xt, xt) + np.dot(yt, yt) == pytest.approx(np.dot(x, x) + np.dot(y, y))
-
-
-def test_rotation_output_is_standard_gaussian_pair():
-    gen = Rng(23).generator()
-    x = gen.standard_normal((1_000_000, 2))
-    y = gen.standard_normal((1_000_000, 2))
-    xt, yt = rotation_pair(x, y, 1.1)
-    assert abs(xt[:, 0].var() - 1.0) < 0.01
-    assert abs(yt[:, 1].var() - 1.0) < 0.01
-    assert abs(np.mean(xt[:, 0] * yt[:, 0])) < 0.01
-    assert abs(np.mean(xt[:, 0] * xt[:, 1])) < 0.01
-
-
-def test_rotation_length_mismatch():
-    with pytest.raises(InputError):
-        rotation_pair(np.ones(3), np.ones(4), 0.1)
+# strong anticoncentration
 
 
 def test_strong_anticoncentration_dictator_closed_form():
