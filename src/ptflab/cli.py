@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 a statistical hard check failed, 2 usage or input
 error, 3 infeasible request (over the enumeration budget), 4 an exact
 algebraic identity row failed (implementation bug).  Every randomized
 command prints the effective seed to stderr, and report bundles contain no
-timestamps, so a fixed seed and worker count reproduce byte-identical output.
+timestamps, so a fixed seed reproduces byte-identical output at any
+``--workers``, which sets the thread count only.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import click
+import numpy as np
 
 from .decompose import (
     LeafKind,
@@ -51,15 +53,15 @@ from .hypercube import (
 from .polynomial import ENUMERATION_BUDGET, MultilinearPolynomial, check_enumeration
 from .randomized import (
     Rng,
+    _hypercontractivity,
+    _weak_anticoncentration,
     abs_comparison_gap,
     carbery_wright_estimate,
     estimate_alpha,
     exact_alpha,
-    hypercontractivity_check,
     invariance_gap,
     random_polynomial,
     strong_anticoncentration_estimate,
-    weak_anticoncentration_exact,
 )
 
 EXIT_HARD_FAIL = 1
@@ -248,6 +250,10 @@ def _analyze_report(
     source: str,
 ) -> dict:
     mom = p.moments()
+    with np.errstate(over="ignore"):  # an infinite influence sum is refused here, not warned about
+        total_influence = p.total_influence()
+    if not all(map(math.isfinite, (mom.variance, mom.l2_norm, total_influence))):
+        raise InputError("the coefficient squares overflow: a moment or influence sum is infinite")
     degree = p.degree
     # every exact quantity is a function of the support variables only
     compressed, _ = p.compress_support()
@@ -267,7 +273,7 @@ def _analyze_report(
         "variance": mom.variance,
         "l2_norm": mom.l2_norm,
         "influences": {"values": list(p.influences()), "method": "coefficient"},
-        "total_influence": p.total_influence(),
+        "total_influence": total_influence,
     }
 
     def check(name: str, identity: tuple[bool, float, float]) -> dict:
@@ -476,7 +482,8 @@ def _suite_anticoncentration(
 ) -> list[SuiteRow]:
     rows = []
     for k, p in sweep_instances(rng.child(0), 60, d_max=4):
-        prob = weak_anticoncentration_exact(p)
+        values = evaluate_on_hypercube(p)  # one enumeration serves both identities
+        prob = _weak_anticoncentration(values, p.moments().l2_norm)
         floor = 9.0 ** (-max(1, p.degree)) / 2.0
         rows.append(
             _row(
@@ -489,7 +496,7 @@ def _suite_anticoncentration(
                 f"d={p.degree}",
             )
         )
-        check = hypercontractivity_check(p, 4)
+        check = _hypercontractivity(p, values, 4)
         rows.append(
             _row(
                 "hypercontractivity_t4",
@@ -823,7 +830,6 @@ def cmd_suite(suite_name, seed, samples, tau, eps, delta, big_m, blocks, fmt, ou
             "suite": suite_name,
             "seed": seed,
             "samples": samples,
-            "workers": workers,
             "parameters": {
                 "tau": tau,
                 "eps": eps,

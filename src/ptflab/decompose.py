@@ -467,6 +467,24 @@ class BlockAlphaReport:
     blocks: int
 
 
+def _block_terms(
+    p: MultilinearPolynomial, partition: BlockPartition, samples: int, rng: Rng, workers: int
+) -> tuple[EstimatorResult, list[EstimatorResult]]:
+    """The per-block ratio estimates of :func:`block_alpha_sum` and their sum."""
+    per_block = [
+        ratio_estimate(p, BERNOULLI, samples, rng.child(j), workers=workers, coords=block)
+        for j, block in enumerate(partition.blocks)
+    ]
+    total = EstimatorResult(
+        estimate=float(sum(r.estimate for r in per_block)),
+        std_error=float(math.sqrt(sum(r.std_error**2 for r in per_block))),
+        samples=samples,
+        seed=rng.seed,
+        stream=rng.stream,
+    )
+    return total, per_block
+
+
 def block_alpha_sum(
     p: MultilinearPolynomial,
     partition: BlockPartition,
@@ -490,17 +508,7 @@ def block_alpha_sum(
     """
     if partition.n != p.n:
         raise InputError(f"partition is for n={partition.n}, polynomial has n={p.n}")
-    per_block = [
-        ratio_estimate(p, BERNOULLI, samples, rng.child(j), workers=workers, coords=block)
-        for j, block in enumerate(partition.blocks)
-    ]
-    total = EstimatorResult(
-        estimate=float(sum(r.estimate for r in per_block)),
-        std_error=float(math.sqrt(sum(r.std_error**2 for r in per_block))),
-        samples=samples,
-        seed=rng.seed,
-        stream=rng.stream,
-    )
+    total, per_block = _block_terms(p, partition, samples, rng, workers)
     alpha_hat = estimate_alpha(p, samples, rng.child(partition.b), workers=workers)
     reference = None
     if tau is not None:
@@ -609,11 +617,11 @@ def recursion_trace(
                 continue
             active_vars = max(active_vars, compressed.n)
             partition = block_partition(compressed.n, min(b, compressed.n))
-            report = block_alpha_sum(
-                compressed, partition, samples, level_rng.child(index), workers=workers
+            total, block_results = _block_terms(
+                compressed, partition, samples, level_rng.child(index), workers
             )
-            per_block.extend(r.estimate for r in report.per_block)
-            alpha_sums.append((weight, report.total.estimate))
+            per_block.extend(r.estimate for r in block_results)
+            alpha_sums.append((weight, total.estimate))
             draw_rng = level_rng.child(10_000 + index)
             for block_idx, block in enumerate(partition.blocks):
                 outside = [i for i in range(compressed.n) if i not in set(block)]

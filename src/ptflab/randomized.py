@@ -1,25 +1,24 @@
 """Seeded Monte Carlo estimators, with exact small-n oracles.
 
 Reproducibility contract: every estimator is a pure function of
-``(polynomial, parameters, seed, stream, samples, workers)``.  Draws come
-from numpy's PCG64 seeded through ``SeedSequence(seed, spawn_key=...)``;
-the sample budget is split into ``workers`` contiguous chunks, chunk ``c``
-using spawn key ``(stream, c)``, and chunk results are merged in index
-order.  Every estimator first compresses the polynomial onto its k
-support variables (:meth:`MultilinearPolynomial.compress_support`, exact
-for every distributional quantity since the other coordinates occur in no
-term) and draws only those k coordinates, coordinate-major: a C-order
-``(k, m)`` array whose ``.T`` view goes to ``eval_many``, so each column
-the evaluation kernel reads is contiguous.  Each chunk draws in batches of
-at most 2^22 float64 elements (``2^22 // w`` rows when one row materialises
-``w`` elements: k drawn for a point, 2k for a point and a direction, plus
-the kernel's ``KERNEL_ROWS``, or the output column count if that is
-larger), so memory does not grow with n or the sample count, and seeded
-values depend on that batch rule and draw layout.  Chunks run on at most
-``os.cpu_count()`` threads; the thread count never changes a result.
-Results are therefore bit-stable for a fixed worker count (and may
-legitimately differ between worker counts).  Gaussian draws use numpy's
-ziggurat, fixed within one build.
+``(polynomial, parameters, seed, stream, samples)``; the worker count sets
+threads and nothing else.  Every estimator first compresses the
+polynomial onto its k support variables
+(:meth:`MultilinearPolynomial.compress_support`, exact for every
+distributional quantity since the other coordinates occur in no term) and
+draws only those k coordinates, coordinate-major: a C-order ``(k, m)``
+array whose ``.T`` view goes to ``eval_many``, so each column the
+evaluation kernel reads is contiguous.  The memory batch is the one unit
+of the draws: it holds at most 2^22 float64 elements (``r = 2^22 // w``
+rows when one row materialises ``w`` elements: k drawn for a point, 2k
+for a point and a direction, plus the kernel's ``KERNEL_ROWS``, or the
+output column count if that is larger), so memory does not grow with n
+or the sample count.  Batch ``c`` covers rows ``[c*r, (c+1)*r)`` and draws
+from numpy's PCG64 seeded through ``SeedSequence(seed, spawn_key=(stream,
+c))``; batch results are merged in batch order, and the batches run on
+``min(workers, batches, os.cpu_count())`` threads.  Seeded values depend
+on that batch rule and draw layout, never on the worker count.  Gaussian
+draws use numpy's ziggurat, fixed within one build.
 
 The ratio statistics clamp at 1.  When the denominator value p(A) is
 exactly zero the integrand is defined as 1 if the gradient of p at A is
@@ -34,7 +33,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -75,7 +74,7 @@ class Rng:
         )
 
     def chunk_generator(self, chunk: int) -> np.random.Generator:
-        """Generator for worker chunk ``chunk``; distinct from :meth:`generator`."""
+        """Generator for Monte Carlo memory batch ``chunk``; distinct from :meth:`generator`."""
         return np.random.default_rng(
             np.random.SeedSequence(
                 entropy=self.seed & _M64, spawn_key=(self.stream & _M64, chunk & _M64)
@@ -127,61 +126,26 @@ def _batch_rows(width: int) -> int:
     return max(1, _BATCH_ELEMENTS // max(1, width))
 
 
-def _chunk_sizes(samples: int, workers: int) -> list[int]:
-    base, extra = divmod(samples, workers)
-    return [base + (1 if c < extra else 0) for c in range(workers)]
-
-
-def _run_chunks(
-    batch_fn: Callable[[np.random.Generator, int], np.ndarray],
-    reduce: Callable[[Iterator[np.ndarray]], T],
+def _batches(
+    batch_fn: Callable[[np.random.Generator, int], T],
     samples: int,
     rng: Rng,
     workers: int,
     width: int,
 ) -> list[T]:
-    """Split ``samples`` into ``workers`` seeded chunks and reduce each one.
-
-    Chunk ``c`` draws from ``rng.chunk_generator(c)`` in batches of
-    :func:`_batch_rows` ``(width)`` rows; ``batch_fn(gen, m)`` returns the
-    values of ``m`` rows and ``reduce`` folds one chunk's batches.  Chunk
-    results come back in chunk order, whatever the thread count.
-    """
+    """``batch_fn(rng.chunk_generator(c), m)`` for each batch ``c`` of ``m`` rows, in order."""
     if samples < 1:
         raise InputError(f"need at least one sample, got {samples}")
     if workers < 1:
         raise InputError(f"worker count must be positive, got {workers}")
     rows = _batch_rows(width)
-
-    def run_chunk(task: tuple[int, int]) -> T:
-        index, size = task
-        gen = rng.chunk_generator(index)
-        return reduce(batch_fn(gen, min(rows, size - done)) for done in range(0, size, rows))
-
-    tasks = list(enumerate(_chunk_sizes(samples, min(workers, samples))))
-    threads = min(len(tasks), os.cpu_count() or 1)
+    sizes = [min(rows, samples - start) for start in range(0, samples, rows)]
+    generators = map(rng.chunk_generator, range(len(sizes)))
+    threads = min(workers, len(sizes), os.cpu_count() or 1)
     if threads == 1:
-        return [run_chunk(task) for task in tasks]
+        return list(map(batch_fn, generators, sizes))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run_chunk, tasks))
-
-
-def _moments(batches: Iterator[np.ndarray]) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-column sum, sum of squares and row count of integrand batches."""
-    total = total_sq = 0.0
-    count = 0
-    for values in batches:
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim == 1:
-            values = values[:, None]
-        total = total + values.sum(axis=0)
-        total_sq = total_sq + (values * values).sum(axis=0)
-        count += values.shape[0]
-    return total, total_sq, count
-
-
-def _concatenate(batches: Iterator[np.ndarray]) -> np.ndarray:
-    return np.concatenate(list(batches))
+        return list(pool.map(batch_fn, generators, sizes))
 
 
 def _estimate(
@@ -192,21 +156,21 @@ def _estimate(
     width: int,
 ) -> list[EstimatorResult]:
     """Sample means of ``batch_fn`` values, one :class:`EstimatorResult` per column."""
-    chunks = _run_chunks(batch_fn, _moments, samples, rng, workers, width)
-    total = total_sq = 0.0
-    count = 0
-    for part_total, part_sq, part_count in chunks:
-        total = total + part_total
-        total_sq = total_sq + part_sq
-        count += part_count
+    held = [None]  # the last values live through the next batch: no heap trim and re-fault
+
+    def column_sums(gen: np.random.Generator, m: int) -> np.ndarray:
+        values = held[0] = np.asarray(batch_fn(gen, m), dtype=np.float64).reshape(m, -1)
+        return np.array([values.sum(axis=0), (values * values).sum(axis=0)])
+
+    total, total_sq = sum(_batches(column_sums, samples, rng, workers, width))
     out = []
     for t, t_sq in zip(total, total_sq):
-        var = max(0.0, (t_sq - t * t / count) / (count - 1)) if count > 1 else 0.0
+        var = max(0.0, (t_sq - t * t / samples) / (samples - 1)) if samples > 1 else 0.0
         out.append(
             EstimatorResult(
-                estimate=float(t / count),
-                std_error=float(math.sqrt(var / count)),
-                samples=count,
+                estimate=float(t / samples),
+                std_error=float(math.sqrt(var / samples)),
+                samples=samples,
                 seed=rng.seed,
                 stream=rng.stream,
             )
@@ -399,7 +363,11 @@ def tail_curve(
 def weak_anticoncentration_exact(p: MultilinearPolynomial) -> float:
     """Pr(|p(A)| >= |p|_2 / 2) by full enumeration (Paley-Zygmund check)."""
     l2 = _require_nonzero(p)
-    values = evaluate_on_hypercube(p)
+    return _weak_anticoncentration(evaluate_on_hypercube(p), l2)
+
+
+def _weak_anticoncentration(values: np.ndarray, l2: float) -> float:
+    """The share of cube ``values`` with absolute value at least ``l2 / 2``."""
     return float(np.mean(np.abs(values) >= l2 / 2.0))
 
 
@@ -507,8 +475,7 @@ def invariance_gap(
         def batch(gen: np.random.Generator, m: int) -> np.ndarray:
             return compressed.eval_many(_draw(gen, dist, k, m).T)
 
-        chunks = _run_chunks(batch, _concatenate, samples, stream, workers, width=k + KERNEL_ROWS)
-        return np.concatenate(chunks)
+        return np.concatenate(_batches(batch, samples, stream, workers, width=k + KERNEL_ROWS))
 
     gaussian = values(GAUSSIAN, rng.child(0))
     bernoulli = values(BERNOULLI, rng.child(1))
@@ -556,16 +523,14 @@ def abs_comparison_gap(
     pc, qc = p.compress_support(support)[0], q.compress_support(support)[0]
     k = len(support)
 
-    def make_batch(dist: str):
+    def share(dist: str, stream: Rng) -> EstimatorResult:
         def batch(gen: np.random.Generator, m: int) -> np.ndarray:
             pts = _draw(gen, dist, k, m).T
             return (np.abs(pc.eval_many(pts)) <= np.abs(qc.eval_many(pts))).astype(np.float64)
 
-        return batch
+        return _estimate(batch, samples, stream, workers, width=k + KERNEL_ROWS)[0]
 
-    width = k + KERNEL_ROWS
-    bern = _estimate(make_batch(BERNOULLI), samples, rng.child(0), workers, width=width)[0]
-    gauss = _estimate(make_batch(GAUSSIAN), samples, rng.child(1), workers, width=width)[0]
+    bern, gauss = share(BERNOULLI, rng.child(0)), share(GAUSSIAN, rng.child(1))
     return EstimatorResult(
         estimate=abs(bern.estimate - gauss.estimate),
         std_error=math.hypot(bern.std_error, gauss.std_error),
@@ -596,7 +561,13 @@ def hypercontractivity_check(p: MultilinearPolynomial, t: int) -> Hypercontracti
     """
     if not isinstance(t, int) or t % 2 != 0 or t < 2:
         raise InputError(f"the exact path needs an even moment order >= 2, got {t!r}")
-    values = evaluate_on_hypercube(p)
+    return _hypercontractivity(p, evaluate_on_hypercube(p), t)
+
+
+def _hypercontractivity(
+    p: MultilinearPolynomial, values: np.ndarray, t: int
+) -> HypercontractivityCheck:
+    """:func:`hypercontractivity_check` from the cube ``values`` of ``p``."""
     lhs = float(np.mean(np.abs(values) ** t) ** (1.0 / t))
     rhs = math.sqrt(t - 1.0) ** p.degree * p.moments().l2_norm
     return HypercontractivityCheck(t=t, lhs=lhs, rhs=rhs, holds=lhs <= rhs + 1e-9, degree=p.degree)

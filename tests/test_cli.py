@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -259,6 +260,26 @@ def test_suite_repeat_is_byte_identical(runner, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # the section whose estimates span several batches at the default sample count
+        ["suite", "--suite", "invariance", "--seed", "7"],
+        # 400 support variables: the Monte Carlo alpha spans four batches
+        ["analyze", "--n", "400", "--d", "1", "--terms", "400", "--seed", "7", "--samples", "20000"],
+    ],
+    ids=["suite", "analyze"],
+)
+def test_bundles_do_not_depend_on_the_worker_count(runner, tmp_path, args):
+    bundles = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.json"
+        result = runner.invoke(main, args + ["--workers", workers, "--out", str(out)])
+        assert result.exit_code == 0
+        bundles.append(out.read_bytes())
+    assert bundles[0] == bundles[1]
+
+
 def test_suite_unknown_name_exits_2(runner):
     result = runner.invoke(main, ["suite", "--suite", "nosuch"])
     assert result.exit_code == 2
@@ -347,6 +368,26 @@ def test_analyze_overflowing_moments_exit_2(runner, tmp_path):
     result = runner.invoke(main, ["analyze", "--input", str(path), "--seed", "1"])
     assert result.exit_code == 0
     assert strict_loads(result.stdout)["variance"] == pytest.approx(1e300)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "terms",
+    ['[{"vars": [0], "coeff": 1e200}]', '[{"vars": [0, 1], "coeff": 1e154}]'],
+    ids=["square", "influence_sum"],  # the second square is finite, its two influences sum to inf
+)
+def test_analyze_overflowing_coefficient_squares_exit_2_in_every_format(
+    runner, tmp_path, fmt, terms
+):
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"n": 2, "terms": {terms}}}\n')
+    args = ["analyze", "--input", str(path), "--seed", "1", "--format", fmt]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would raise
+        result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "overflow" in result.stderr
 
 
 @pytest.mark.parametrize(

@@ -404,6 +404,24 @@ def test_recursion_trace_two_levels_records_leaf_counts():
     assert [row["level"] for row in rows] == [0, 1]
 
 
+def test_recursion_trace_spends_no_alpha_hat(monkeypatch):
+    from ptflab import decompose, randomized
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return randomized.estimate_alpha(*args, **kwargs)
+
+    monkeypatch.setattr(decompose, "estimate_alpha", counting)
+    p = scaled_sum(12)  # regular at tau = 0.1: level 0 measures the root on stream child(0).child(0)
+    trace = recursion_trace(p, (2,), CONFIG, 2_000, Rng(89))
+    assert calls == []
+    report = block_alpha_sum(p, block_partition(12, 2), 2_000, Rng(89).child(0).child(0))
+    assert len(calls) == 1  # block_alpha_sum still reports alpha_hat
+    assert trace.levels[0].per_block_alpha == tuple(r.estimate for r in report.per_block)
+
+
 def test_recursion_trace_schedule_validation():
     p = scaled_sum(4)
     for blocks_per_level in ((2, 2, 2, 2), (), (0,)):

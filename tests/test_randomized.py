@@ -27,8 +27,9 @@ from ptflab import (
     weak_anticoncentration_exact,
 )
 
-from ptflab import randomized
-from ptflab.randomized import _BATCH_ELEMENTS, _draw, ratio_estimate
+from ptflab import RegularityConfig, block_alpha_sum, block_partition, randomized, recursion_trace
+from ptflab.polynomial import KERNEL_ROWS
+from ptflab.randomized import _BATCH_ELEMENTS, _batch_rows, _draw, ratio_estimate
 
 from conftest import brute_alpha, poly, random_instances
 
@@ -42,6 +43,10 @@ def scaled_sum(n):
 
 
 X0 = poly(1, {(0,): 1.0})
+# all 256 variables in the support, so one memory batch holds few rows
+WIDE = MultilinearPolynomial(
+    256, {**{1 << i: 1.0 / 16.0 for i in range(256)}, 0b111: 0.1, (1 << 7) | (1 << 255): -0.1}
+)
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +156,58 @@ def test_thread_pool_is_capped_at_cpu_count(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(randomized, "ThreadPoolExecutor", RecordingPool)
-    p = random_polynomial(6, 2, 6, Rng(43))
+    samples = 3 * _batch_rows(2 * WIDE.n + KERNEL_ROWS) + 1  # four batches
     monkeypatch.setattr(randomized.os, "cpu_count", lambda: 4)
-    pooled = estimate_alpha(p, 6_400, Rng(6, 3), workers=64)
+    pooled = estimate_alpha(WIDE, samples, Rng(6, 3), workers=64)
     assert sizes == [4]
     monkeypatch.setattr(randomized.os, "cpu_count", lambda: None)
-    serial = estimate_alpha(p, 6_400, Rng(6, 3), workers=64)
-    assert sizes == [4]  # one CPU: the chunks run without a pool
+    serial = estimate_alpha(WIDE, samples, Rng(6, 3), workers=64)
+    assert sizes == [4]  # one CPU: the batches run without a pool
     assert pooled == serial
+
+
+# three batches on WIDE: one row holds a point (_SPAN), or a point and a direction (_SPAN2)
+_SPAN = 2 * _batch_rows(WIDE.n + KERNEL_ROWS) + 1
+_SPAN2 = 2 * _batch_rows(2 * WIDE.n + KERNEL_ROWS) + 1
+
+_ENTRY_POINTS = {
+    "alpha": lambda w: estimate_alpha(WIDE, _SPAN2, Rng(12, 1), workers=w),
+    "beta": lambda w: estimate_beta(WIDE, _SPAN2, Rng(12, 2), workers=w),
+    "ratio_coords": lambda w: ratio_estimate(
+        WIDE, GAUSSIAN, _SPAN2, Rng(12, 3), workers=w, coords=range(0, 256, 3)
+    ),
+    "strong": lambda w: strong_anticoncentration_estimate(WIDE, 0.1, _SPAN2, Rng(12, 4), workers=w),
+    "tail_curve": lambda w: tail_curve(WIDE, BERNOULLI, [0.5, 1.0, 2.0], _SPAN, Rng(12, 5), workers=w),
+    "weak": lambda w: weak_anticoncentration_estimate(WIDE, GAUSSIAN, _SPAN, Rng(12, 6), workers=w),
+    "carbery_wright": lambda w: carbery_wright_estimate(WIDE, 0.1, _SPAN, Rng(12, 7), workers=w),
+    "invariance_gap": lambda w: _gap_fields(invariance_gap(WIDE, None, _SPAN, Rng(12, 8), workers=w)),
+    "abs_comparison_gap": lambda w: abs_comparison_gap(
+        WIDE, scaled_sum(256), _SPAN, Rng(12, 9), workers=w
+    ),
+    "block_alpha_sum": lambda w: block_alpha_sum(
+        WIDE, block_partition(256, 2), _SPAN2, Rng(12, 10), tau=0.1, workers=w
+    ),
+    "recursion_trace": lambda w: recursion_trace(
+        WIDE, (2,), RegularityConfig(tau=0.1, eps=0.05, delta=0.05), _SPAN2, Rng(12, 11), workers=w
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _ENTRY_POINTS)
+def test_monte_carlo_results_do_not_depend_on_the_worker_count(name, monkeypatch):
+    batches = set()
+    chunk_generator = Rng.chunk_generator
+
+    def recording(self, chunk):
+        batches.add(chunk)
+        return chunk_generator(self, chunk)
+
+    monkeypatch.setattr(Rng, "chunk_generator", recording)
+    run = _ENTRY_POINTS[name]
+    serial = run(1)
+    assert max(batches) >= 2, "the sample count must span at least three batches"
+    assert run(2) == serial
+    assert run(3) == serial
 
 
 @pytest.mark.parametrize(
