@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -235,9 +236,7 @@ class MultilinearPolynomial:
         matrix-vector product.  Columns are read one at a time, so the
         ``.T`` view of a C-order ``(n, m)`` array reads contiguous memory.
         """
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != self.n:
-            raise InputError(f"expected an (m, {self.n}) matrix, got shape {pts.shape}")
+        pts = self._rows(points)
         constant, linear, higher = self._kernel
         values = np.zeros(pts.shape[0]) if linear is None else pts @ linear
         values += constant
@@ -263,6 +262,36 @@ class MultilinearPolynomial:
             values += prod
             deriv += part
         return values, deriv
+
+    @cached_property
+    def partials(self) -> tuple["MultilinearPolynomial", ...]:
+        """The n partial derivatives, built once with :meth:`partial_derivative`."""
+        return tuple(self.partial_derivative(i) for i in range(self.n))
+
+    def squared_gradient_norm(
+        self, points: np.ndarray, coords: Iterable[int] | None = None
+    ) -> np.ndarray:
+        """|grad p(x)|^2 over ``coords`` (default all) on the rows of an ``(m, n)`` matrix.
+
+        Each non-constant partial in :attr:`partials` runs through
+        :meth:`eval_many`; the constant ones fold into one scalar, so the
+        linear part of p costs nothing per row.
+        """
+        pts = self._rows(points)
+        if coords is None:
+            parts = self.partials
+        else:
+            coords = list(coords)
+            for i in coords:
+                self._check_index(i)
+            parts = [self.partials[i] for i in coords]
+        folded = sum(part.terms.get(0, 0.0) ** 2 for part in parts if part.degree == 0)
+        out = np.full(pts.shape[0], float(folded))
+        for part in parts:
+            if part.degree:
+                values = part.eval_many(pts)
+                out += np.square(values, out=values)
+        return out
 
     def gradient(self, x: RealPoint) -> np.ndarray:
         arr = _as_point(x, self.n)
@@ -372,15 +401,29 @@ class MultilinearPolynomial:
     def scale(self, c: float) -> "MultilinearPolynomial":
         return MultilinearPolynomial(self.n, {m: c * v for m, v in self.terms.items()})
 
-    def __add__(self, other: "MultilinearPolynomial") -> "MultilinearPolynomial":
+    def __add__(self, other):
+        """Sum with a polynomial on the same variables, or with a real number as a constant."""
+        if isinstance(other, numbers.Real):
+            other = MultilinearPolynomial.constant(self.n, float(other))
+        elif not isinstance(other, MultilinearPolynomial):
+            return NotImplemented
         self._check_same_space(other)
         out = dict(self.terms)
         for mask, coeff in other.terms.items():
             out[mask] = out.get(mask, 0.0) + coeff
         return MultilinearPolynomial(self.n, out)
 
-    def __sub__(self, other: "MultilinearPolynomial") -> "MultilinearPolynomial":
-        return self + other.scale(-1.0)
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if not isinstance(other, (MultilinearPolynomial, numbers.Real)):
+            return NotImplemented
+        return self + -other
+
+    def __rsub__(self, other):
+        if not isinstance(other, numbers.Real):
+            return NotImplemented
+        return -self + other
 
     def __neg__(self) -> "MultilinearPolynomial":
         return self.scale(-1.0)
@@ -483,6 +526,12 @@ class MultilinearPolynomial:
         return cls.from_json_dict(data)
 
     # ------------------------------------------------------------------
+
+    def _rows(self, points: np.ndarray) -> np.ndarray:
+        pts = np.asarray(points, dtype=np.float64)
+        if pts.ndim != 2 or pts.shape[1] != self.n:
+            raise InputError(f"expected an (m, {self.n}) matrix, got shape {pts.shape}")
+        return pts
 
     def _check_index(self, i: int) -> None:
         if not isinstance(i, int) or not 0 <= i < self.n:

@@ -8,17 +8,31 @@ polynomial onto its k support variables
 distributional quantity since the other coordinates occur in no term) and
 draws only those k coordinates, coordinate-major: a C-order ``(k, m)``
 array whose ``.T`` view goes to ``eval_many``, so each column the
-evaluation kernel reads is contiguous.  The memory batch is the one unit
-of the draws: it holds at most 2^22 float64 elements (``r = 2^22 // w``
-rows when one row materialises ``w`` elements: k drawn for a point, 2k
-for a point and a direction, plus the kernel's ``KERNEL_ROWS``, or the
-output column count if that is larger), so memory does not grow with n
-or the sample count.  Batch ``c`` covers rows ``[c*r, (c+1)*r)`` and draws
-from numpy's PCG64 seeded through ``SeedSequence(seed, spawn_key=(stream,
-c))``; batch results are merged in batch order, and the batches run on
-``min(workers, batches, os.cpu_count())`` threads.  Seeded values depend
-on that batch rule and draw layout, never on the worker count.  Gaussian
-draws use numpy's ziggurat, fixed within one build.
+evaluation kernel reads is contiguous.
+
+Gaussian statistics of a directional derivative (strong
+anticoncentration, beta, the Gaussian per-block ratio) draw no direction.
+Given X, D_Y p(X) = Y . grad p(X) for an independent standard Gaussian Y
+is exactly N(0, |grad p(X)|^2), so (X, D_Y p(X)) has the law of
+(X, |grad p(X)| Z) with one scalar Z ~ N(0, 1): such a batch draws one
+C-order ``(k+1, m)`` block, rows ``0..k-1`` the point and row ``k`` the
+Z, and takes |grad p(X)|^2 from the cached partial derivatives
+(:meth:`MultilinearPolynomial.squared_gradient_norm`).  The +-1
+statistics draw a point and a direction and run the fused
+value-and-derivative pass.
+
+The memory batch is the one unit of the draws: it holds at most 2^18
+float64 elements, 2 MiB, about one core's L2 cache (``r = 2^18 // w``
+rows when one row materialises ``w`` elements: k drawn for a point, k + 1
+for a Gaussian point and its Z, 2k for a point and a direction, plus the
+kernel's ``KERNEL_ROWS``, or the output column count if that is larger),
+so memory does not grow with n or the sample count.  Batch ``c`` covers
+rows ``[c*r, (c+1)*r)`` and draws from numpy's PCG64 seeded through
+``SeedSequence(seed, spawn_key=(stream, c))``; batch results are merged in
+batch order, and the batches run on ``min(workers, batches,
+os.cpu_count())`` threads.  Seeded values depend on that batch rule and
+draw layout, never on the worker count.  Gaussian draws use numpy's
+ziggurat, fixed within one build.
 
 The ratio statistics clamp at 1.  When the denominator value p(A) is
 exactly zero the integrand is defined as 1 if the gradient of p at A is
@@ -46,7 +60,8 @@ GAUSSIAN = "gaussian"
 _DISTRIBUTIONS = (BERNOULLI, GAUSSIAN)
 
 _M64 = (1 << 64) - 1
-_BATCH_ELEMENTS = 1 << 22
+# 2 MiB of float64, one core's L2: the kernel's elementwise passes are memory-bound
+_BATCH_ELEMENTS = 1 << 18
 # invariance_gap without a threshold grid: evenly spaced pooled quantiles
 _QUANTILE_GRID_POINTS = 201
 
@@ -156,10 +171,9 @@ def _estimate(
     width: int,
 ) -> list[EstimatorResult]:
     """Sample means of ``batch_fn`` values, one :class:`EstimatorResult` per column."""
-    held = [None]  # the last values live through the next batch: no heap trim and re-fault
 
     def column_sums(gen: np.random.Generator, m: int) -> np.ndarray:
-        values = held[0] = np.asarray(batch_fn(gen, m), dtype=np.float64).reshape(m, -1)
+        values = np.asarray(batch_fn(gen, m), dtype=np.float64).reshape(m, -1)
         return np.array([values.sum(axis=0), (values * values).sum(axis=0)])
 
     total, total_sq = sum(_batches(column_sums, samples, rng, workers, width))
@@ -185,6 +199,24 @@ def _draw(gen: np.random.Generator, dist: str, rows: int, cols: int) -> np.ndarr
     return gen.standard_normal((rows, cols))
 
 
+def _gaussian_derivative(
+    gen: np.random.Generator, p: MultilinearPolynomial, m: int, coords: Sequence[int] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(points, p(X), D_Y p(X))`` for ``m`` Gaussian rows, Y restricted to ``coords``.
+
+    Draws one C-order ``(k+1, m)`` block: rows ``0..k-1`` are the point X
+    (returned coordinate-major) and row ``k`` is Z ~ N(0, 1).  Given X,
+    D_Y p(X) = Y . grad p(X) is exactly N(0, |grad p(X)|^2), so
+    |grad p(X)| Z has the same joint law with X and no direction is drawn.
+    """
+    k = p.n
+    draws = _draw(gen, GAUSSIAN, k + 1, m)
+    points = draws[:k]
+    deriv = np.sqrt(p.squared_gradient_norm(points.T, coords))
+    deriv *= draws[k]
+    return points, p.eval_many(points.T), deriv
+
+
 def _check_dist(dist: str) -> str:
     if dist not in _DISTRIBUTIONS:
         raise InputError(f"distribution must be one of {_DISTRIBUTIONS}, got {dist!r}")
@@ -196,12 +228,16 @@ def _check_dist(dist: str) -> str:
 
 
 def _clamped_ratio(
-    values: np.ndarray, deriv: np.ndarray, points: np.ndarray, parts: Sequence[MultilinearPolynomial]
+    p: MultilinearPolynomial,
+    coords: Sequence[int],
+    points: np.ndarray,
+    values: np.ndarray,
+    deriv: np.ndarray,
 ) -> np.ndarray:
     """min(1, (D_v p(x) / p(x))^2), computed in ``deriv``, with the zero-denominator rule.
 
     ``points`` is the coordinate-major ``(k, m)`` draw; the squared gradient
-    over ``parts`` is evaluated only on the rows where p(x) = 0.
+    over ``coords`` is evaluated only on the rows where p(x) = 0.
     """
     zero = values == 0.0
     values[zero] = 1.0
@@ -209,8 +245,7 @@ def _clamped_ratio(
     np.square(deriv, out=deriv)
     np.minimum(deriv, 1.0, out=deriv)
     if zero.any():
-        at = points[:, zero].T
-        deriv[zero] = sum(part.eval_many(at) ** 2 for part in parts) > 0.0
+        deriv[zero] = p.squared_gradient_norm(points[:, zero].T, coords) > 0.0
     return deriv
 
 
@@ -228,7 +263,11 @@ def ratio_estimate(
     Each draw uses an independent point A and direction B from ``dist``.
     With ``coords`` the derivative only runs along those coordinates (B
     restricted to them), which is the per-block statistic of
-    :func:`ptflab.decompose.block_alpha_sum`.
+    :func:`ptflab.decompose.block_alpha_sum`.  Under +-1 inputs each row
+    draws A and B (``2k`` values) for one fused value-and-derivative pass.
+    Under Gaussian inputs each row draws the point and one N(0, 1) scalar
+    Z (``k + 1`` values) and takes D_B p(A) = |grad_coords p(A)| Z, which
+    has the same joint law with A (see :func:`_gaussian_derivative`).
     """
     _check_dist(dist)
     compressed, support = p.compress_support()
@@ -236,16 +275,19 @@ def ratio_estimate(
     position = {old: new for new, old in enumerate(support)}
     active = range(k) if coords is None else [position[i] for i in coords if i in position]
     idle = sorted(set(range(k)) - set(active))
-    parts = [compressed.partial_derivative(j) for j in active]
 
     def batch(gen: np.random.Generator, m: int) -> np.ndarray:
-        points = _draw(gen, dist, k, m)
-        directions = _draw(gen, dist, k, m)
-        directions[idle] = 0.0
-        values, deriv = compressed.eval_many(points.T, directions.T)
-        return _clamped_ratio(values, deriv, points, parts)
+        if dist == GAUSSIAN:
+            points, values, deriv = _gaussian_derivative(gen, compressed, m, active)
+        else:
+            points = _draw(gen, dist, k, m)
+            directions = _draw(gen, dist, k, m)
+            directions[idle] = 0.0
+            values, deriv = compressed.eval_many(points.T, directions.T)
+        return _clamped_ratio(compressed, active, points, values, deriv)
 
-    return _estimate(batch, samples, rng, workers, width=2 * k + KERNEL_ROWS)[0]
+    drawn = k + 1 if dist == GAUSSIAN else 2 * k
+    return _estimate(batch, samples, rng, workers, width=drawn + KERNEL_ROWS)[0]
 
 
 def estimate_alpha(
@@ -262,7 +304,11 @@ def estimate_alpha(
 def estimate_beta(
     p: MultilinearPolynomial, samples: int, rng: Rng, *, workers: int = 1
 ) -> EstimatorResult:
-    """Gaussian analogue of :func:`estimate_alpha`."""
+    """Gaussian analogue of :func:`estimate_alpha`: E min(1, (D_Y p(X) / p(X))^2).
+
+    Draws D_Y p(X) as |grad p(X)| Z with one N(0, 1) scalar Z per row
+    (see :func:`ratio_estimate`).
+    """
     return ratio_estimate(p, GAUSSIAN, samples, rng, workers=workers)
 
 
@@ -276,7 +322,7 @@ def exact_alpha(p: MultilinearPolynomial) -> float:
     check_enumeration(f"exact alpha over the (A, B) pairs of n={n}", 1 << (2 * n))
     size = 1 << n
     values = evaluate_on_hypercube(p)
-    grads = np.array([evaluate_on_hypercube(p.partial_derivative(i)) for i in range(n)])
+    grads = np.array([evaluate_on_hypercube(part) for part in p.partials])
     grads = grads.reshape(n, size)
     grad_sq = (grads**2).sum(axis=0)
     zero = values == 0.0
@@ -421,7 +467,12 @@ def strong_anticoncentration_estimate(
     *,
     workers: int = 1,
 ) -> EstimatorResult:
-    """Estimate Pr(|p(X)| <= eps |D_Y p(X)|) with independent Gaussian X, Y."""
+    """Estimate Pr(|p(X)| <= eps |D_Y p(X)|) with independent Gaussian X, Y.
+
+    Each row draws X and one N(0, 1) scalar Z and takes D_Y p(X) =
+    |grad p(X)| Z, which has the same joint law with X, so no direction
+    vector is drawn (see :func:`_gaussian_derivative`).
+    """
     if eps <= 0.0:
         raise InputError(f"eps must be positive, got {eps}")
     if p.degree < 1:
@@ -430,12 +481,10 @@ def strong_anticoncentration_estimate(
     k = compressed.n
 
     def batch(gen: np.random.Generator, m: int) -> np.ndarray:
-        points = _draw(gen, GAUSSIAN, k, m)
-        directions = _draw(gen, GAUSSIAN, k, m)
-        values, deriv = compressed.eval_many(points.T, directions.T)
+        _, values, deriv = _gaussian_derivative(gen, compressed, m)
         return (np.abs(values) <= eps * np.abs(deriv)).astype(np.float64)
 
-    return _estimate(batch, samples, rng, workers, width=2 * k + KERNEL_ROWS)[0]
+    return _estimate(batch, samples, rng, workers, width=k + 1 + KERNEL_ROWS)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from ptflab import MultilinearPolynomial, Rng
+from ptflab import MultilinearPolynomial, Rng, estimate_alpha, estimate_beta
 from ptflab.cli import SUITE_NAMES, run_suite
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -48,3 +48,28 @@ def test_suite_sections_match(tracing):
 def test_run_suite_binds_the_positional_call():
     # perfbench/workloads.py: run_suite(section, seed, samples, 0.1, 0.05, 0.05, 1.0, 3, 1)
     inspect.signature(run_suite).bind("gl", 7, 1000, 0.1, 0.05, 0.05, 1.0, 3, 1)
+
+
+def test_smoke_preconditions_reach_the_counted_layers(monkeypatch):
+    # perfbench/smoke.py requires polynomial.partial_derivative.calls > 0 on
+    # mc_wide (beta in n = 512) and eval_many term rows on mc_ratio (alpha)
+    calls = {"partial_derivative": 0, "eval_many_with_directions": 0}
+    partial_derivative, eval_many = (
+        MultilinearPolynomial.partial_derivative, MultilinearPolynomial.eval_many
+    )
+
+    def counting_partial_derivative(self, i):
+        calls["partial_derivative"] += 1
+        return partial_derivative(self, i)
+
+    def counting_eval_many(self, points, directions=None):
+        calls["eval_many_with_directions"] += directions is not None
+        return eval_many(self, points, directions)
+
+    monkeypatch.setattr(MultilinearPolynomial, "partial_derivative", counting_partial_derivative)
+    monkeypatch.setattr(MultilinearPolynomial, "eval_many", counting_eval_many)
+    wide = MultilinearPolynomial(512, {(1 << 3) | (1 << 200): 1.0, 1 << 511: 0.5, 1 << 64: -0.3})
+    estimate_beta(wide, 1_000, Rng(1))
+    assert calls["partial_derivative"] > 0
+    estimate_alpha(wide, 1_000, Rng(2))
+    assert calls["eval_many_with_directions"] > 0

@@ -142,6 +142,39 @@ def test_eval_many_value_and_derivative_match_pointwise(case):
         assert abs(p.directional_derivative(x, v) - d) <= 1e-12 * deriv_scale
 
 
+@given(kernel_cases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_squared_gradient_norm_matches_pointwise_gradient(case, data):
+    p, points, _ = case
+    subsets = st.lists(st.integers(0, p.n - 1), unique=True) if p.n else st.just([])
+    coords = data.draw(st.none() | subsets)
+    index = list(range(p.n)) if coords is None else coords
+    magnitude = MultilinearPolynomial(p.n, {mask: abs(c) for mask, c in p.terms.items()})
+    squared = p.squared_gradient_norm(points, coords)
+    assert squared.shape == (points.shape[0],)
+    for x, got in zip(points, squared):
+        grad = p.gradient(x)[index]
+        bound = magnitude.gradient(np.abs(x))[index]
+        assert abs(got - float(grad @ grad)) <= 1e-12 * float(bound @ bound)
+
+
+def test_squared_gradient_norm_edge_cases():
+    rows = np.array([[0.5, -2.0, 3.0], [1.0, 1.0, -1.0]])
+    assert MultilinearPolynomial.zero(0).squared_gradient_norm(np.zeros((3, 0))).tolist() == [0.0] * 3
+    constant = MultilinearPolynomial.constant(3, 2.5)
+    assert constant.squared_gradient_norm(rows).tolist() == [0.0, 0.0]
+    # constant partials fold into one scalar: 3^2 + 4^2 on every row
+    linear = poly(3, {(0,): 3.0, (2,): -4.0, (): 1.0})
+    assert linear.squared_gradient_norm(rows).tolist() == [25.0, 25.0]
+    assert linear.squared_gradient_norm(rows, [2]).tolist() == [16.0, 16.0]
+    assert linear.squared_gradient_norm(rows, []).tolist() == [0.0, 0.0]
+    assert linear.partials is linear.partials
+    with pytest.raises(InputError):
+        linear.squared_gradient_norm(rows, [3])
+    with pytest.raises(InputError):
+        linear.squared_gradient_norm(rows[:, :2])
+
+
 def test_eval_many_validates_shapes():
     p = poly(3, {(0, 2): 1.0})
     with pytest.raises(InputError):
@@ -323,6 +356,21 @@ def test_constructor_validations():
         MultilinearPolynomial(-1, {})
     with pytest.raises(InputError):
         MultilinearPolynomial.from_vars(3, {(0, 0): 1.0})
+
+
+def test_add_and_sub_take_real_numbers_as_constants():
+    p = poly(2, {(0, 1): 1.0, (0,): 0.5, (): -0.25})
+    one = MultilinearPolynomial.constant(2, 1.0)
+    assert p + 1.0 == p + one == 1.0 + p
+    assert p - 1 == p - one
+    assert 1.0 - p == one - p
+    assert p + np.float64(2.0) == p + MultilinearPolynomial.constant(2, 2.0)
+    assert p * 0.5 + 1.0 == p.scale(0.5) + one
+    assert sum([p, p]) == p.scale(2.0)
+    for other in ("x", None, object()):
+        for op in (lambda: p + other, lambda: other + p, lambda: p - other, lambda: other - p):
+            with pytest.raises(TypeError):
+                op()
 
 
 def test_multiply_uses_cube_semantics():

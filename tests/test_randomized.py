@@ -166,17 +166,19 @@ def test_thread_pool_is_capped_at_cpu_count(monkeypatch):
     assert pooled == serial
 
 
-# three batches on WIDE: one row holds a point (_SPAN), or a point and a direction (_SPAN2)
+# three batches on WIDE: one row holds a point (_SPAN), a point and a direction (_SPAN2),
+# or a Gaussian point and one scalar for its directional derivative (_SPAN_Z)
 _SPAN = 2 * _batch_rows(WIDE.n + KERNEL_ROWS) + 1
 _SPAN2 = 2 * _batch_rows(2 * WIDE.n + KERNEL_ROWS) + 1
+_SPAN_Z = 2 * _batch_rows(WIDE.n + 1 + KERNEL_ROWS) + 1
 
 _ENTRY_POINTS = {
     "alpha": lambda w: estimate_alpha(WIDE, _SPAN2, Rng(12, 1), workers=w),
-    "beta": lambda w: estimate_beta(WIDE, _SPAN2, Rng(12, 2), workers=w),
+    "beta": lambda w: estimate_beta(WIDE, _SPAN_Z, Rng(12, 2), workers=w),
     "ratio_coords": lambda w: ratio_estimate(
-        WIDE, GAUSSIAN, _SPAN2, Rng(12, 3), workers=w, coords=range(0, 256, 3)
+        WIDE, GAUSSIAN, _SPAN_Z, Rng(12, 3), workers=w, coords=range(0, 256, 3)
     ),
-    "strong": lambda w: strong_anticoncentration_estimate(WIDE, 0.1, _SPAN2, Rng(12, 4), workers=w),
+    "strong": lambda w: strong_anticoncentration_estimate(WIDE, 0.1, _SPAN_Z, Rng(12, 4), workers=w),
     "tail_curve": lambda w: tail_curve(WIDE, BERNOULLI, [0.5, 1.0, 2.0], _SPAN, Rng(12, 5), workers=w),
     "weak": lambda w: weak_anticoncentration_estimate(WIDE, GAUSSIAN, _SPAN, Rng(12, 6), workers=w),
     "carbery_wright": lambda w: carbery_wright_estimate(WIDE, 0.1, _SPAN, Rng(12, 7), workers=w),
@@ -491,6 +493,57 @@ def test_strong_anticoncentration_halving_ratio():
     wide = strong_anticoncentration_estimate(p, 0.01, 1_000_000, Rng(25))
     narrow = strong_anticoncentration_estimate(p, 0.005, 1_000_000, Rng(26))
     assert 1.4 <= wide.estimate / narrow.estimate <= 2.6
+
+
+def _direction_estimate(p, samples, rng, statistic, coords=None):
+    """The k-direction oracle: each row draws a Gaussian point X and a whole
+    Gaussian direction Y (zero off ``coords``) and reads D_Y p(X) from the
+    fused value-and-derivative pass."""
+    idle = [] if coords is None else sorted(set(range(p.n)) - set(coords))
+
+    def batch(gen, m):
+        points = _draw(gen, GAUSSIAN, p.n, m)
+        directions = _draw(gen, GAUSSIAN, p.n, m)
+        directions[idle] = 0.0
+        return statistic(*p.eval_many(points.T, directions.T))
+
+    return randomized._estimate(batch, samples, rng, 1, width=2 * p.n + KERNEL_ROWS)[0]
+
+
+def _indicator(eps):
+    return lambda values, deriv: (np.abs(values) <= eps * np.abs(deriv)).astype(np.float64)
+
+
+def _clamp(values, deriv):
+    return np.minimum(1.0, (deriv / values) ** 2)
+
+
+_CRITERION_6 = MultilinearPolynomial(
+    8, {m: c for m, c in random_polynomial(8, 3, 8, Rng(900).child(0)).terms.items() if m != 0}
+)
+# x0 and x4 occur only in linear terms, so their partials are constants
+_LINEAR = poly(6, {(0,): 1.0, (1,): -0.6, (4,): 0.4, (1, 2): 0.8, (2, 3, 5): 0.5, (): 0.3})
+
+
+@pytest.mark.parametrize("p", [_CRITERION_6, _LINEAR], ids=["criterion_6", "linear"])
+@pytest.mark.parametrize(
+    "scalar, oracle",
+    [
+        (lambda p, r: strong_anticoncentration_estimate(p, 0.01, 200_000, r),
+         lambda p, r: _direction_estimate(p, 200_000, r, _indicator(0.01))),
+        (lambda p, r: strong_anticoncentration_estimate(p, 0.005, 200_000, r),
+         lambda p, r: _direction_estimate(p, 200_000, r, _indicator(0.005))),
+        (lambda p, r: estimate_beta(p, 200_000, r),
+         lambda p, r: _direction_estimate(p, 200_000, r, _clamp)),
+        (lambda p, r: ratio_estimate(p, GAUSSIAN, 200_000, r, coords=(0, 2, 5)),
+         lambda p, r: _direction_estimate(p, 200_000, r, _clamp, coords=(0, 2, 5))),
+    ],
+    ids=["strong_0.01", "strong_0.005", "beta", "ratio_coords"],
+)
+def test_scalar_derivative_draw_agrees_with_the_direction_oracle(p, scalar, oracle):
+    # D_Y p(X) drawn as |grad p(X)| Z has the law of Y . grad p(X) given X
+    new, old = scalar(p, Rng(77, 1)), oracle(p, Rng(77, 2))
+    assert abs(new.estimate - old.estimate) <= 4 * math.hypot(new.std_error, old.std_error)
 
 
 def test_strong_anticoncentration_rejects_constant():
