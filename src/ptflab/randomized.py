@@ -10,6 +10,20 @@ draws only those k coordinates, coordinate-major: a C-order ``(k, m)``
 array whose ``.T`` view goes to ``eval_many``, so each column the
 evaluation kernel reads is contiguous.
 
+Gaussian draws of one polynomial run on its Gaussian form
+(:func:`_gaussian_form`).  A coordinate that occurs only in its degree-1
+term contributes a_i X_i and nothing else, and the sum of such terms over
+a class L of coordinates is exactly N(0, |a_L|^2); so each class merges
+into one coordinate with coefficient ``hypot(*a_L)`` (which cannot
+overflow where the sum of squares would), and the merged form has the
+joint law of (p(X), |grad p(X)|^2).  The classes are the linear-only
+coordinates inside and outside the derivative's ``coords``, and a class
+of fewer than two is left as it is.  The linear form at n = 400 draws one
+value per row instead of 400.  ``abs_comparison_gap`` draws two
+polynomials at one point and keeps every coordinate.  A +-1 draw of
+``rows * cols`` values takes ``ceil(rows * cols / 8)`` random bytes and
+unpacks their bits in C order, bit 1 to +1 and bit 0 to -1.
+
 Gaussian statistics of a directional derivative (strong
 anticoncentration, beta, the Gaussian per-block ratio) draw no direction.
 Given X, D_Y p(X) = Y . grad p(X) for an independent standard Gaussian Y
@@ -25,7 +39,8 @@ The memory batch is the one unit of the draws: it holds at most 2^18
 float64 elements, 2 MiB, about one core's L2 cache (``r = 2^18 // w``
 rows when one row materialises ``w`` elements: k drawn for a point, k + 1
 for a Gaussian point and its Z, 2k for a point and a direction, plus the
-kernel's ``KERNEL_ROWS``, or the output column count if that is larger),
+kernel's ``KERNEL_ROWS``, or the output column count if that is larger;
+for Gaussian points k is the width of the Gaussian form),
 so memory does not grow with n or the sample count.  Batch ``c`` covers
 rows ``[c*r, (c+1)*r)`` and draws from numpy's PCG64 seeded through
 ``SeedSequence(seed, spawn_key=(stream, c))``; batch results are merged in
@@ -193,10 +208,53 @@ def _estimate(
 
 
 def _draw(gen: np.random.Generator, dist: str, rows: int, cols: int) -> np.ndarray:
-    """A C-order ``(rows, cols)`` float64 matrix of uniform +-1 or standard normal entries."""
+    """A C-order ``(rows, cols)`` float64 matrix of uniform +-1 or standard normal entries.
+
+    The +-1 entries are the bits of ``ceil(rows * cols / 8)`` uniform random
+    bytes, unpacked in C order (bit 1 gives +1, bit 0 gives -1).
+    """
     if dist == BERNOULLI:
-        return (gen.integers(0, 2, size=(rows, cols), dtype=np.int8) * 2 - 1).astype(np.float64)
+        size = rows * cols
+        random_bytes = gen.integers(0, 256, size=-(-size // 8), dtype=np.uint8)
+        signs = np.unpackbits(random_bytes, count=size).view(np.int8)
+        signs *= 2
+        signs -= 1
+        return signs.reshape(rows, cols).astype(np.float64)
     return gen.standard_normal((rows, cols))
+
+
+def _gaussian_form(
+    p: MultilinearPolynomial, active: Sequence[int]
+) -> tuple[MultilinearPolynomial, list[int]]:
+    """The Gaussian form of ``p``, and ``active`` re-indexed onto it.
+
+    A coordinate that occurs only in its degree-1 term contributes a_i X_i
+    and nothing else, and a sum of such terms over a class L is exactly
+    N(0, |a_L|^2): one coordinate with coefficient ``hypot(*a_L)`` has the
+    same law.  The coordinates inside ``active`` and those outside it are
+    merged as two separate classes, so (p(X), |grad_active p(X)|^2) has the
+    law of the merged pair.  A class of fewer than two coordinates is left
+    as it is, and when neither class merges ``p`` itself is returned.
+    """
+    higher = 0
+    for mask in p.terms:
+        if mask & (mask - 1):
+            higher |= mask
+    linear = [i for i in range(p.n) if 1 << i in p.terms and not higher >> i & 1]
+    inside = set(active)
+    classes = [
+        group
+        for group in ([i for i in linear if i in inside], [i for i in linear if i not in inside])
+        if len(group) >= 2
+    ]
+    if not classes:
+        return p, list(active)
+    terms = dict(p.terms)
+    for first, *rest in classes:
+        terms[1 << first] = math.hypot(terms[1 << first], *(terms.pop(1 << i) for i in rest))
+    merged, support = MultilinearPolynomial(p.n, terms).compress_support()
+    position = {old: new for new, old in enumerate(support)}
+    return merged, [position[i] for i in active if i in position]
 
 
 def _gaussian_derivative(
@@ -221,6 +279,23 @@ def _check_dist(dist: str) -> str:
     if dist not in _DISTRIBUTIONS:
         raise InputError(f"distribution must be one of {_DISTRIBUTIONS}, got {dist!r}")
     return dist
+
+
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < math.inf:
+        raise InputError(f"eps must be positive and finite, got {eps}")
+
+
+def _sampled_form(p: MultilinearPolynomial, dist: str) -> MultilinearPolynomial:
+    """The polynomial whose support a ``dist`` draw of p's values runs on.
+
+    The support compression of ``p``, with its linear-only coordinates
+    merged (:func:`_gaussian_form`) under Gaussian inputs.
+    """
+    compressed = p.compress_support()[0]
+    if dist == GAUSSIAN:
+        return _gaussian_form(compressed, range(compressed.n))[0]
+    return compressed
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +340,10 @@ def ratio_estimate(
     restricted to them), which is the per-block statistic of
     :func:`ptflab.decompose.block_alpha_sum`.  Under +-1 inputs each row
     draws A and B (``2k`` values) for one fused value-and-derivative pass.
-    Under Gaussian inputs each row draws the point and one N(0, 1) scalar
-    Z (``k + 1`` values) and takes D_B p(A) = |grad_coords p(A)| Z, which
+    Under Gaussian inputs the linear-only coordinates inside and outside
+    ``coords`` are first merged into one each (:func:`_gaussian_form`),
+    and each row draws the point of that form and one N(0, 1) scalar Z
+    (``k' + 1`` values) and takes D_B p(A) = |grad_coords p(A)| Z, which
     has the same joint law with A (see :func:`_gaussian_derivative`).
     """
     _check_dist(dist)
@@ -275,6 +352,8 @@ def ratio_estimate(
     position = {old: new for new, old in enumerate(support)}
     active = range(k) if coords is None else [position[i] for i in coords if i in position]
     idle = sorted(set(range(k)) - set(active))
+    if dist == GAUSSIAN:
+        compressed, active = _gaussian_form(compressed, active)
 
     def batch(gen: np.random.Generator, m: int) -> np.ndarray:
         if dist == GAUSSIAN:
@@ -286,7 +365,7 @@ def ratio_estimate(
             values, deriv = compressed.eval_many(points.T, directions.T)
         return _clamped_ratio(compressed, active, points, values, deriv)
 
-    drawn = k + 1 if dist == GAUSSIAN else 2 * k
+    drawn = compressed.n + 1 if dist == GAUSSIAN else 2 * k
     return _estimate(batch, samples, rng, workers, width=drawn + KERNEL_ROWS)[0]
 
 
@@ -382,10 +461,10 @@ def tail_curve(
     _check_dist(dist)
     l2 = _require_nonzero(p)
     levels = sorted(float(t) for t in thresholds)
-    if not levels or levels[0] <= 0.0:
-        raise InputError("thresholds must be positive")
+    if not levels or not all(0.0 < t < math.inf for t in levels):
+        raise InputError(f"thresholds must be positive and finite, got {levels}")
     cuts = np.array(levels) * l2
-    compressed = p.compress_support()[0]
+    compressed = _sampled_form(p, dist)
     k = compressed.n
 
     def batch(gen: np.random.Generator, m: int) -> np.ndarray:
@@ -427,7 +506,7 @@ def weak_anticoncentration_estimate(
 ) -> EstimatorResult:
     _check_dist(dist)
     l2 = _require_nonzero(p)
-    compressed = p.compress_support()[0]
+    compressed = _sampled_form(p, dist)
     k = compressed.n
 
     def batch(gen: np.random.Generator, m: int) -> np.ndarray:
@@ -446,10 +525,9 @@ def carbery_wright_estimate(
     workers: int = 1,
 ) -> EstimatorResult:
     """Estimate Pr(|p(X)| <= eps |p|_2) under Gaussian input."""
-    if eps <= 0.0:
-        raise InputError(f"eps must be positive, got {eps}")
+    _check_eps(eps)
     l2 = _require_nonzero(p)
-    compressed = p.compress_support()[0]
+    compressed = _sampled_form(p, GAUSSIAN)
     k = compressed.n
 
     def batch(gen: np.random.Generator, m: int) -> np.ndarray:
@@ -473,11 +551,10 @@ def strong_anticoncentration_estimate(
     |grad p(X)| Z, which has the same joint law with X, so no direction
     vector is drawn (see :func:`_gaussian_derivative`).
     """
-    if eps <= 0.0:
-        raise InputError(f"eps must be positive, got {eps}")
+    _check_eps(eps)
     if p.degree < 1:
         raise InputError("degenerate for constant polynomials: the event has probability 0")
-    compressed = p.compress_support()[0]
+    compressed = _sampled_form(p, GAUSSIAN)
     k = compressed.n
 
     def batch(gen: np.random.Generator, m: int) -> np.ndarray:
@@ -517,12 +594,21 @@ def invariance_gap(
     is None the grid is 201 evenly spaced quantiles of the
     pooled sample, which adapts to wherever the distributions put mass.
     """
-    compressed = p.compress_support()[0]
-    k = compressed.n
+    if t_grid is not None:
+        grid = np.asarray(list(t_grid), dtype=np.float64)
+        if grid.size == 0:
+            raise InputError("threshold grid must be nonempty")
+        if not np.all(np.isfinite(grid)):
+            raise InputError(f"thresholds must be finite, got {grid.tolist()}")
+        if np.any(np.diff(grid) < 0):
+            raise InputError("threshold grid must be sorted")
 
     def values(dist: str, stream: Rng) -> np.ndarray:
+        form = _sampled_form(p, dist)
+        k = form.n
+
         def batch(gen: np.random.Generator, m: int) -> np.ndarray:
-            return compressed.eval_many(_draw(gen, dist, k, m).T)
+            return form.eval_many(_draw(gen, dist, k, m).T)
 
         return np.concatenate(_batches(batch, samples, stream, workers, width=k + KERNEL_ROWS))
 
@@ -531,12 +617,6 @@ def invariance_gap(
     if t_grid is None:
         pooled = np.concatenate([gaussian, bernoulli])
         grid = np.quantile(pooled, np.linspace(0.0, 1.0, _QUANTILE_GRID_POINTS))
-    else:
-        grid = np.asarray(list(t_grid), dtype=np.float64)
-        if grid.size == 0:
-            raise InputError("threshold grid must be nonempty")
-        if np.any(np.diff(grid) < 0):
-            raise InputError("threshold grid must be sorted")
     gaussian.sort()
     bernoulli.sort()
     cdf_x = np.searchsorted(gaussian, grid, side="right") / samples

@@ -29,7 +29,7 @@ from ptflab import (
 
 from ptflab import RegularityConfig, block_alpha_sum, block_partition, randomized, recursion_trace
 from ptflab.polynomial import KERNEL_ROWS
-from ptflab.randomized import _BATCH_ELEMENTS, _batch_rows, _draw, ratio_estimate
+from ptflab.randomized import _BATCH_ELEMENTS, _batch_rows, _draw, _gaussian_form, ratio_estimate
 
 from conftest import brute_alpha, poly, random_instances
 
@@ -86,6 +86,38 @@ def test_bernoulli_mean_window():
 def test_gaussian_variance_window():
     variances = _draw(Rng(22).generator(), GAUSSIAN, 1_000_000, 4).var(axis=0)
     assert np.all((variances > 0.99) & (variances < 1.01))
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (1, 1), (7, 9), (2, 4), (0, 6)])
+def test_bernoulli_draw_shapes_that_are_not_whole_bytes(shape):
+    # +-1 entries are unpacked from random bytes; the element count need not be a multiple of 8
+    draws = _draw(Rng(3, 1).generator(), BERNOULLI, *shape)
+    assert draws.shape == shape and draws.dtype == np.float64
+    assert draws.flags.c_contiguous
+    assert np.all((draws == -1.0) | (draws == 1.0))
+
+
+def test_bernoulli_draw_rows_and_columns_are_balanced():
+    rows, cols = 101, 2003  # neither a multiple of 8, so rows start inside a byte
+    draws = _draw(Rng(23).generator(), BERNOULLI, rows, cols)
+    assert np.all(np.abs(draws.mean(axis=1)) <= 5.0 / math.sqrt(cols))
+    assert np.all(np.abs(draws.mean(axis=0)) <= 5.0 / math.sqrt(rows))
+
+
+def test_bernoulli_draw_has_no_correlation_within_or_across_bytes():
+    rows, cols = 1001, 999
+    flat = _draw(Rng(24).generator(), BERNOULLI, rows, cols).ravel()
+    first = np.arange(flat.size - cols)
+    lags = {
+        "adjacent bits of one byte": (first[first % 8 != 7], 1),
+        "adjacent bits across a byte boundary": (first[first % 8 == 7], 1),
+        "the same bit of adjacent bytes": (first, 8),
+        "adjacent rows": (first, cols),
+    }
+    for name, (left, lag) in lags.items():
+        # products of independent signs are +-1 with mean 0 and variance 1
+        correlation = float(np.mean(flat[left] * flat[left + lag]))
+        assert abs(correlation) <= 4.0 / math.sqrt(left.size), f"{name}: {correlation!r}"
 
 
 def test_sampler_validation():
@@ -167,22 +199,33 @@ def test_thread_pool_is_capped_at_cpu_count(monkeypatch):
 
 
 # three batches on WIDE: one row holds a point (_SPAN), a point and a direction (_SPAN2),
-# or a Gaussian point and one scalar for its directional derivative (_SPAN_Z)
+# a Gaussian point (_SPAN_G), or a Gaussian point and one scalar for its directional
+# derivative (_SPAN_Z, and _SPAN_ZC with coords); Gaussian points are drawn on the
+# merged form, whose linear-only coordinates are one per class
+_COORDS = range(0, 256, 3)
+_MERGED = _gaussian_form(WIDE, range(WIDE.n))[0].n
+_MERGED_COORDS = _gaussian_form(WIDE, _COORDS)[0].n
 _SPAN = 2 * _batch_rows(WIDE.n + KERNEL_ROWS) + 1
 _SPAN2 = 2 * _batch_rows(2 * WIDE.n + KERNEL_ROWS) + 1
-_SPAN_Z = 2 * _batch_rows(WIDE.n + 1 + KERNEL_ROWS) + 1
+_SPAN_G = 2 * _batch_rows(_MERGED + KERNEL_ROWS) + 1
+_SPAN_Z = 2 * _batch_rows(_MERGED + 1 + KERNEL_ROWS) + 1
+_SPAN_ZC = 2 * _batch_rows(_MERGED_COORDS + 1 + KERNEL_ROWS) + 1
 
 _ENTRY_POINTS = {
     "alpha": lambda w: estimate_alpha(WIDE, _SPAN2, Rng(12, 1), workers=w),
     "beta": lambda w: estimate_beta(WIDE, _SPAN_Z, Rng(12, 2), workers=w),
     "ratio_coords": lambda w: ratio_estimate(
-        WIDE, GAUSSIAN, _SPAN_Z, Rng(12, 3), workers=w, coords=range(0, 256, 3)
+        WIDE, GAUSSIAN, _SPAN_ZC, Rng(12, 3), workers=w, coords=_COORDS
     ),
     "strong": lambda w: strong_anticoncentration_estimate(WIDE, 0.1, _SPAN_Z, Rng(12, 4), workers=w),
     "tail_curve": lambda w: tail_curve(WIDE, BERNOULLI, [0.5, 1.0, 2.0], _SPAN, Rng(12, 5), workers=w),
-    "weak": lambda w: weak_anticoncentration_estimate(WIDE, GAUSSIAN, _SPAN, Rng(12, 6), workers=w),
-    "carbery_wright": lambda w: carbery_wright_estimate(WIDE, 0.1, _SPAN, Rng(12, 7), workers=w),
-    "invariance_gap": lambda w: _gap_fields(invariance_gap(WIDE, None, _SPAN, Rng(12, 8), workers=w)),
+    "weak": lambda w: weak_anticoncentration_estimate(
+        WIDE, GAUSSIAN, _SPAN_G, Rng(12, 6), workers=w
+    ),
+    "carbery_wright": lambda w: carbery_wright_estimate(WIDE, 0.1, _SPAN_G, Rng(12, 7), workers=w),
+    "invariance_gap": lambda w: _gap_fields(
+        invariance_gap(WIDE, None, _SPAN_G, Rng(12, 8), workers=w)
+    ),
     "abs_comparison_gap": lambda w: abs_comparison_gap(
         WIDE, scaled_sum(256), _SPAN, Rng(12, 9), workers=w
     ),
@@ -546,6 +589,116 @@ def test_scalar_derivative_draw_agrees_with_the_direction_oracle(p, scalar, orac
     assert abs(new.estimate - old.estimate) <= 4 * math.hypot(new.std_error, old.std_error)
 
 
+# ---------------------------------------------------------------------------
+# the Gaussian form: linear-only coordinates merged into one per class
+
+# x2, x3 inside _MIXED_COORDS and x4, x5 outside it occur only in linear terms;
+# x0 is linear too but also occurs in x0*x1, so it is never merged
+_MIXED = poly(6, {(0, 1): 0.3, (0,): 0.2, (2,): 0.5, (3,): -0.4, (4,): 0.6, (5,): -0.5, (): 0.1})
+_MIXED_COORDS = (0, 2, 3)
+_MIXED_L2 = _MIXED.moments().l2_norm
+
+
+def _merged_points(p, active, points):
+    """Points of the Gaussian form matched to the ``(m, n)`` points of ``p``:
+    each class of two or more linear-only coordinates becomes its first
+    member, carrying a_L . x_L / |a_L|, and the others are dropped."""
+    higher = {i for mask in p.terms if mask.bit_count() > 1 for i in range(p.n) if mask >> i & 1}
+    linear = [i for i in range(p.n) if 1 << i in p.terms and i not in higher]
+    columns = {i: points[:, i] for i in range(p.n)}
+    for group in ([i for i in linear if i in active], [i for i in linear if i not in active]):
+        if len(group) >= 2:
+            a = np.array([p.terms[1 << i] for i in group])
+            columns[group[0]] = points[:, group] @ a / np.sqrt(np.sum(a * a))
+            for i in group[1:]:
+                del columns[i]
+    return np.column_stack(list(columns.values()))
+
+
+@pytest.mark.parametrize("coords", [None, _MIXED_COORDS], ids=["all", "coords"])
+def test_gaussian_form_keeps_the_value_and_the_squared_gradient_norm(coords):
+    active = range(_MIXED.n) if coords is None else coords
+    merged, merged_active = _gaussian_form(_MIXED, active)
+    assert merged.n == (3 if coords is None else 4)
+    expected, got = _MIXED.moments(), merged.moments()
+    assert got.mean == expected.mean
+    assert got.variance == pytest.approx(expected.variance, rel=1e-12)
+    points = _draw(Rng(71).generator(), GAUSSIAN, 50, _MIXED.n)
+    matched = _merged_points(_MIXED, active, points)
+    np.testing.assert_allclose(merged.eval_many(matched), _MIXED.eval_many(points), rtol=1e-12,
+                               atol=1e-12)
+    np.testing.assert_allclose(merged.squared_gradient_norm(matched, merged_active),
+                               _MIXED.squared_gradient_norm(points, coords), rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "p, active",
+    [
+        (poly(3, {(0, 1): 1.0, (0, 1, 2): 0.5}), range(3)),  # no linear-only coordinate
+        (poly(3, {(0,): 1.0, (1, 2): 0.5}), range(3)),  # one
+        (poly(4, {(0,): 1.0, (1,): 0.3, (2, 3): 0.5}), (0, 2)),  # one inside, one outside
+    ],
+    ids=["none", "one", "one_per_class"],
+)
+def test_gaussian_form_leaves_classes_of_fewer_than_two_unchanged(p, active):
+    merged, merged_active = _gaussian_form(p, active)
+    assert merged is p and merged_active == list(active)
+
+
+def test_gaussian_form_does_not_overflow_on_huge_coefficients():
+    p = poly(4, {(0,): 1e200, (1,): -1e200, (2, 3): 1.0})
+    merged, _ = _gaussian_form(p, range(4))
+    assert merged.n == 3 and merged.terms[1] == pytest.approx(math.sqrt(2.0) * 1e200)
+    gap = invariance_gap(p, [0.0], 10_000, Rng(72))
+    assert math.isfinite(gap.gap)
+
+
+def _value_estimate(p, samples, rng, statistic):
+    """The every-coordinate oracle for statistics of p(X) alone: one Gaussian
+    value per coordinate of p, one result per column of ``statistic``."""
+
+    def batch(gen, m):
+        return statistic(p.eval_many(_draw(gen, GAUSSIAN, p.n, m).T)).astype(np.float64)
+
+    return randomized._estimate(batch, samples, rng, 1, width=p.n + KERNEL_ROWS)
+
+
+def _within(cut):
+    return lambda values: np.abs(values) <= cut
+
+
+@pytest.mark.parametrize(
+    "merged, oracle",
+    [
+        (lambda r: strong_anticoncentration_estimate(_MIXED, 0.3, 200_000, r),
+         lambda r: _direction_estimate(_MIXED, 200_000, r, _indicator(0.3))),
+        (lambda r: estimate_beta(_MIXED, 200_000, r),
+         lambda r: _direction_estimate(_MIXED, 200_000, r, _clamp)),
+        (lambda r: ratio_estimate(_MIXED, GAUSSIAN, 200_000, r, coords=_MIXED_COORDS),
+         lambda r: _direction_estimate(_MIXED, 200_000, r, _clamp, coords=_MIXED_COORDS)),
+        (lambda r: carbery_wright_estimate(_MIXED, 0.1, 200_000, r),
+         lambda r: _value_estimate(_MIXED, 200_000, r, _within(0.1 * _MIXED_L2))[0]),
+    ],
+    ids=["strong", "beta", "ratio_coords", "carbery_wright"],
+)
+def test_gaussian_form_agrees_with_the_every_coordinate_oracle(merged, oracle):
+    new, old = merged(Rng(78, 1)), oracle(Rng(78, 2))
+    assert abs(new.estimate - old.estimate) <= 4 * math.hypot(new.std_error, old.std_error)
+
+
+def test_gaussian_half_of_the_gap_agrees_with_the_every_coordinate_oracle():
+    # |p(A)| <= sum |coefficients| on the cube, so outside that range the +-1 CDF is
+    # exactly 0 or 1 and the gap is the Gaussian mass beyond it
+    edge = sum(abs(c) for c in _MIXED.terms.values()) + 1e-9
+    samples = 200_000
+    gap = invariance_gap(_MIXED, [-edge, edge], samples, Rng(79, 1))
+    oracle = _value_estimate(_MIXED, samples, Rng(79, 2),
+                             lambda v: np.column_stack([v <= -edge, v > edge]))
+    for measured, reference in zip(gap.per_t, oracle):
+        se = math.hypot(math.sqrt(measured * (1.0 - measured) / samples), reference.std_error)
+        assert abs(measured - reference.estimate) <= 4 * se
+
+
 def test_strong_anticoncentration_rejects_constant():
     with pytest.raises(InputError):
         strong_anticoncentration_estimate(MultilinearPolynomial.constant(2, 1.0), 0.1, 100, Rng(1))
@@ -576,6 +729,26 @@ def test_invariance_gap_grid_validation():
         invariance_gap(X0, [], 100, Rng(1))
     with pytest.raises(InputError):
         invariance_gap(X0, [1.0, 0.0], 100, Rng(1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bad: strong_anticoncentration_estimate(X0, bad, 100, Rng(1)),
+        lambda bad: carbery_wright_estimate(X0, bad, 100, Rng(1)),
+        lambda bad: tail_curve(X0, GAUSSIAN, [bad], 100, Rng(1)),
+        lambda bad: tail_curve(X0, BERNOULLI, [1.0, bad], 100, Rng(1)),
+        lambda bad: invariance_gap(X0, [bad], 100, Rng(1)),
+        lambda bad: invariance_gap(X0, [-bad, 0.0], 100, Rng(1)),
+    ],
+    ids=["strong_eps", "carbery_wright_eps", "tail_curve", "tail_curve_second",
+         "invariance_gap", "invariance_gap_negative"],
+)
+def test_non_finite_eps_and_thresholds_are_rejected(call, bad):
+    # a NaN cut compares false everywhere: the estimate would read 0 with a 0 std_error
+    with pytest.raises(InputError):
+        call(bad)
 
 
 def test_abs_comparison_gap_self_is_zero():
