@@ -11,10 +11,16 @@ Every function here enumerates the cube within the element budget
 :data:`ptflab.polynomial.ENUMERATION_BUDGET`.  A sign function builds its
 truth table, and the table its spectrum, once; every exact quantity reads
 those cached, read-only arrays.
+
+Both 2^n-point transforms, evaluation and spectrum, are one :func:`fwht`:
+a pass of 32 x 32 Hadamard matrix products per 5-bit digit of the index,
+in place through one scratch panel of the memory batch.  It is exact on
++-1 tables, so spectra do not depend on its summation order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +29,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError
-from .polynomial import MultilinearPolynomial, RealPoint, check_enumeration, sign_pm1
+from .polynomial import (
+    _BATCH_ELEMENTS,
+    MultilinearPolynomial,
+    RealPoint,
+    check_enumeration,
+    sign_pm1,
+)
 
 
 @dataclass(frozen=True)
@@ -108,27 +120,66 @@ class FourierSpectrum:
         return weights
 
 
+# bits per digit of the index: one pass applies the 32 x 32 Hadamard matrix
+_DIGIT_BITS = 5
+
+
+@functools.cache
+def _hadamard(r: int) -> np.ndarray:
+    """The 2^r x 2^r Sylvester-Hadamard matrix, (-1)^popcount(a & b), read-only."""
+    index = np.arange(1 << r)
+    h = 1.0 - 2.0 * (np.bitwise_count(index[:, None] & index[None, :]) & 1)
+    h.flags.writeable = False
+    return h
+
+
 def fwht(values: np.ndarray) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform (Hadamard ordering).
 
     Returns y with y[a] = sum_b x[b] * (-1)^popcount(a & b); applying it
-    twice multiplies by the length.  The input is left untouched: the
-    butterflies run in place on one float64 copy, with one half-length
-    buffer reused across stages.
+    twice multiplies by the length.  The index is cut into 5-bit digits
+    (the highest one may be shorter), and H_{2^n} is the Kronecker product
+    of one Sylvester-Hadamard matrix H_{2^r} per digit, so each digit is
+    one pass of dense matrix products: the digit is the middle axis of an
+    ``(A, 2^r, 2^low)`` view and the pass is ``H @ view`` (``rows @ H``
+    for the lowest digit); n = 22 takes 5 passes.  The passes run in place
+    on one float64 copy of the input, panel by panel through one scratch
+    panel of at most ``_BATCH_ELEMENTS`` values, so the input is left
+    untouched and the extra memory is one panel.
+
+    On integer-valued input whose absolute values sum below 2^53, such as
+    a +-1 table, every partial sum is an integer that a float64 holds, so
+    the result is exact whatever the summation order.  Otherwise each
+    output is rounded like any sum of 2^n signed terms in which a term
+    passes through at most sum_d (2^{r_d} - 1) additions.
     """
     a = np.array(values, dtype=np.float64, copy=True)
     size = a.size
     if a.ndim != 1 or size & (size - 1):
         raise InputError(f"transform needs a vector of power-of-two length, got shape {a.shape}")
-    top = np.empty(size // 2)
-    h = 1
-    while h < size:
-        pairs = a.reshape(-1, 2, h)
-        upper = top.reshape(-1, h)
-        np.copyto(upper, pairs[:, 0, :])
-        np.add(upper, pairs[:, 1, :], out=pairs[:, 0, :])
-        np.subtract(upper, pairs[:, 1, :], out=pairs[:, 1, :])
-        h *= 2
+    n = size.bit_length() - 1
+    scratch = np.empty(min(size, _BATCH_ELEMENTS))
+    for low in range(0, n, _DIGIT_BITS):
+        r = min(_DIGIT_BITS, n - low)
+        h = _hadamard(r)
+        if low == 0:
+            rows = a.reshape(-1, 1 << r)
+            step = _BATCH_ELEMENTS >> r
+            for i in range(0, rows.shape[0], step):
+                panel = rows[i : i + step]
+                out = scratch[: panel.size].reshape(panel.shape)
+                np.matmul(panel, h, out=out)
+                panel[...] = out
+            continue
+        blocks = a.reshape(-1, 1 << r, 1 << low)
+        step = max(1, _BATCH_ELEMENTS >> (r + low))  # whole blocks per panel
+        width = min(1 << low, _BATCH_ELEMENTS >> r)  # or columns of one block
+        for i in range(0, blocks.shape[0], step):
+            for j in range(0, 1 << low, width):
+                panel = blocks[i : i + step, :, j : j + width]
+                out = scratch[: panel.size].reshape(panel.shape)
+                np.matmul(h, panel, out=out)
+                panel[...] = out
     return a
 
 

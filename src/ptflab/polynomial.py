@@ -29,6 +29,10 @@ from .errors import CapExceededError, InputError
 MAX_VARIABLES = 4096
 COEFF_EPS = 1e-15
 ENUMERATION_BUDGET = 1 << 24
+# 2 MiB of float64, one core's L2: the memory batch of the Monte Carlo
+# kernels, whose elementwise passes are memory-bound, and the scratch panel
+# of the Walsh-Hadamard transform
+_BATCH_ELEMENTS = 1 << 18
 # float64 rows eval_many holds besides its inputs: value, derivative, one
 # term's running product and derivative, and a scratch row
 KERNEL_ROWS = 5

@@ -68,15 +68,19 @@ import numpy as np
 
 from .errors import CapExceededError, InputError
 from .hypercube import all_points, evaluate_on_hypercube
-from .polynomial import KERNEL_ROWS, MultilinearPolynomial, check_enumeration, mask_from_indices
+from .polynomial import (
+    _BATCH_ELEMENTS,
+    KERNEL_ROWS,
+    MultilinearPolynomial,
+    check_enumeration,
+    mask_from_indices,
+)
 
 BERNOULLI = "bernoulli"
 GAUSSIAN = "gaussian"
 _DISTRIBUTIONS = (BERNOULLI, GAUSSIAN)
 
 _M64 = (1 << 64) - 1
-# 2 MiB of float64, one core's L2: the kernel's elementwise passes are memory-bound
-_BATCH_ELEMENTS = 1 << 18
 # invariance_gap without a threshold grid: evenly spaced pooled quantiles
 _QUANTILE_GRID_POINTS = 201
 
@@ -350,7 +354,10 @@ def ratio_estimate(
     compressed, support = p.compress_support()
     k = compressed.n
     position = {old: new for new, old in enumerate(support)}
-    active = range(k) if coords is None else [position[i] for i in coords if i in position]
+    if coords is None:
+        active = range(k)
+    else:  # each coordinate once, in the order given
+        active = [position[i] for i in dict.fromkeys(coords) if i in position]
     idle = sorted(set(range(k)) - set(active))
     if dist == GAUSSIAN:
         compressed, active = _gaussian_form(compressed, active)
@@ -580,6 +587,17 @@ class InvarianceGap:
     stream: int
 
 
+def _quantile_grid(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Evenly spaced quantiles of the pooled values of two sorted arrays.
+
+    Quantiles read only order statistics, so the stable merge of the sorted
+    halves (the stable sort merges the two runs) has the grid of the
+    unsorted pooled sample, and selecting in sorted input is cheap.
+    """
+    pooled = np.sort(np.concatenate([first, second]), kind="stable")
+    return np.quantile(pooled, np.linspace(0.0, 1.0, _QUANTILE_GRID_POINTS))
+
+
 def invariance_gap(
     p: MultilinearPolynomial,
     t_grid: Sequence[float] | None,
@@ -614,11 +632,10 @@ def invariance_gap(
 
     gaussian = values(GAUSSIAN, rng.child(0))
     bernoulli = values(BERNOULLI, rng.child(1))
-    if t_grid is None:
-        pooled = np.concatenate([gaussian, bernoulli])
-        grid = np.quantile(pooled, np.linspace(0.0, 1.0, _QUANTILE_GRID_POINTS))
     gaussian.sort()
     bernoulli.sort()
+    if t_grid is None:
+        grid = _quantile_grid(gaussian, bernoulli)
     cdf_x = np.searchsorted(gaussian, grid, side="right") / samples
     cdf_a = np.searchsorted(bernoulli, grid, side="right") / samples
     per_t = np.abs(cdf_x - cdf_a)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from ptflab import (
     theorem_log_bound,
     truth_table,
 )
+from ptflab.hypercube import _DIGIT_BITS
+from ptflab.polynomial import _BATCH_ELEMENTS
 from conftest import brute_average_sensitivity, brute_values, poly, random_instances
 
 
@@ -71,12 +75,63 @@ def _fwht_stage_copy(values):
 
 
 def test_fwht_bitwise_equal_to_stage_copy_reference():
+    # on integer-valued input every partial sum is an integer below 2^53, so
+    # any summation order gives the exact value
     rng = np.random.default_rng(11)
+    for n in range(17):
+        for x in (
+            rng.choice([-1.0, 1.0], size=1 << n),
+            rng.integers(-1000, 1001, size=1 << n).astype(np.float64),
+        ):
+            before = x.copy()
+            assert np.array_equal(fwht(x), _fwht_stage_copy(x))
+            assert np.array_equal(x, before)  # the input is left untouched
+
+
+def _fwht_exact(values):
+    """The transform in rational arithmetic, one Fraction per entry."""
+    a = np.array([Fraction(float(v)) for v in values], dtype=object)
+    h = 1
+    while h < a.size:
+        pairs = a.reshape(-1, 2, h)
+        top = pairs[:, 0, :].copy()
+        pairs[:, 0, :] = top + pairs[:, 1, :]
+        pairs[:, 1, :] = top - pairs[:, 1, :]
+        h *= 2
+    return a
+
+
+def test_fwht_float_error_within_the_summation_bound():
+    # Each pass computes fl((H_d + E_d) z) with |E_d| <= gamma_k |H_d| entrywise,
+    # where k is the most additions one term passes through in that pass:
+    # 2^r - 1 for a 2^r-term dot product, 1 for a radix-2 stage.  The |H_d|
+    # multiply to the all-ones matrix, so |fl(y) - y| <= gamma_m * ||x||_1 with
+    # m the sum of the k over the passes and gamma_m = m u / (1 - m u),
+    # u = 2^-53 (Higham, Accuracy and Stability, lemma 3.3).  The digit passes
+    # have m = sum_d (2^{r_d} - 1) >= n, the radix-2 stages m = n, so one bound
+    # with the larger m holds for both.
+    u = Fraction(1, 1 << 53)
+    rng = np.random.default_rng(12)
     for n in range(13):
+        digits = [min(_DIGIT_BITS, n - low) for low in range(0, n, _DIGIT_BITS)]
+        m = sum((1 << r) - 1 for r in digits)
         x = rng.standard_normal(1 << n)
-        before = x.copy()
-        assert np.array_equal(fwht(x), _fwht_stage_copy(x))
-        assert np.array_equal(x, before)  # the input is left untouched
+        exact = _fwht_exact(x)
+        bound = m * u / (1 - m * u) * sum(abs(Fraction(float(v))) for v in x)
+        for transform in (fwht, _fwht_stage_copy):
+            y = transform(x)
+            assert max(abs(Fraction(float(v)) - e) for v, e in zip(y, exact)) <= bound, (n, transform)
+
+
+def test_fwht_peak_is_one_copy_plus_one_panel():
+    x = np.random.default_rng(13).standard_normal(1 << 20)
+    tracemalloc.start()
+    try:
+        fwht(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= x.nbytes + _BATCH_ELEMENTS * 8 + (64 << 10), f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_evaluate_on_hypercube_matches_pointwise():

@@ -704,6 +704,17 @@ def test_strong_anticoncentration_rejects_constant():
         strong_anticoncentration_estimate(MultilinearPolynomial.constant(2, 1.0), 0.1, 100, Rng(1))
 
 
+@pytest.mark.parametrize("dist", [GAUSSIAN, BERNOULLI])
+def test_ratio_coords_count_a_repeated_coordinate_once(dist):
+    p = poly(3, {(0, 1): 1.0, (2,): 0.5, (1,): 0.3})
+    once = ratio_estimate(p, dist, 20_000, Rng(31), coords=(0,))
+    twice = ratio_estimate(p, dist, 20_000, Rng(31), coords=(0, 0))
+    assert twice.estimate == once.estimate
+    assert ratio_estimate(p, dist, 20_000, Rng(31), coords=(2, 0, 2)).estimate == (
+        ratio_estimate(p, dist, 20_000, Rng(31), coords=(2, 0)).estimate
+    )
+
+
 # ---------------------------------------------------------------------------
 # invariance measurements
 
@@ -722,6 +733,17 @@ def test_invariance_gap_shrinks_with_regularity():
     small = invariance_gap(scaled_sum(25), None, 100_000, Rng(28))
     large = invariance_gap(scaled_sum(100), None, 100_000, Rng(29))
     assert large.gap <= small.gap
+
+
+def test_quantile_grid_equals_the_pooled_quantiles():
+    rng = np.random.default_rng(30)
+    gaussian = rng.standard_normal(10_001)
+    bernoulli = rng.integers(-3, 4, size=10_001) / 3.0  # many ties, some shared with the other half
+    bernoulli[:50] = gaussian[:50]
+    expected = np.quantile(np.concatenate([gaussian, bernoulli]), np.linspace(0.0, 1.0, 201))
+    gaussian.sort()
+    bernoulli.sort()
+    assert np.array_equal(randomized._quantile_grid(gaussian, bernoulli), expected)
 
 
 def test_invariance_gap_grid_validation():
