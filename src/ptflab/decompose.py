@@ -23,7 +23,7 @@ from .errors import InputError
 from .hypercube import SignFunction, average_sensitivity_exact, evaluate_on_hypercube, truth_table
 from .hypercube import _table_average_sensitivity
 from .polynomial import MultilinearPolynomial, sign_pm1
-from .randomized import BERNOULLI, EstimatorResult, Rng, estimate_alpha, exact_alpha, ratio_estimate
+from .randomized import EstimatorResult, Rng, _block_ratios, estimate_alpha, exact_alpha
 
 _FORMULA_DOMAIN_CAP = 0.2499999999
 # per-leaf cost policy, not a feasibility limit: a leaf whose support has at
@@ -231,8 +231,11 @@ def classify_leaf(p: MultilinearPolynomial, tau: float, eps: float) -> LeafClass
     Checked in that order.  The sign test enumerates the support variables
     when there are at most 12 of them (a per-leaf cost policy, far inside
     the enumeration budget); otherwise it falls back to the variance
-    criterion var <= (4 ln(1/eps))^(-d/2) * mean^2.
+    criterion var <= (4 ln(1/eps))^(-d/2) * mean^2.  ``tau`` must be
+    positive and finite and ``eps`` lie in (0, 1), for constants too.
     """
+    if not 0 < tau < math.inf:
+        raise InputError(f"tau must be positive and finite, got {tau}")
     if not 0 < eps < 1:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     mom = p.moments()
@@ -467,24 +470,6 @@ class BlockAlphaReport:
     blocks: int
 
 
-def _block_terms(
-    p: MultilinearPolynomial, partition: BlockPartition, samples: int, rng: Rng, workers: int
-) -> tuple[EstimatorResult, list[EstimatorResult]]:
-    """The per-block ratio estimates of :func:`block_alpha_sum` and their sum."""
-    per_block = [
-        ratio_estimate(p, BERNOULLI, samples, rng.child(j), workers=workers, coords=block)
-        for j, block in enumerate(partition.blocks)
-    ]
-    total = EstimatorResult(
-        estimate=float(sum(r.estimate for r in per_block)),
-        std_error=float(math.sqrt(sum(r.std_error**2 for r in per_block))),
-        samples=samples,
-        seed=rng.seed,
-        stream=rng.stream,
-    )
-    return total, per_block
-
-
 def block_alpha_sum(
     p: MultilinearPolynomial,
     partition: BlockPartition,
@@ -496,19 +481,23 @@ def block_alpha_sum(
 ) -> BlockAlphaReport:
     """Estimate sum over blocks of E[alpha of the block restriction].
 
-    Block ``j`` is :func:`ptflab.randomized.ratio_estimate` under +-1 inputs
-    with ``coords`` set to the block, on stream ``rng.child(j)``: each draw
-    samples the outside assignment and the inner point jointly (one full
-    +-1 point) plus a direction supported on the block, so each block term
-    is an unbiased single-level expectation.  ``alpha_hat`` is
-    :func:`estimate_alpha` on stream ``rng.child(b)``.  When ``tau`` is
-    given the report also carries the comparison value
-    d^3 alpha_hat sqrt(b) + d^4 b tau^(1/(8d)), the block reference with
-    both constants fixed at 1.
+    Every block term comes from one +-1 draw on stream ``rng``: each row
+    draws one point A, which samples the outside assignment and the inner
+    point of every block jointly, and one direction B, and block j reads
+    the derivative along B zeroed off the block, so each block term is an
+    unbiased single-level expectation.  ``total`` is the mean of the
+    per-row sums over the blocks; its standard error counts the
+    correlation between the blocks, which share A and B.  ``alpha_hat``
+    is :func:`estimate_alpha` on stream ``rng.child(b)``.  When ``tau``
+    (positive and finite) is given the report also carries the comparison
+    value d^3 alpha_hat sqrt(b) + d^4 b tau^(1/(8d)), the block reference
+    with both constants fixed at 1.
     """
     if partition.n != p.n:
         raise InputError(f"partition is for n={partition.n}, polynomial has n={p.n}")
-    total, per_block = _block_terms(p, partition, samples, rng, workers)
+    if tau is not None and not 0 < tau < math.inf:
+        raise InputError(f"tau must be positive and finite, got {tau}")
+    *per_block, total = _block_ratios(p, partition.blocks, samples, rng, workers)
     alpha_hat = estimate_alpha(p, samples, rng.child(partition.b), workers=workers)
     reference = None
     if tau is not None:
@@ -617,8 +606,8 @@ def recursion_trace(
                 continue
             active_vars = max(active_vars, compressed.n)
             partition = block_partition(compressed.n, min(b, compressed.n))
-            total, block_results = _block_terms(
-                compressed, partition, samples, level_rng.child(index), workers
+            *block_results, total = _block_ratios(
+                compressed, partition.blocks, samples, level_rng.child(index), workers
             )
             per_block.extend(r.estimate for r in block_results)
             alpha_sums.append((weight, total.estimate))

@@ -70,10 +70,10 @@ def check_enumeration(operation: str, cost: int) -> None:
         )
 
 
-def _as_point(x, n: int, name: str = "point") -> np.ndarray:
+def _as_point(x, n: int) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.shape[0] != n:
-        raise InputError(f"{name} must be a length-{n} vector, got shape {arr.shape}")
+        raise InputError(f"point must be a length-{n} vector, got shape {arr.shape}")
     return arr
 
 
@@ -296,24 +296,6 @@ class MultilinearPolynomial:
                 values = part.eval_many(pts)
                 out += np.square(values, out=values)
         return out
-
-    def gradient(self, x: RealPoint) -> np.ndarray:
-        arr = _as_point(x, self.n)
-        grad = np.zeros(self.n)
-        for mask, coeff in self.terms.items():
-            for i in iter_bits(mask):
-                prod = coeff
-                for j in iter_bits(mask):
-                    if j != i:
-                        prod *= arr[j]
-                grad[i] += prod
-        return grad
-
-    def directional_derivative(self, x: RealPoint, v: RealPoint) -> float:
-        """D_v p(x) = v . grad p(x), one row of :meth:`eval_many`'s kernel."""
-        arr = _as_point(x, self.n)
-        vec = _as_point(v, self.n, "direction")
-        return float(self.eval_many(arr[None, :], vec[None, :])[1][0])
 
     # ------------------------------------------------------------------
     # calculus and restriction

@@ -13,35 +13,38 @@ evaluation kernel reads is contiguous.
 Gaussian draws of one polynomial run on its Gaussian form
 (:func:`_gaussian_form`).  A coordinate that occurs only in its degree-1
 term contributes a_i X_i and nothing else, and the sum of such terms over
-a class L of coordinates is exactly N(0, |a_L|^2); so each class merges
-into one coordinate with coefficient ``hypot(*a_L)`` (which cannot
+the class L of those coordinates is exactly N(0, |a_L|^2); so the class
+merges into one coordinate with coefficient ``hypot(*a_L)`` (which cannot
 overflow where the sum of squares would), and the merged form has the
-joint law of (p(X), |grad p(X)|^2).  The classes are the linear-only
-coordinates inside and outside the derivative's ``coords``, and a class
-of fewer than two is left as it is.  The linear form at n = 400 draws one
-value per row instead of 400.  ``abs_comparison_gap`` draws two
-polynomials at one point and keeps every coordinate.  A +-1 draw of
-``rows * cols`` values takes ``ceil(rows * cols / 8)`` random bytes and
-unpacks their bits in C order, bit 1 to +1 and bit 0 to -1.
+joint law of (p(X), |grad p(X)|^2).  A class of fewer than two is left
+as it is.  The linear form at n = 400 draws one value per row instead of
+400.  ``abs_comparison_gap`` draws two polynomials at one point and keeps
+every coordinate.  A +-1 draw of ``rows * cols`` values takes
+``ceil(rows * cols / 8)`` random bytes and unpacks their bits in C order,
+bit 1 to +1 and bit 0 to -1.
 
 Gaussian statistics of a directional derivative (strong
-anticoncentration, beta, the Gaussian per-block ratio) draw no direction.
-Given X, D_Y p(X) = Y . grad p(X) for an independent standard Gaussian Y
-is exactly N(0, |grad p(X)|^2), so (X, D_Y p(X)) has the law of
+anticoncentration, beta) draw no direction.  Given X, D_Y p(X) =
+Y . grad p(X) for an independent standard Gaussian Y is exactly
+N(0, |grad p(X)|^2), so (X, D_Y p(X)) has the law of
 (X, |grad p(X)| Z) with one scalar Z ~ N(0, 1): such a batch draws one
 C-order ``(k+1, m)`` block, rows ``0..k-1`` the point and row ``k`` the
 Z, and takes |grad p(X)|^2 from the cached partial derivatives
 (:meth:`MultilinearPolynomial.squared_gradient_norm`).  The +-1
 statistics draw a point and a direction and run the fused
-value-and-derivative pass.
+value-and-derivative pass; the per-block ratios of b disjoint blocks
+(:func:`_block_ratios`) share that one draw and run one fused pass per
+block, with the direction zeroed off the block.
 
 The memory batch is the one unit of the draws: it holds at most 2^18
 float64 elements, 2 MiB, about one core's L2 cache (``r = 2^18 // w``
 rows when one row materialises ``w`` elements: k drawn for a point, k + 1
 for a Gaussian point and its Z, 2k for a point and a direction, plus the
 kernel's ``KERNEL_ROWS``, or the output column count if that is larger;
-for Gaussian points k is the width of the Gaussian form),
-so memory does not grow with n or the sample count.  Batch ``c`` covers
+for Gaussian points k is the width of the Gaussian form; the block ratios
+take 3k + ``KERNEL_ROWS`` + b + 1: point, direction, masked direction,
+kernel rows, and the b block columns with their sum), so memory does not
+grow with n or the sample count.  Batch ``c`` covers
 rows ``[c*r, (c+1)*r)`` and draws from numpy's PCG64 seeded through
 ``SeedSequence(seed, spawn_key=(stream, c))``; batch results are merged in
 batch order, and the batches run on ``min(workers, batches,
@@ -227,44 +230,33 @@ def _draw(gen: np.random.Generator, dist: str, rows: int, cols: int) -> np.ndarr
     return gen.standard_normal((rows, cols))
 
 
-def _gaussian_form(
-    p: MultilinearPolynomial, active: Sequence[int]
-) -> tuple[MultilinearPolynomial, list[int]]:
-    """The Gaussian form of ``p``, and ``active`` re-indexed onto it.
+def _gaussian_form(p: MultilinearPolynomial) -> MultilinearPolynomial:
+    """The Gaussian form of ``p``: its linear-only coordinates merged into one.
 
     A coordinate that occurs only in its degree-1 term contributes a_i X_i
-    and nothing else, and a sum of such terms over a class L is exactly
-    N(0, |a_L|^2): one coordinate with coefficient ``hypot(*a_L)`` has the
-    same law.  The coordinates inside ``active`` and those outside it are
-    merged as two separate classes, so (p(X), |grad_active p(X)|^2) has the
-    law of the merged pair.  A class of fewer than two coordinates is left
-    as it is, and when neither class merges ``p`` itself is returned.
+    and nothing else, and the sum of such terms over the class L of those
+    coordinates is exactly N(0, |a_L|^2): one coordinate with coefficient
+    ``hypot(*a_L)`` has the same law, and (p(X), |grad p(X)|^2) has the law
+    of the merged pair.  When fewer than two coordinates are linear-only
+    ``p`` itself is returned.
     """
     higher = 0
     for mask in p.terms:
         if mask & (mask - 1):
             higher |= mask
     linear = [i for i in range(p.n) if 1 << i in p.terms and not higher >> i & 1]
-    inside = set(active)
-    classes = [
-        group
-        for group in ([i for i in linear if i in inside], [i for i in linear if i not in inside])
-        if len(group) >= 2
-    ]
-    if not classes:
-        return p, list(active)
+    if len(linear) < 2:
+        return p
     terms = dict(p.terms)
-    for first, *rest in classes:
-        terms[1 << first] = math.hypot(terms[1 << first], *(terms.pop(1 << i) for i in rest))
-    merged, support = MultilinearPolynomial(p.n, terms).compress_support()
-    position = {old: new for new, old in enumerate(support)}
-    return merged, [position[i] for i in active if i in position]
+    first, *rest = linear
+    terms[1 << first] = math.hypot(terms[1 << first], *(terms.pop(1 << i) for i in rest))
+    return MultilinearPolynomial(p.n, terms).compress_support()[0]
 
 
 def _gaussian_derivative(
-    gen: np.random.Generator, p: MultilinearPolynomial, m: int, coords: Sequence[int] | None = None
+    gen: np.random.Generator, p: MultilinearPolynomial, m: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(points, p(X), D_Y p(X))`` for ``m`` Gaussian rows, Y restricted to ``coords``.
+    """``(points, p(X), D_Y p(X))`` for ``m`` Gaussian rows.
 
     Draws one C-order ``(k+1, m)`` block: rows ``0..k-1`` are the point X
     (returned coordinate-major) and row ``k`` is Z ~ N(0, 1).  Given X,
@@ -274,7 +266,7 @@ def _gaussian_derivative(
     k = p.n
     draws = _draw(gen, GAUSSIAN, k + 1, m)
     points = draws[:k]
-    deriv = np.sqrt(p.squared_gradient_norm(points.T, coords))
+    deriv = np.sqrt(p.squared_gradient_norm(points.T))
     deriv *= draws[k]
     return points, p.eval_many(points.T), deriv
 
@@ -297,9 +289,7 @@ def _sampled_form(p: MultilinearPolynomial, dist: str) -> MultilinearPolynomial:
     merged (:func:`_gaussian_form`) under Gaussian inputs.
     """
     compressed = p.compress_support()[0]
-    if dist == GAUSSIAN:
-        return _gaussian_form(compressed, range(compressed.n))[0]
-    return compressed
+    return _gaussian_form(compressed) if dist == GAUSSIAN else compressed
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +298,16 @@ def _sampled_form(p: MultilinearPolynomial, dist: str) -> MultilinearPolynomial:
 
 def _clamped_ratio(
     p: MultilinearPolynomial,
-    coords: Sequence[int],
+    coords: Sequence[int] | None,
     points: np.ndarray,
     values: np.ndarray,
     deriv: np.ndarray,
 ) -> np.ndarray:
     """min(1, (D_v p(x) / p(x))^2), computed in ``deriv``, with the zero-denominator rule.
 
-    ``points`` is the coordinate-major ``(k, m)`` draw; the squared gradient
-    over ``coords`` is evaluated only on the rows where p(x) = 0.
+    ``points`` is the coordinate-major ``(k, m)`` draw and ``v`` is supported
+    on ``coords`` (None: every coordinate); the squared gradient over
+    ``coords`` is evaluated only on the rows where p(x) = 0.
     """
     zero = values == 0.0
     values[zero] = 1.0
@@ -329,51 +320,70 @@ def _clamped_ratio(
 
 
 def ratio_estimate(
-    p: MultilinearPolynomial,
-    dist: str,
-    samples: int,
-    rng: Rng,
-    *,
-    workers: int = 1,
-    coords: Sequence[int] | None = None,
+    p: MultilinearPolynomial, dist: str, samples: int, rng: Rng, *, workers: int = 1
 ) -> EstimatorResult:
     """Expected clamped squared derivative-to-value ratio under ``dist`` inputs.
 
     Each draw uses an independent point A and direction B from ``dist``.
-    With ``coords`` the derivative only runs along those coordinates (B
-    restricted to them), which is the per-block statistic of
-    :func:`ptflab.decompose.block_alpha_sum`.  Under +-1 inputs each row
-    draws A and B (``2k`` values) for one fused value-and-derivative pass.
-    Under Gaussian inputs the linear-only coordinates inside and outside
-    ``coords`` are first merged into one each (:func:`_gaussian_form`),
-    and each row draws the point of that form and one N(0, 1) scalar Z
-    (``k' + 1`` values) and takes D_B p(A) = |grad_coords p(A)| Z, which
+    Under +-1 inputs each row draws A and B (``2k`` values) for one fused
+    value-and-derivative pass.  Under Gaussian inputs each row draws the
+    point of the Gaussian form (:func:`_gaussian_form`) and one N(0, 1)
+    scalar Z (``k' + 1`` values) and takes D_B p(A) = |grad p(A)| Z, which
     has the same joint law with A (see :func:`_gaussian_derivative`).
     """
     _check_dist(dist)
-    compressed, support = p.compress_support()
-    k = compressed.n
-    position = {old: new for new, old in enumerate(support)}
-    if coords is None:
-        active = range(k)
-    else:  # each coordinate once, in the order given
-        active = [position[i] for i in dict.fromkeys(coords) if i in position]
-    idle = sorted(set(range(k)) - set(active))
-    if dist == GAUSSIAN:
-        compressed, active = _gaussian_form(compressed, active)
+    form = _sampled_form(p, dist)
+    k = form.n
 
     def batch(gen: np.random.Generator, m: int) -> np.ndarray:
         if dist == GAUSSIAN:
-            points, values, deriv = _gaussian_derivative(gen, compressed, m, active)
+            points, values, deriv = _gaussian_derivative(gen, form, m)
         else:
             points = _draw(gen, dist, k, m)
-            directions = _draw(gen, dist, k, m)
-            directions[idle] = 0.0
-            values, deriv = compressed.eval_many(points.T, directions.T)
-        return _clamped_ratio(compressed, active, points, values, deriv)
+            values, deriv = form.eval_many(points.T, _draw(gen, dist, k, m).T)
+        return _clamped_ratio(form, None, points, values, deriv)
 
-    drawn = compressed.n + 1 if dist == GAUSSIAN else 2 * k
+    drawn = k + 1 if dist == GAUSSIAN else 2 * k
     return _estimate(batch, samples, rng, workers, width=drawn + KERNEL_ROWS)[0]
+
+
+def _block_ratios(
+    p: MultilinearPolynomial,
+    blocks: Sequence[Sequence[int]],
+    samples: int,
+    rng: Rng,
+    workers: int,
+) -> list[EstimatorResult]:
+    """Clamped ratios along each of the disjoint ``blocks``, from one +-1 draw per row.
+
+    Each row draws one point A and one direction B on the support of ``p``;
+    the column of block j is min(1, (D_{B_j} p(A) / p(A))^2), with B_j equal
+    to B on the block and 0 off it, from one fused pass per block, and the
+    zero-denominator rule reads the gradient over the block.  A last column
+    holds each row's sum over the blocks, so its standard error counts the
+    correlation between blocks.  A row materialises A, B, the masked
+    direction, the kernel rows and the ``b + 1`` outputs.
+    """
+    compressed, support = p.compress_support()
+    k = compressed.n
+    position = {old: new for new, old in enumerate(support)}
+    local = [[position[i] for i in block if i in position] for block in blocks]
+
+    def batch(gen: np.random.Generator, m: int) -> np.ndarray:
+        points = _draw(gen, BERNOULLI, k, m)
+        directions = _draw(gen, BERNOULLI, k, m)
+        masked = np.zeros_like(directions)
+        out = np.empty((m, len(local) + 1))
+        for j, coords in enumerate(local):
+            masked[coords] = directions[coords]
+            values, deriv = compressed.eval_many(points.T, masked.T)
+            out[:, j] = _clamped_ratio(compressed, coords, points, values, deriv)
+            masked[coords] = 0.0
+        out[:, -1] = out[:, :-1].sum(axis=1)
+        return out
+
+    width = 3 * k + KERNEL_ROWS + len(local) + 1
+    return _estimate(batch, samples, rng, workers, width=width)
 
 
 def estimate_alpha(

@@ -139,6 +139,18 @@ def test_classify_eps_domain():
         classify_leaf(MultilinearPolynomial.constant(1, 1.0), 0.1, 1.5)
 
 
+@pytest.mark.parametrize("tau", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "p",
+    [MultilinearPolynomial.constant(3, 5.0), MultilinearPolynomial.coordinate_sum(4)],
+    ids=["constant", "nonconstant"],
+)
+def test_classify_tau_domain(p, tau):
+    # checked up front: a constant never reaches the regularity test that reads tau
+    with pytest.raises(InputError):
+        classify_leaf(p, tau, 0.05)
+
+
 # ---------------------------------------------------------------------------
 # tree construction
 
@@ -342,6 +354,23 @@ def test_block_alpha_sum_partition_mismatch():
         block_alpha_sum(poly(2, {(0,): 1.0}), block_partition(3, 2), 100, Rng(1))
 
 
+@pytest.mark.parametrize("tau", [-0.1, 0.0, math.nan, math.inf])
+def test_block_alpha_sum_tau_domain(tau):
+    with pytest.raises(InputError):
+        block_alpha_sum(poly(2, {(0,): 1.0, (1,): 0.5}), block_partition(2, 2), 100, Rng(1), tau=tau)
+
+
+def test_block_alpha_sum_total_error_counts_the_correlation_between_blocks():
+    # both blocks read the one draw: the block ratios min(1, 1 / p(A)^2) are equal
+    # row by row, so the total is twice one column, with twice its standard error
+    p = poly(2, {(0,): 1.0, (1,): 1.0, (): 0.5})
+    report = block_alpha_sum(p, block_partition(2, 2), 10_000, Rng(91))
+    first, second = report.per_block
+    assert first == second and first.std_error > 0.0
+    assert report.total.estimate == 2 * first.estimate
+    assert report.total.std_error == 2 * first.std_error
+
+
 def test_block_alpha_singletons_bound_by_one_each():
     p = random_polynomial(6, 2, 8, Rng(84))
     report = block_alpha_sum(p, block_partition(6, 6), 3_000, Rng(85))
@@ -358,6 +387,7 @@ def test_block_alpha_sum_witness_matches_exact_restriction_average():
     partition = block_partition(12, 3)
     report = block_alpha_sum(p, partition, 100_000, Rng(90), tau=0.1)
     assert report.reference is not None
+    exact_sum = 0.0
     for j, block in enumerate(partition.blocks):
         outside = [i for i in range(12) if i not in set(block)]
         exact_total = 0.0
@@ -369,8 +399,11 @@ def test_block_alpha_sum_witness_matches_exact_restriction_average():
             compressed, _ = p.restrict_many(assignment).compress_support()
             exact_total += exact_alpha(compressed)
         exact_value = exact_total / (1 << len(outside))
+        exact_sum += exact_value
         estimate = report.per_block[j]
         assert abs(estimate.estimate - exact_value) <= 5.0 * max(estimate.std_error, 1e-6)
+    total = report.total
+    assert abs(total.estimate - exact_sum) <= 5.0 * max(total.std_error, 1e-6)
 
 
 # ---------------------------------------------------------------------------

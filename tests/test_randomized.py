@@ -28,8 +28,9 @@ from ptflab import (
 )
 
 from ptflab import RegularityConfig, block_alpha_sum, block_partition, randomized, recursion_trace
+from ptflab.decompose import BlockPartition
 from ptflab.polynomial import KERNEL_ROWS
-from ptflab.randomized import _BATCH_ELEMENTS, _batch_rows, _draw, _gaussian_form, ratio_estimate
+from ptflab.randomized import _BATCH_ELEMENTS, _batch_rows, _draw, _gaussian_form
 
 from conftest import brute_alpha, poly, random_instances
 
@@ -200,23 +201,18 @@ def test_thread_pool_is_capped_at_cpu_count(monkeypatch):
 
 # three batches on WIDE: one row holds a point (_SPAN), a point and a direction (_SPAN2),
 # a Gaussian point (_SPAN_G), or a Gaussian point and one scalar for its directional
-# derivative (_SPAN_Z, and _SPAN_ZC with coords); Gaussian points are drawn on the
-# merged form, whose linear-only coordinates are one per class
-_COORDS = range(0, 256, 3)
-_MERGED = _gaussian_form(WIDE, range(WIDE.n))[0].n
-_MERGED_COORDS = _gaussian_form(WIDE, _COORDS)[0].n
+# derivative (_SPAN_Z); Gaussian points are drawn on the merged form, whose linear-only
+# coordinates are one.  The block pass holds more per row (a point, a direction, the
+# masked direction and b + 1 outputs), so _SPAN2 rows span more than three of its batches.
+_MERGED = _gaussian_form(WIDE).n
 _SPAN = 2 * _batch_rows(WIDE.n + KERNEL_ROWS) + 1
 _SPAN2 = 2 * _batch_rows(2 * WIDE.n + KERNEL_ROWS) + 1
 _SPAN_G = 2 * _batch_rows(_MERGED + KERNEL_ROWS) + 1
 _SPAN_Z = 2 * _batch_rows(_MERGED + 1 + KERNEL_ROWS) + 1
-_SPAN_ZC = 2 * _batch_rows(_MERGED_COORDS + 1 + KERNEL_ROWS) + 1
 
 _ENTRY_POINTS = {
     "alpha": lambda w: estimate_alpha(WIDE, _SPAN2, Rng(12, 1), workers=w),
     "beta": lambda w: estimate_beta(WIDE, _SPAN_Z, Rng(12, 2), workers=w),
-    "ratio_coords": lambda w: ratio_estimate(
-        WIDE, GAUSSIAN, _SPAN_ZC, Rng(12, 3), workers=w, coords=_COORDS
-    ),
     "strong": lambda w: strong_anticoncentration_estimate(WIDE, 0.1, _SPAN_Z, Rng(12, 4), workers=w),
     "tail_curve": lambda w: tail_curve(WIDE, BERNOULLI, [0.5, 1.0, 2.0], _SPAN, Rng(12, 5), workers=w),
     "weak": lambda w: weak_anticoncentration_estimate(
@@ -255,27 +251,41 @@ def test_monte_carlo_results_do_not_depend_on_the_worker_count(name, monkeypatch
     assert run(3) == serial
 
 
-@pytest.mark.parametrize(
-    "estimate",
-    [
-        lambda p, m: estimate_beta(p, m, Rng(8, 1)),
-        lambda p, m: strong_anticoncentration_estimate(p, 0.1, m, Rng(8, 2)),
-    ],
-    ids=["beta", "strong"],
+_SPARSE_1024 = MultilinearPolynomial(
+    1024, {0: 0.2, 1 << 3: 1.0, (1 << 10) | (1 << 500): 0.5, 1 << 1023: -0.7}
 )
-def test_estimator_memory_is_bounded_by_the_batch_budget(estimate):
+# every coordinate in the support, and p(A) is never 0 (a multiple of 1/16 plus 0.3)
+_DENSE_1024 = MultilinearPolynomial(
+    1024, {0: 0.3, **{1 << i: 1.0 / 16.0 for i in range(1024)}, (1 << 10) | (1 << 500): 0.5}
+)
+
+
+def _block_alpha_terms(p, m):
+    report = block_alpha_sum(p, block_partition(p.n, 4), m, Rng(8, 3))
+    return [*report.per_block, report.alpha_hat]
+
+
+@pytest.mark.parametrize(
+    "p, estimate",
+    [
+        (_SPARSE_1024, lambda p, m: [estimate_beta(p, m, Rng(8, 1))]),
+        (_SPARSE_1024, lambda p, m: [strong_anticoncentration_estimate(p, 0.1, m, Rng(8, 2))]),
+        (_DENSE_1024, _block_alpha_terms),
+    ],
+    ids=["beta", "strong", "block_alpha_sum"],
+)
+def test_estimator_memory_is_bounded_by_the_batch_budget(p, estimate):
     import tracemalloc
 
-    n = 1024
-    p = MultilinearPolynomial(n, {0: 0.2, 1 << 3: 1.0, (1 << 10) | (1 << 500): 0.5, 1 << 1023: -0.7})
-    samples = 3 * (_BATCH_ELEMENTS // (2 * n)) + 100  # a few thousand rows, several batches
+    samples = 3 * (_BATCH_ELEMENTS // (2 * p.n)) + 100  # a few thousand rows, several batches
     tracemalloc.start()
     try:
-        result = estimate(p, samples)
+        results = estimate(p, samples)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.samples == samples and 0.0 <= result.estimate <= 1.0
+    for result in results:
+        assert result.samples == samples and 0.0 <= result.estimate <= 1.0
     assert peak < 2 * _BATCH_ELEMENTS * 8, f"peak {peak / 2**20:.1f} MB"
 
 
@@ -291,6 +301,11 @@ def _gap_fields(gap):
     return gap.gap, gap.thresholds.tolist(), gap.per_t.tolist(), gap.samples
 
 
+def _split(n, block):
+    """The partition of range(n) into ``block`` and the rest."""
+    return BlockPartition(n, (tuple(block), tuple(i for i in range(n) if i not in block)))
+
+
 _SCATTERED = (3, 64, 65, 200, 311, 402, 477, 511)
 _BASE = random_polynomial(8, 3, 10, Rng(42)) + poly(8, {(): 0.3, (2,): -0.7})  # support 0..7
 
@@ -300,16 +315,15 @@ _BASE = random_polynomial(8, 3, 10, Rng(42)) + poly(8, {(): 0.3, (2,): -0.7})  #
     [
         lambda p, pos: estimate_alpha(p, 20_000, Rng(9, 1)),
         lambda p, pos: estimate_beta(p, 20_000, Rng(9, 2), workers=2),
-        lambda p, pos: ratio_estimate(p, GAUSSIAN, 20_000, Rng(9, 3), coords=pos((1, 4, 6))),
-        lambda p, pos: ratio_estimate(p, BERNOULLI, 20_000, Rng(9, 3), coords=pos((0, 5))),
+        lambda p, pos: block_alpha_sum(p, _split(p.n, pos((0, 5))), 20_000, Rng(9, 3)),
         lambda p, pos: strong_anticoncentration_estimate(p, 0.1, 20_000, Rng(9, 4)),
         lambda p, pos: tail_curve(p, GAUSSIAN, [0.5, 1.0, 2.0], 20_000, Rng(9, 5)),
         lambda p, pos: weak_anticoncentration_estimate(p, BERNOULLI, 20_000, Rng(9, 6)),
         lambda p, pos: carbery_wright_estimate(p, 0.1, 20_000, Rng(9, 7)),
         lambda p, pos: _gap_fields(invariance_gap(p, None, 20_000, Rng(9, 8))),
     ],
-    ids=["alpha", "beta", "ratio_coords_gaussian", "ratio_coords_bernoulli", "strong", "tail",
-         "weak", "carbery_wright", "invariance_gap"],
+    ids=["alpha", "beta", "block_alpha_sum", "strong", "tail", "weak", "carbery_wright",
+         "invariance_gap"],
 )
 def test_estimators_are_invariant_under_support_compression(estimate):
     # the embedded polynomial and its compressed form draw the same k columns
@@ -538,16 +552,14 @@ def test_strong_anticoncentration_halving_ratio():
     assert 1.4 <= wide.estimate / narrow.estimate <= 2.6
 
 
-def _direction_estimate(p, samples, rng, statistic, coords=None):
+def _direction_estimate(p, samples, rng, statistic):
     """The k-direction oracle: each row draws a Gaussian point X and a whole
-    Gaussian direction Y (zero off ``coords``) and reads D_Y p(X) from the
-    fused value-and-derivative pass."""
-    idle = [] if coords is None else sorted(set(range(p.n)) - set(coords))
+    Gaussian direction Y and reads D_Y p(X) from the fused
+    value-and-derivative pass."""
 
     def batch(gen, m):
         points = _draw(gen, GAUSSIAN, p.n, m)
         directions = _draw(gen, GAUSSIAN, p.n, m)
-        directions[idle] = 0.0
         return statistic(*p.eval_many(points.T, directions.T))
 
     return randomized._estimate(batch, samples, rng, 1, width=2 * p.n + KERNEL_ROWS)[0]
@@ -578,10 +590,8 @@ _LINEAR = poly(6, {(0,): 1.0, (1,): -0.6, (4,): 0.4, (1, 2): 0.8, (2, 3, 5): 0.5
          lambda p, r: _direction_estimate(p, 200_000, r, _indicator(0.005))),
         (lambda p, r: estimate_beta(p, 200_000, r),
          lambda p, r: _direction_estimate(p, 200_000, r, _clamp)),
-        (lambda p, r: ratio_estimate(p, GAUSSIAN, 200_000, r, coords=(0, 2, 5)),
-         lambda p, r: _direction_estimate(p, 200_000, r, _clamp, coords=(0, 2, 5))),
     ],
-    ids=["strong_0.01", "strong_0.005", "beta", "ratio_coords"],
+    ids=["strong_0.01", "strong_0.005", "beta"],
 )
 def test_scalar_derivative_draw_agrees_with_the_direction_oracle(p, scalar, oracle):
     # D_Y p(X) drawn as |grad p(X)| Z has the law of Y . grad p(X) given X
@@ -590,64 +600,57 @@ def test_scalar_derivative_draw_agrees_with_the_direction_oracle(p, scalar, orac
 
 
 # ---------------------------------------------------------------------------
-# the Gaussian form: linear-only coordinates merged into one per class
+# the Gaussian form: linear-only coordinates merged into one
 
-# x2, x3 inside _MIXED_COORDS and x4, x5 outside it occur only in linear terms;
-# x0 is linear too but also occurs in x0*x1, so it is never merged
+# x2..x5 occur only in linear terms; x0 is linear too but also occurs in x0*x1,
+# so it is never merged
 _MIXED = poly(6, {(0, 1): 0.3, (0,): 0.2, (2,): 0.5, (3,): -0.4, (4,): 0.6, (5,): -0.5, (): 0.1})
-_MIXED_COORDS = (0, 2, 3)
 _MIXED_L2 = _MIXED.moments().l2_norm
 
 
-def _merged_points(p, active, points):
+def _merged_points(p, points):
     """Points of the Gaussian form matched to the ``(m, n)`` points of ``p``:
-    each class of two or more linear-only coordinates becomes its first
-    member, carrying a_L . x_L / |a_L|, and the others are dropped."""
+    the linear-only coordinates become their first member, carrying
+    a_L . x_L / |a_L|, and the others are dropped."""
     higher = {i for mask in p.terms if mask.bit_count() > 1 for i in range(p.n) if mask >> i & 1}
     linear = [i for i in range(p.n) if 1 << i in p.terms and i not in higher]
     columns = {i: points[:, i] for i in range(p.n)}
-    for group in ([i for i in linear if i in active], [i for i in linear if i not in active]):
-        if len(group) >= 2:
-            a = np.array([p.terms[1 << i] for i in group])
-            columns[group[0]] = points[:, group] @ a / np.sqrt(np.sum(a * a))
-            for i in group[1:]:
-                del columns[i]
+    a = np.array([p.terms[1 << i] for i in linear])
+    columns[linear[0]] = points[:, linear] @ a / np.sqrt(np.sum(a * a))
+    for i in linear[1:]:
+        del columns[i]
     return np.column_stack(list(columns.values()))
 
 
-@pytest.mark.parametrize("coords", [None, _MIXED_COORDS], ids=["all", "coords"])
-def test_gaussian_form_keeps_the_value_and_the_squared_gradient_norm(coords):
-    active = range(_MIXED.n) if coords is None else coords
-    merged, merged_active = _gaussian_form(_MIXED, active)
-    assert merged.n == (3 if coords is None else 4)
+def test_gaussian_form_keeps_the_value_and_the_squared_gradient_norm():
+    merged = _gaussian_form(_MIXED)
+    assert merged.n == 3
     expected, got = _MIXED.moments(), merged.moments()
     assert got.mean == expected.mean
     assert got.variance == pytest.approx(expected.variance, rel=1e-12)
     points = _draw(Rng(71).generator(), GAUSSIAN, 50, _MIXED.n)
-    matched = _merged_points(_MIXED, active, points)
+    matched = _merged_points(_MIXED, points)
     np.testing.assert_allclose(merged.eval_many(matched), _MIXED.eval_many(points), rtol=1e-12,
                                atol=1e-12)
-    np.testing.assert_allclose(merged.squared_gradient_norm(matched, merged_active),
-                               _MIXED.squared_gradient_norm(points, coords), rtol=1e-12)
+    np.testing.assert_allclose(merged.squared_gradient_norm(matched),
+                               _MIXED.squared_gradient_norm(points), rtol=1e-12)
 
 
 @pytest.mark.parametrize(
-    "p, active",
+    "p",
     [
-        (poly(3, {(0, 1): 1.0, (0, 1, 2): 0.5}), range(3)),  # no linear-only coordinate
-        (poly(3, {(0,): 1.0, (1, 2): 0.5}), range(3)),  # one
-        (poly(4, {(0,): 1.0, (1,): 0.3, (2, 3): 0.5}), (0, 2)),  # one inside, one outside
+        poly(3, {(0, 1): 1.0, (0, 1, 2): 0.5}),  # no linear-only coordinate
+        poly(3, {(0,): 1.0, (1, 2): 0.5}),  # one
     ],
-    ids=["none", "one", "one_per_class"],
+    ids=["none", "one"],
 )
-def test_gaussian_form_leaves_classes_of_fewer_than_two_unchanged(p, active):
-    merged, merged_active = _gaussian_form(p, active)
-    assert merged is p and merged_active == list(active)
+def test_gaussian_form_leaves_classes_of_fewer_than_two_unchanged(p):
+    assert _gaussian_form(p) is p
 
 
 def test_gaussian_form_does_not_overflow_on_huge_coefficients():
     p = poly(4, {(0,): 1e200, (1,): -1e200, (2, 3): 1.0})
-    merged, _ = _gaussian_form(p, range(4))
+    merged = _gaussian_form(p)
     assert merged.n == 3 and merged.terms[1] == pytest.approx(math.sqrt(2.0) * 1e200)
     gap = invariance_gap(p, [0.0], 10_000, Rng(72))
     assert math.isfinite(gap.gap)
@@ -674,12 +677,10 @@ def _within(cut):
          lambda r: _direction_estimate(_MIXED, 200_000, r, _indicator(0.3))),
         (lambda r: estimate_beta(_MIXED, 200_000, r),
          lambda r: _direction_estimate(_MIXED, 200_000, r, _clamp)),
-        (lambda r: ratio_estimate(_MIXED, GAUSSIAN, 200_000, r, coords=_MIXED_COORDS),
-         lambda r: _direction_estimate(_MIXED, 200_000, r, _clamp, coords=_MIXED_COORDS)),
         (lambda r: carbery_wright_estimate(_MIXED, 0.1, 200_000, r),
          lambda r: _value_estimate(_MIXED, 200_000, r, _within(0.1 * _MIXED_L2))[0]),
     ],
-    ids=["strong", "beta", "ratio_coords", "carbery_wright"],
+    ids=["strong", "beta", "carbery_wright"],
 )
 def test_gaussian_form_agrees_with_the_every_coordinate_oracle(merged, oracle):
     new, old = merged(Rng(78, 1)), oracle(Rng(78, 2))
@@ -702,17 +703,6 @@ def test_gaussian_half_of_the_gap_agrees_with_the_every_coordinate_oracle():
 def test_strong_anticoncentration_rejects_constant():
     with pytest.raises(InputError):
         strong_anticoncentration_estimate(MultilinearPolynomial.constant(2, 1.0), 0.1, 100, Rng(1))
-
-
-@pytest.mark.parametrize("dist", [GAUSSIAN, BERNOULLI])
-def test_ratio_coords_count_a_repeated_coordinate_once(dist):
-    p = poly(3, {(0, 1): 1.0, (2,): 0.5, (1,): 0.3})
-    once = ratio_estimate(p, dist, 20_000, Rng(31), coords=(0,))
-    twice = ratio_estimate(p, dist, 20_000, Rng(31), coords=(0, 0))
-    assert twice.estimate == once.estimate
-    assert ratio_estimate(p, dist, 20_000, Rng(31), coords=(2, 0, 2)).estimate == (
-        ratio_estimate(p, dist, 20_000, Rng(31), coords=(2, 0)).estimate
-    )
 
 
 # ---------------------------------------------------------------------------
