@@ -3,10 +3,12 @@
 ``build_regularity_tree`` repeatedly restricts the most influential
 coordinates of every leaf whose polynomial is neither regular nor almost
 surely of one sign, until the probability mass of such "bad" leaves drops
-below the configured target or a budget runs out.  The remaining
-operations verify the structural facts the tree and the block split rest
-on: the tree-sensitivity inequality, the exact block decomposition of
-average sensitivity, and the per-block ratio statistics.
+below the configured target or a budget runs out.  A tree is held as its
+leaves in depth-first order, -1 branch first; their paths partition the
+cube, so no interior node is stored.  The remaining operations verify
+the structural facts the tree and the block split rest on: the
+tree-sensitivity inequality, the exact block decomposition of average
+sensitivity, and the per-block ratio statistics.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -35,6 +37,10 @@ _EXPAND_BUDGET = 12
 # random outside assignments drawn per block
 _RECURSION_POOL = 6
 _RESTRICTIONS_PER_BLOCK = 2
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -68,17 +74,17 @@ class RegularityConfig:
             raise InputError(f"delta must lie in (0, 1/4), got {self.delta}")
         if not 0 < self.big_m < math.inf:
             raise InputError(f"big_m must be positive and finite, got {self.big_m}")
-        for name in ("max_depth", "max_rounds"):
+        for name, low in (("max_depth", 0), ("max_rounds", 0), ("max_leaves", 1)):
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise InputError(f"{name} must be non-negative, got {value}")
-        if self.max_leaves < 1:
-            raise InputError(f"max_leaves must be positive, got {self.max_leaves}")
+            if value is None and name != "max_leaves":
+                continue
+            if not _is_int(value) or value < low:
+                raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
 
     def rounds_budget(self, degree: int) -> int:
         if self.max_rounds is not None:
             return self.max_rounds
-        return 8 * (1 << max(1, degree)) * max(1, math.ceil(math.log(1.0 / self.delta)))
+        return 8 * (1 << max(1, degree)) * max(1, math.ceil(-math.log(self.delta)))
 
 
 class LeafKind(Enum):
@@ -119,47 +125,27 @@ class Leaf:
         return 2.0 ** (-self.depth)
 
 
-@dataclass(frozen=True)
-class Node:
-    var: int
-    minus: "TreeNode"
-    plus: "TreeNode"
-
-
-TreeNode = Union[Node, Leaf]
-
-
-def _collect_leaves(node: TreeNode, out: list[Leaf]) -> list[Leaf]:
-    if isinstance(node, Leaf):
-        out.append(node)
-    else:
-        _collect_leaves(node.minus, out)
-        _collect_leaves(node.plus, out)
-    return out
-
-
-def _bad_mass(leaves: list[Leaf] | tuple[Leaf, ...]) -> float:
+def _bad_mass(leaves: Sequence[Leaf]) -> float:
     return sum(leaf.probability for leaf in leaves if leaf.label.kind is LeafKind.BAD)
 
 
 @dataclass(frozen=True)
 class DecisionTree:
-    """Restriction tree with classified leaves.
+    """Restriction tree held as its classified leaves.
 
-    Every root-to-leaf path fixes each coordinate at most once, and each
-    leaf polynomial equals the root polynomial with the path applied.
-    ``success`` reports truthfully whether the bad-leaf mass target was met
-    before the budgets ran out.
+    The leaves come in depth-first order with the -1 branch before the +1
+    branch, so two consecutive leaves share a path prefix and then fix the
+    same coordinate to -1 and to +1.  Their paths partition the cube, so
+    they determine the tree.  Every path fixes each coordinate at most
+    once, and each leaf polynomial equals the root polynomial with the path
+    applied.  ``success`` reports truthfully whether the bad-leaf mass
+    target was met before the budgets ran out.
     """
 
-    root: TreeNode
+    leaves: tuple[Leaf, ...]
     n: int
     success: bool
     diagnostics: dict
-    leaves: tuple[Leaf, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "leaves", tuple(_collect_leaves(self.root, [])))
 
     @property
     def depth(self) -> int:
@@ -175,28 +161,6 @@ class DecisionTree:
     def leaf_counts(self) -> dict[str, int]:
         counts = Counter(leaf.label.kind.value for leaf in self.leaves)
         return {kind.value: counts.get(kind.value, 0) for kind in LeafKind}
-
-    def to_json_dict(self, include_polynomials: bool = True) -> dict:
-        def encode(node: TreeNode):
-            if isinstance(node, Leaf):
-                out = {
-                    "class": node.label.kind.value,
-                    "depth": node.depth,
-                    "path": [[i, v] for i, v in node.path],
-                }
-                if node.label.sign is not None:
-                    out["sign"] = node.label.sign
-                if include_polynomials:
-                    out["polynomial"] = node.polynomial.to_json_dict()
-                return out
-            return {"var": node.var, "children": {"-1": encode(node.minus), "+1": encode(node.plus)}}
-
-        return {
-            "n": self.n,
-            "success": self.success,
-            "diagnostics": self.diagnostics,
-            "tree": encode(self.root),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +231,27 @@ def _expansion_threshold(poly: MultilinearPolynomial, config: RegularityConfig) 
     return default_threshold(tau, eps, d, config.big_m) * poly.moments().l2_norm ** 2
 
 
+def _expansion_order(poly: MultilinearPolynomial, config: RegularityConfig) -> list[int]:
+    # influential coordinates (else the most influential one), by decreasing
+    # influence with ties to the lower index, at most _EXPAND_BUDGET of them
+    coords = influential_set(poly, _expansion_threshold(poly, config))
+    if not coords:
+        coords = {poly.max_influence()[0]}
+    infl = poly.influences()
+    return sorted(coords, key=lambda i: (-infl[i], i))[:_EXPAND_BUDGET]
+
+
 def build_regularity_tree(p: MultilinearPolynomial, config: RegularityConfig) -> DecisionTree:
     """Expand bad leaves round by round until their mass is at most delta.
 
-    Each round computes, per bad leaf, the set of coordinates whose
-    influence exceeds the threshold formula, then restricts them one
-    coordinate at a time in decreasing-influence order (ties to the lower
-    index), re-classifying after every restriction and descending only
-    into branches that are still bad.  Budgets (depth, rounds, leaf count)
-    cap the expansion; if the mass target is missed the returned tree
-    carries ``success=False`` plus diagnostics rather than failing.
+    Each round walks the leaves in order and replaces every bad leaf by the
+    leaves of its expansion: the coordinates whose influence exceeds the
+    threshold formula, restricted one at a time in decreasing-influence
+    order (ties to the lower index), re-classifying after every restriction
+    and descending only into branches that are still bad.  Budgets (depth,
+    rounds, leaf count) cap the expansion; if the mass target is missed the
+    returned tree carries ``success=False`` plus diagnostics rather than
+    failing.
     """
 
     def classify(poly: MultilinearPolynomial) -> LeafClass:
@@ -284,19 +259,20 @@ def build_regularity_tree(p: MultilinearPolynomial, config: RegularityConfig) ->
 
     depth_cap = p.n if config.max_depth is None else min(config.max_depth, p.n)
     rounds_budget = config.rounds_budget(p.degree)
-    counter = {"leaves": 1, "splits_this_round": 0, "budget_exhausted": False}
+    leaf_count = 1
+    exhausted = False
 
     def split_allowed() -> bool:
-        if counter["leaves"] >= config.max_leaves:
-            counter["budget_exhausted"] = True
+        nonlocal exhausted
+        if leaf_count >= config.max_leaves:
+            exhausted = True
             return False
         return True
 
-    def grow(poly: MultilinearPolynomial, order: list[int], path) -> TreeNode:
-        counter["leaves"] += 1
-        counter["splits_this_round"] += 1
+    def grow(poly: MultilinearPolynomial, order: list[int], path, out: list[Leaf]) -> None:
+        nonlocal leaf_count
+        leaf_count += 1
         coordinate, rest = order[0], order[1:]
-        children = {}
         for value in (-1, 1):
             child_poly = poly.restrict(coordinate, value)
             label = classify(child_poly)
@@ -307,54 +283,40 @@ def build_regularity_tree(p: MultilinearPolynomial, config: RegularityConfig) ->
                 and len(child_path) < depth_cap
                 and split_allowed()
             ):
-                children[value] = grow(child_poly, rest, child_path)
+                grow(child_poly, rest, child_path, out)
             else:
-                children[value] = Leaf(child_poly, label, child_path)
-        return Node(coordinate, children[-1], children[1])
+                out.append(Leaf(child_poly, label, child_path))
 
-    def expand_leaf(leaf: Leaf) -> TreeNode:
-        poly = leaf.polynomial
-        coords = influential_set(poly, _expansion_threshold(poly, config))
-        if not coords:
-            coords = {poly.max_influence()[0]}
-        infl = poly.influences()
-        order = sorted(coords, key=lambda i: (-infl[i], i))[:_EXPAND_BUDGET]
-        order = order[: depth_cap - leaf.depth]
-        if not order:
-            return leaf
-        return grow(poly, order, leaf.path)
-
-    def rebuild(node: TreeNode) -> TreeNode:
-        if isinstance(node, Leaf):
-            if node.label.kind is LeafKind.BAD and node.depth < depth_cap and split_allowed():
-                return expand_leaf(node)
-            return node
-        return Node(node.var, rebuild(node.minus), rebuild(node.plus))
-
-    root: TreeNode = Leaf(p, classify(p), ())
+    leaves = [Leaf(p, classify(p), ())]
     rounds_used = 0
-    while _bad_mass(_collect_leaves(root, [])) > config.delta and rounds_used < rounds_budget:
-        counter["splits_this_round"] = 0
-        root = rebuild(root)
+    while _bad_mass(leaves) > config.delta and rounds_used < rounds_budget:
+        count_before = leaf_count
+        grown: list[Leaf] = []
+        for leaf in leaves:
+            if leaf.label.kind is LeafKind.BAD and leaf.depth < depth_cap and split_allowed():
+                order = _expansion_order(leaf.polynomial, config)[: depth_cap - leaf.depth]
+                grow(leaf.polynomial, order, leaf.path, grown)
+            else:
+                grown.append(leaf)
+        leaves = grown
         rounds_used += 1
-        if counter["splits_this_round"] == 0:
+        if leaf_count == count_before:
             break
 
-    final_bad = _bad_mass(_collect_leaves(root, []))
-    tree = DecisionTree(
-        root=root,
+    final_bad = _bad_mass(leaves)
+    return DecisionTree(
+        leaves=tuple(leaves),
         n=p.n,
         success=final_bad <= config.delta,
         diagnostics={
             "rounds_used": rounds_used,
             "rounds_budget": rounds_budget,
             "bad_mass": final_bad,
-            "leaf_count": counter["leaves"],
-            "budget_exhausted": counter["budget_exhausted"],
+            "leaf_count": leaf_count,
+            "budget_exhausted": exhausted,
             "depth_cap": depth_cap,
         },
     )
-    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +337,8 @@ def _leaf_average_sensitivity(poly: MultilinearPolynomial) -> float:
 
 def tree_sensitivity_check(f: SignFunction, tree: DecisionTree) -> TreeSensitivityCheck:
     """Exactly compare as(f) with tree depth plus the expected leaf sensitivity."""
+    if tree.n != f.n:
+        raise InputError(f"tree is for n={tree.n}, function has n={f.n}")
     as_exact = average_sensitivity_exact(f)
     leaf_expectation = sum(
         leaf.probability * _leaf_average_sensitivity(leaf.polynomial) for leaf in tree.leaves
@@ -527,28 +491,12 @@ class RecursionLevel:
     per_block_alpha: tuple[float, ...]
     leaf_counts: dict[str, int]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "b": self.b,
-            "pool_size": self.pool_size,
-            "active_vars": self.active_vars,
-            "measured_alpha_sum": self.measured_alpha_sum,
-            "reference": self.reference,
-            "mean_block_alpha": self.mean_block_alpha,
-            "per_block_alpha": list(self.per_block_alpha),
-            "leaf_counts": self.leaf_counts,
-        }
-
 
 @dataclass(frozen=True)
 class RecursionTrace:
     levels: tuple[RecursionLevel, ...]
     success: bool
     diagnostics: dict
-
-    def to_json_rows(self) -> list[dict]:
-        return [level.to_json_dict() for level in self.levels]
 
 
 def recursion_trace(
@@ -572,11 +520,11 @@ def recursion_trace(
     heaviest of their support-compressed random block restrictions (2 per
     block).
     """
-    levels_b = tuple(int(b) for b in blocks_per_level)
+    levels_b = tuple(blocks_per_level)
     if not 1 <= len(levels_b) <= 3:
         raise InputError("desk-scale schedules run between 1 and 3 levels")
-    if any(b < 1 for b in levels_b):
-        raise InputError("block counts must be positive")
+    if not all(_is_int(b) and b >= 1 for b in levels_b):
+        raise InputError(f"block counts must be positive integers, got {levels_b!r}")
     pool: list[tuple[float, MultilinearPolynomial]] = [(1.0, p)]
     levels = []
     tree_failures = 0

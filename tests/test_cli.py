@@ -407,6 +407,14 @@ def test_unwritable_out_exits_2(runner, tmp_path, args):
     assert "cannot write" in result.stderr
 
 
+@pytest.mark.parametrize("delta", ["5e-324", "1e-310"])
+def test_suite_runs_at_a_subnormal_delta(runner, delta):
+    # 1 / delta overflows to inf here; the default rounds budget must stay finite
+    result = runner.invoke(main, ["suite", "--suite", "decompose", "--seed", "7", "--delta", delta])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["summary"]["failed"] == 0
+
+
 @pytest.mark.parametrize(
     "option",
     [["--blocks", "0"], ["--blocks", "-3"], ["--eps", "0.3"], ["--tau", "nan"], ["--bigM", "inf"]],

@@ -182,7 +182,7 @@ def test_tree_gate_times_sum_stops_after_one_coordinate():
     assert tree.depth == 1
     assert tree.leaf_count == 2
     assert all(leaf.label.kind is LeafKind.REGULAR for leaf in tree.leaves)
-    assert tree.root.var == 0
+    assert tree.leaves[0].path[0][0] == 0
 
 
 def test_tree_invariants_on_random_instances():
@@ -196,7 +196,17 @@ def test_tree_invariants_on_random_instances():
             for i, v in leaf.path:
                 replayed = replayed.restrict(i, v)
             assert replayed == leaf.polynomial
+        # depth-first, -1 branch first: consecutive leaves share a path prefix,
+        # then fix the same coordinate to -1 and then to +1
+        for left, right in zip(tree.leaves, tree.leaves[1:]):
+            split = next(
+                (k for k, (a, b) in enumerate(zip(left.path, right.path)) if a != b), None
+            )
+            assert split is not None
+            assert left.path[split] == (right.path[split][0], -1)
+            assert right.path[split][1] == 1
         assert tree.diagnostics["bad_mass"] == pytest.approx(tree.bad_mass())
+        assert tree.diagnostics["leaf_count"] == tree.leaf_count
 
 
 def test_tree_budget_honesty_zero_rounds():
@@ -207,6 +217,9 @@ def test_tree_budget_honesty_zero_rounds():
     assert tree.leaf_count == 1
     assert tree.diagnostics["rounds_used"] == 0
     assert tree.bad_mass() == 1.0
+    for rounds in (1.5, True, -1):
+        with pytest.raises(InputError):
+            RegularityConfig(1e-4, 0.01, 0.01, max_rounds=rounds)
 
 
 def test_tree_leaf_budget_guard():
@@ -216,6 +229,9 @@ def test_tree_leaf_budget_guard():
     assert tree.leaf_count <= 5  # one split may straddle the cap check
     if not tree.success:
         assert tree.diagnostics["budget_exhausted"] or tree.diagnostics["rounds_used"] > 0
+    for leaves in (4.5, True, 0, None):
+        with pytest.raises(InputError):
+            RegularityConfig(1e-6, 0.01, 0.01, max_leaves=leaves)
 
 
 def test_tree_depth_cap_respected():
@@ -223,18 +239,9 @@ def test_tree_depth_cap_respected():
     config = RegularityConfig(1e-6, 0.01, 0.01, max_depth=2)
     tree = build_regularity_tree(p, config)
     assert tree.depth <= 2
-
-
-def test_tree_serialization_shape():
-    tree = build_regularity_tree(poly(1, {(0,): 1.0}), RegularityConfig(0.5, 0.1, 0.1))
-    data = tree.to_json_dict()
-    assert data["n"] == 1 and data["success"] is True
-    assert data["tree"]["var"] == 0
-    leaf = data["tree"]["children"]["+1"]
-    assert leaf["class"] == "near_constant" and leaf["sign"] == 1
-    assert "polynomial" in leaf
-    bare = tree.to_json_dict(include_polynomials=False)
-    assert "polynomial" not in bare["tree"]["children"]["+1"]
+    for depth in (2.5, True, -1):
+        with pytest.raises(InputError):
+            RegularityConfig(1e-6, 0.01, 0.01, max_depth=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +266,12 @@ def test_tree_sensitivity_dictator():
     assert check.depth == 1
     assert check.leaf_expectation == pytest.approx(0.0)
     assert check.holds
+
+
+def test_tree_sensitivity_rejects_a_tree_of_another_dimension():
+    tree = build_regularity_tree(MultilinearPolynomial.coordinate_sum(5), CONFIG)
+    with pytest.raises(InputError):
+        tree_sensitivity_check(SignFunction(MultilinearPolynomial.coordinate_sum(3)), tree)
 
 
 def test_tree_sensitivity_random_sweep():
@@ -433,8 +446,7 @@ def test_recursion_trace_two_levels_records_leaf_counts():
     first = trace.levels[0]
     assert first.leaf_counts["regular"] == 1
     assert first.reference is not None and first.reference > 0
-    rows = trace.to_json_rows()
-    assert [row["level"] for row in rows] == [0, 1]
+    assert [level.level for level in trace.levels] == [0, 1]
 
 
 def test_recursion_trace_spends_no_alpha_hat(monkeypatch):
@@ -457,7 +469,7 @@ def test_recursion_trace_spends_no_alpha_hat(monkeypatch):
 
 def test_recursion_trace_schedule_validation():
     p = scaled_sum(4)
-    for blocks_per_level in ((2, 2, 2, 2), (), (0,)):
+    for blocks_per_level in ((2, 2, 2, 2), (), (0,), (2.7,), (True,)):
         with pytest.raises(InputError):
             recursion_trace(p, blocks_per_level, CONFIG, 100, Rng(1))
 
