@@ -85,10 +85,8 @@ def _normal_cdf(x: float) -> float:
 def _influence_sandwich(p: MultilinearPolynomial) -> tuple[bool, float, float]:
     """Var[p] <= I[p] <= max(1, deg p) Var[p]: (holds, I[p], Var[p])."""
     variance, total = p.moments().variance, p.total_influence()
-    holds = (
-        variance <= total + IDENTITY_TOL
-        and total <= max(1, p.degree) * variance + IDENTITY_TOL
-    )
+    slack = IDENTITY_TOL * total
+    holds = variance <= total + slack and total <= max(1, p.degree) * variance + slack
     return holds, total, variance
 
 

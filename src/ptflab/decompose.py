@@ -168,9 +168,9 @@ class DecisionTree:
 
 
 def influential_set(p: MultilinearPolynomial, m: float) -> set[int]:
-    """Coordinates whose influence exceeds ``m``; at most total_influence/m many."""
-    if not m > 0:
-        raise InputError(f"influence threshold must be positive, got {m}")
+    """Coordinates whose influence exceeds ``m >= 0``; at most total_influence/m many if m > 0."""
+    if not m >= 0:
+        raise InputError(f"influence threshold must be non-negative, got {m}")
     infl = p.influences()
     return {i for i in range(p.n) if infl[i] > m}
 

@@ -4,10 +4,10 @@ A polynomial is stored as a map from subset bitmasks to real coefficients
 (bit ``i`` set means variable ``i`` occurs in the monomial).  Keys are
 plain Python integers, so the representation itself scales to the sampling
 regime (hundreds of variables); only the full-enumeration paths are limited,
-all by the one element budget ``ENUMERATION_BUDGET``.  Canonical form never
-stores coefficients with absolute value below ``COEFF_EPS``; all operations
-return new canonical polynomials, so instances are safe to share between
-workers.
+all by the one element budget ``ENUMERATION_BUDGET``.  Canonical form drops
+a term only when its coefficient is exactly zero, so every result depends on
+the polynomial only up to scale; all operations return new canonical
+polynomials, so instances are safe to share between workers.
 
 Points are plain numpy vectors: a ``RealPoint`` is any finite length-n float
 vector, a ``HypercubePoint`` additionally has every entry equal to +-1.
@@ -27,7 +27,6 @@ import numpy as np
 from .errors import CapExceededError, InputError
 
 MAX_VARIABLES = 4096
-COEFF_EPS = 1e-15
 ENUMERATION_BUDGET = 1 << 24
 # 2 MiB of float64, one core's L2: the memory batch of the Monte Carlo
 # kernels, whose elementwise passes are memory-bound, and the scratch panel
@@ -112,7 +111,7 @@ class MultilinearPolynomial:
             c = float(coeff)
             if not math.isfinite(c):
                 raise InputError(f"coefficient for term {bin(mask)} is not finite: {coeff!r}")
-            if abs(c) < COEFF_EPS:
+            if c == 0.0:
                 continue
             checked[mask] = c
         # mask-sorted storage makes every term iteration, and hence all

@@ -4,7 +4,7 @@ import warnings
 import pytest
 from click.testing import CliRunner
 
-from ptflab import MultilinearPolynomial, middle_layers_witness
+from ptflab import MultilinearPolynomial, Rng, middle_layers_witness, random_polynomial
 from ptflab.cli import SuiteRow, _bundle_exit_code, main
 
 
@@ -43,6 +43,29 @@ def test_analyze_constant(runner, tmp_path):
     assert report["as"]["value"] == 0.0
     assert report["alpha"]["value"] == 0.0
     assert report["gl_bound"] is None
+
+
+def test_analyze_keeps_tiny_coefficients(runner, tmp_path):
+    # sgn(p) does not depend on the scale of p: this is majority on 3 bits
+    path = tmp_path / "tiny.json"
+    path.write_text(MultilinearPolynomial.coordinate_sum(3).scale(1e-16).to_json() + "\n")
+    result = runner.invoke(main, ["analyze", "--input", str(path), "--seed", "1"])
+    assert result.exit_code == 0
+    report = json.loads(result.stdout)
+    assert report["polynomial"]["terms"] == 3
+    assert report["as"]["value"] == 1.5
+    assert report["gl_ratio"] == 1.0
+
+
+def test_analyze_identity_checks_pass_at_large_coefficients(runner, tmp_path):
+    # coefficients near 1e6: I[p] and Var[p] differ in their last bit
+    path = tmp_path / "big.json"
+    path.write_text(random_polynomial(8, 1, 8, Rng(12)).scale(2.0**20).to_json() + "\n")
+    result = runner.invoke(main, ["analyze", "--input", str(path), "--seed", "1"])
+    assert result.exit_code == 0
+    checks = json.loads(result.stdout)["checks"]
+    assert [check["name"] for check in checks] == ["influence_sandwich", "as_two_path"]
+    assert all(check["passed"] for check in checks)
 
 
 def test_analyze_generated_instance(runner):
@@ -411,6 +434,14 @@ def test_unwritable_out_exits_2(runner, tmp_path, args):
 def test_suite_runs_at_a_subnormal_delta(runner, delta):
     # 1 / delta overflows to inf here; the default rounds budget must stay finite
     result = runner.invoke(main, ["suite", "--suite", "decompose", "--seed", "7", "--delta", delta])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["summary"]["failed"] == 0
+
+
+@pytest.mark.parametrize("option", [["--bigM", "90"], ["--tau", "5e-324"], ["--bigM", "1e300"]])
+def test_suite_runs_when_the_influence_threshold_underflows(runner, option):
+    # the threshold rounds to 0, which expands every coordinate of positive influence
+    result = runner.invoke(main, ["suite", "--suite", "decompose", "--seed", "7", *option])
     assert result.exit_code == 0
     assert json.loads(result.stdout)["summary"]["failed"] == 0
 

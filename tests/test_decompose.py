@@ -54,9 +54,19 @@ def test_influential_set_size_bound():
             assert len(influential_set(p, m)) <= p.total_influence() / m
 
 
-def test_influential_set_rejects_nonpositive_threshold():
-    with pytest.raises(InputError):
-        influential_set(poly(1, {(0,): 1.0}), 0.0)
+def test_influential_set_zero_threshold_keeps_every_influential_coordinate():
+    # x1's only coefficient is zero and x3 does not occur
+    p = poly(4, {(0, 2): 1e-150, (1,): 0.0, (2,): 2.0})
+    assert influential_set(p, 0.0) == {0, 2}
+    for _, q in random_instances(72, 10):
+        infl = q.influences()
+        assert influential_set(q, 0.0) == {i for i in range(q.n) if infl[i] > 0}
+
+
+def test_influential_set_rejects_negative_and_nan_threshold():
+    for m in (-1e-300, -1.0, math.nan):
+        with pytest.raises(InputError):
+            influential_set(poly(1, {(0,): 1.0}), m)
 
 
 def test_default_threshold_value():

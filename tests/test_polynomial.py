@@ -354,10 +354,12 @@ def test_is_regular_rejects_constants():
 # canonical form and construction
 
 
-def test_canonicalization_drops_tiny_coefficients():
-    p = MultilinearPolynomial(2, {0b01: 1e-16, 0b10: 1.0})
-    assert p.terms == {0b10: 1.0}
+def test_canonicalization_drops_only_exact_zeros():
+    p = MultilinearPolynomial(3, {0b001: 1e-16, 0b010: 5e-324, 0b100: 0.0, 0b011: -0.0, 0: 1.0})
+    assert p.terms == {0: 1.0, 0b001: 1e-16, 0b010: 5e-324}
     assert p.degree == 1
+    q = MultilinearPolynomial(2, {0b11: 1e-300})
+    assert MultilinearPolynomial.from_json(q.to_json()).terms == {0b11: 1e-300}
 
 
 def test_zero_polynomial_degree():
