@@ -459,7 +459,7 @@ def _suite_invariants(
         fixed = points.copy()
         fixed[:, i] = s
         gap = float(
-            abs(p.restrict(i, s).eval_many(points) - p.eval_many(fixed)).max()
+            abs(p.restrict({i: s}).eval_many(points) - p.eval_many(fixed)).max()
         )
         rows.append(
             _row(

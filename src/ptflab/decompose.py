@@ -33,6 +33,8 @@ _FORMULA_DOMAIN_CAP = 0.2499999999
 _EXACT_LEAF_SUPPORT = 12
 # at most this many influential coordinates are restricted per leaf and round
 _EXPAND_BUDGET = 12
+# a tree stops splitting at this many leaves, which bounds its memory
+_MAX_LEAVES = 1 << 16
 # recursion trace: leaves measured and restrictions carried per level, and
 # random outside assignments drawn per block
 _RECURSION_POOL = 6
@@ -45,25 +47,22 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class RegularityConfig:
-    """Targets and budgets for the restriction tree.
+    """The four parameters of the restriction tree.
 
     ``tau`` is the regularity target, ``eps`` the sign-constancy tolerance,
     ``delta`` the acceptable probability mass of unresolved leaves and
     ``big_m`` the exponent constant of the influence-threshold formula.
-    ``max_depth`` / ``max_rounds`` / ``max_leaves`` are hard budgets
-    (``None`` picks defaults: the dimension, and 8 * 2^degree * ceil(ln(1/delta))
-    rounds).  Each round restricts at most 12 coordinates per bad leaf, and
-    leaves are labelled by :func:`classify_leaf`, which enumerates leaves of
-    at most 12 support variables; neither number is configurable.
+    The tree runs at most 8 * 2^degree * ceil(ln(1/delta)) rounds and
+    stops splitting at 2^16 leaves, which bounds its memory.  Each round
+    restricts at most 12 coordinates per bad leaf, and leaves are labelled
+    by :func:`classify_leaf`, which enumerates leaves of at most 12 support
+    variables; none of these numbers is configurable.
     """
 
     tau: float
     eps: float
     delta: float
     big_m: float = 1.0
-    max_depth: int | None = None
-    max_rounds: int | None = None
-    max_leaves: int = 1 << 16
 
     def __post_init__(self) -> None:
         if not 0 < self.tau < math.inf:
@@ -74,16 +73,8 @@ class RegularityConfig:
             raise InputError(f"delta must lie in (0, 1/4), got {self.delta}")
         if not 0 < self.big_m < math.inf:
             raise InputError(f"big_m must be positive and finite, got {self.big_m}")
-        for name, low in (("max_depth", 0), ("max_rounds", 0), ("max_leaves", 1)):
-            value = getattr(self, name)
-            if value is None and name != "max_leaves":
-                continue
-            if not _is_int(value) or value < low:
-                raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
 
     def rounds_budget(self, degree: int) -> int:
-        if self.max_rounds is not None:
-            return self.max_rounds
         return 8 * (1 << max(1, degree)) * max(1, math.ceil(-math.log(self.delta)))
 
 
@@ -137,9 +128,9 @@ class DecisionTree:
     branch, so two consecutive leaves share a path prefix and then fix the
     same coordinate to -1 and to +1.  Their paths partition the cube, so
     they determine the tree.  Every path fixes each coordinate at most
-    once, and each leaf polynomial equals the root polynomial with the path
-    applied.  ``success`` reports truthfully whether the bad-leaf mass
-    target was met before the budgets ran out.
+    once, and each leaf polynomial is ``root.restrict(dict(path))``.
+    ``success`` reports truthfully whether the bad-leaf mass target was
+    met before the budgets ran out.
     """
 
     leaves: tuple[Leaf, ...]
@@ -183,7 +174,7 @@ def default_threshold(tau: float, eps: float, d: int, big_m: float) -> float:
         raise InputError(f"eps must lie in (0, 1/4), got {eps}")
     if not isinstance(d, int) or d < 1:
         raise InputError(f"degree must be a positive integer, got {d!r}")
-    if big_m < 0:
+    if not big_m >= 0:
         raise InputError(f"big_m must be non-negative, got {big_m}")
     base = d * math.log(1.0 / tau) * math.log(1.0 / eps)
     return tau * base ** (-big_m * d)
@@ -232,13 +223,13 @@ def _expansion_threshold(poly: MultilinearPolynomial, config: RegularityConfig) 
 
 
 def _expansion_order(poly: MultilinearPolynomial, config: RegularityConfig) -> list[int]:
-    # influential coordinates (else the most influential one), by decreasing
+    # influential coordinates (else the most influential one of the support,
+    # which is free even when every influence underflows to 0), by decreasing
     # influence with ties to the lower index, at most _EXPAND_BUDGET of them
     coords = influential_set(poly, _expansion_threshold(poly, config))
-    if not coords:
-        coords = {poly.max_influence()[0]}
     infl = poly.influences()
-    return sorted(coords, key=lambda i: (-infl[i], i))[:_EXPAND_BUDGET]
+    order = sorted(coords or poly.support, key=lambda i: (-infl[i], i))
+    return order[:_EXPAND_BUDGET] if coords else order[:1]
 
 
 def build_regularity_tree(p: MultilinearPolynomial, config: RegularityConfig) -> DecisionTree:
@@ -246,44 +237,40 @@ def build_regularity_tree(p: MultilinearPolynomial, config: RegularityConfig) ->
 
     Each round walks the leaves in order and replaces every bad leaf by the
     leaves of its expansion: the coordinates whose influence exceeds the
-    threshold formula, restricted one at a time in decreasing-influence
-    order (ties to the lower index), re-classifying after every restriction
-    and descending only into branches that are still bad.  Budgets (depth,
-    rounds, leaf count) cap the expansion; if the mass target is missed the
-    returned tree carries ``success=False`` plus diagnostics rather than
-    failing.
+    threshold formula, fixed one at a time in decreasing-influence order
+    (ties to the lower index), re-classifying after every step and
+    descending only into branches that are still bad.  Every child is
+    ``p.restrict(dict(path))``, one exact restriction from the root.  An
+    expansion fixes only free coordinates, so no path is longer than n.
+    The rounds budget of ``config`` and the cap of 2^16 leaves bound the
+    expansion; if the mass target is missed the returned tree carries
+    ``success=False`` plus diagnostics rather than failing.
     """
 
     def classify(poly: MultilinearPolynomial) -> LeafClass:
         return classify_leaf(poly, config.tau, config.eps)
 
-    depth_cap = p.n if config.max_depth is None else min(config.max_depth, p.n)
     rounds_budget = config.rounds_budget(p.degree)
     leaf_count = 1
     exhausted = False
 
     def split_allowed() -> bool:
         nonlocal exhausted
-        if leaf_count >= config.max_leaves:
+        if leaf_count >= _MAX_LEAVES:
             exhausted = True
             return False
         return True
 
-    def grow(poly: MultilinearPolynomial, order: list[int], path, out: list[Leaf]) -> None:
+    def grow(order: list[int], path, out: list[Leaf]) -> None:
         nonlocal leaf_count
         leaf_count += 1
         coordinate, rest = order[0], order[1:]
         for value in (-1, 1):
-            child_poly = poly.restrict(coordinate, value)
-            label = classify(child_poly)
             child_path = path + ((coordinate, value),)
-            if (
-                label.kind is LeafKind.BAD
-                and rest
-                and len(child_path) < depth_cap
-                and split_allowed()
-            ):
-                grow(child_poly, rest, child_path, out)
+            child_poly = p.restrict(dict(child_path))
+            label = classify(child_poly)
+            if label.kind is LeafKind.BAD and rest and split_allowed():
+                grow(rest, child_path, out)
             else:
                 out.append(Leaf(child_poly, label, child_path))
 
@@ -293,9 +280,8 @@ def build_regularity_tree(p: MultilinearPolynomial, config: RegularityConfig) ->
         count_before = leaf_count
         grown: list[Leaf] = []
         for leaf in leaves:
-            if leaf.label.kind is LeafKind.BAD and leaf.depth < depth_cap and split_allowed():
-                order = _expansion_order(leaf.polynomial, config)[: depth_cap - leaf.depth]
-                grow(leaf.polynomial, order, leaf.path, grown)
+            if leaf.label.kind is LeafKind.BAD and split_allowed():
+                grow(_expansion_order(leaf.polynomial, config), leaf.path, grown)
             else:
                 grown.append(leaf)
         leaves = grown
@@ -314,7 +300,6 @@ def build_regularity_tree(p: MultilinearPolynomial, config: RegularityConfig) ->
             "bad_mass": final_bad,
             "leaf_count": leaf_count,
             "budget_exhausted": exhausted,
-            "depth_cap": depth_cap,
         },
     )
 
@@ -376,8 +361,8 @@ class BlockPartition:
 
 def block_partition(n: int, b: int) -> BlockPartition:
     """Split {0..n-1} into b contiguous blocks whose sizes differ by at most 1."""
-    if not 1 <= b <= n:
-        raise InputError(f"need 1 <= b <= n, got b={b}, n={n}")
+    if not (_is_int(n) and _is_int(b) and 1 <= b <= n):
+        raise InputError(f"need integers 1 <= b <= n, got b={b!r}, n={n!r}")
     big = n % b
     small_size, cursor, blocks = n // b, 0, []
     for j in range(b):
@@ -568,7 +553,7 @@ def recursion_trace(
                         i: int(v) for i, v in zip(outside, gen.integers(0, 2, len(outside)) * 2 - 1)
                     }
                     share = weight / (partition.b * _RESTRICTIONS_PER_BLOCK)
-                    next_pool.append((share, compressed.restrict_many(assignment)))
+                    next_pool.append((share, compressed.restrict(assignment)))
 
         total_weight = sum(w for w, _ in alpha_sums)
         measured = (

@@ -306,30 +306,31 @@ class MultilinearPolynomial:
             self.n, {mask ^ bit: coeff for mask, coeff in self.terms.items() if mask & bit}
         )
 
-    def restrict(self, i: int, value: int) -> "MultilinearPolynomial":
-        """Fix coordinate ``i`` to ``value`` in {-1, +1}.
+    def restrict(self, assignment: Mapping[int, int]) -> "MultilinearPolynomial":
+        """Fix each coordinate ``i`` of ``assignment`` to its value in {-1, +1}.
 
-        The result lives on the same index space but never mentions ``i``;
-        cancellations are dropped by canonicalization.
+        The result lives on the same index space but mentions no fixed
+        coordinate.  Each coefficient is the correctly rounded exact sum of
+        the signed coefficients that fold into it, so one whose exact value
+        is 0 comes out 0 at any scale and sgn(0) = +1 labels it; fixing one
+        coordinate at a time would round at every step and can leave a
+        residue such as -1.1e-16 instead.
         """
-        self._check_index(i)
-        if value not in (-1, 1):
-            raise InputError(f"restriction value must be -1 or +1, got {value!r}")
-        bit = 1 << i
-        out: dict[int, float] = {}
+        fixed = negated = 0
+        for i, value in assignment.items():
+            self._check_index(i)
+            if value not in (-1, 1):
+                raise InputError(f"restriction value must be -1 or +1, got {value!r}")
+            fixed |= 1 << i
+            if value == -1:
+                negated |= 1 << i
+        groups: dict[int, list[float]] = {}
         for mask, coeff in self.terms.items():
-            if mask & bit:
-                key, add = mask ^ bit, value * coeff
-            else:
-                key, add = mask, coeff
-            out[key] = out.get(key, 0.0) + add
-        return MultilinearPolynomial(self.n, out)
-
-    def restrict_many(self, assignment: Mapping[int, int]) -> "MultilinearPolynomial":
-        poly = self
-        for i in sorted(assignment):
-            poly = poly.restrict(i, assignment[i])
-        return poly
+            addend = -coeff if (mask & negated).bit_count() & 1 else coeff
+            groups.setdefault(mask & ~fixed, []).append(addend)
+        # one IEEE addition rounds a pair correctly; fsum rounds any group once
+        terms = {k: a[0] + a[1] if len(a) == 2 else math.fsum(a) for k, a in groups.items()}
+        return MultilinearPolynomial(self.n, terms)
 
     # ------------------------------------------------------------------
     # moments, influences, regularity

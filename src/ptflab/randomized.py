@@ -713,7 +713,9 @@ def hypercontractivity_check(p: MultilinearPolynomial, t: int) -> Hypercontracti
     """Exact check of |p|_t <= sqrt(t-1)^degree * |p|_2 under +-1 inputs.
 
     The left side is the enumerated t-th moment (even t only), the right
-    side comes from coefficient arithmetic.
+    side comes from coefficient arithmetic.  The moment is taken of
+    p / |p|_2, so no power overflows, and the 1e-9 slack is relative to
+    |p|_2.
     """
     if not isinstance(t, int) or t % 2 != 0 or t < 2:
         raise InputError(f"the exact path needs an even moment order >= 2, got {t!r}")
@@ -724,9 +726,13 @@ def _hypercontractivity(
     p: MultilinearPolynomial, values: np.ndarray, t: int
 ) -> HypercontractivityCheck:
     """:func:`hypercontractivity_check` from the cube ``values`` of ``p``."""
-    lhs = float(np.mean(np.abs(values) ** t) ** (1.0 / t))
-    rhs = math.sqrt(t - 1.0) ** p.degree * p.moments().l2_norm
-    return HypercontractivityCheck(t=t, lhs=lhs, rhs=rhs, holds=lhs <= rhs + 1e-9, degree=p.degree)
+    norm = p.moments().l2_norm
+    scale = norm or 1.0  # the zero polynomial has zero values
+    ratio = float(np.mean(np.abs(values / scale) ** t) ** (1.0 / t))
+    factor = math.sqrt(t - 1.0) ** p.degree
+    return HypercontractivityCheck(
+        t=t, lhs=ratio * scale, rhs=factor * norm, holds=ratio <= factor + 1e-9, degree=p.degree
+    )
 
 
 # ---------------------------------------------------------------------------

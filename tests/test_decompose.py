@@ -24,6 +24,7 @@ from ptflab import (
     small_alpha_check,
     tree_sensitivity_check,
 )
+from ptflab import decompose
 from ptflab.decompose import BlockPartition
 
 from conftest import poly, random_instances
@@ -88,6 +89,14 @@ def test_default_threshold_domain():
     for tau, eps in ((0.3, 0.1), (0.1, 0.25), (0.0, 0.1), (0.1, -0.1)):
         with pytest.raises(InputError):
             default_threshold(tau, eps, 1, 1.0)
+
+
+def test_default_threshold_rejects_nan_exponent():
+    for big_m in (math.nan, -1.0):
+        with pytest.raises(InputError):
+            default_threshold(0.1, 0.1, 2, big_m)
+    # an infinite exponent means every coordinate of positive influence
+    assert default_threshold(0.1, 0.1, 2, math.inf) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +211,7 @@ def test_tree_invariants_on_random_instances():
         for leaf in tree.leaves:
             fixed = [i for i, _ in leaf.path]
             assert len(fixed) == len(set(fixed))
-            replayed = p
-            for i, v in leaf.path:
-                replayed = replayed.restrict(i, v)
-            assert replayed == leaf.polynomial
+            assert p.restrict(dict(leaf.path)) == leaf.polynomial
         # depth-first, -1 branch first: consecutive leaves share a path prefix,
         # then fix the same coordinate to -1 and then to +1
         for left, right in zip(tree.leaves, tree.leaves[1:]):
@@ -219,39 +225,52 @@ def test_tree_invariants_on_random_instances():
         assert tree.diagnostics["leaf_count"] == tree.leaf_count
 
 
-def test_tree_budget_honesty_zero_rounds():
+def test_tree_budget_honesty_zero_rounds(monkeypatch):
+    monkeypatch.setattr(RegularityConfig, "rounds_budget", lambda self, degree: 0)
     p = poly(2, {(0,): 1.0, (1,): 0.01})
-    config = RegularityConfig(1e-4, 0.01, 0.01, max_rounds=0)
-    tree = build_regularity_tree(p, config)
+    tree = build_regularity_tree(p, RegularityConfig(1e-4, 0.01, 0.01))
     assert not tree.success
     assert tree.leaf_count == 1
     assert tree.diagnostics["rounds_used"] == 0
     assert tree.bad_mass() == 1.0
-    for rounds in (1.5, True, -1):
-        with pytest.raises(InputError):
-            RegularityConfig(1e-4, 0.01, 0.01, max_rounds=rounds)
 
 
-def test_tree_leaf_budget_guard():
+def test_tree_leaf_budget_guard(monkeypatch):
     p = random_polynomial(10, 3, 14, Rng(73))
-    config = RegularityConfig(1e-6, 0.01, 0.01, max_leaves=4)
-    tree = build_regularity_tree(p, config)
-    assert tree.leaf_count <= 5  # one split may straddle the cap check
-    if not tree.success:
-        assert tree.diagnostics["budget_exhausted"] or tree.diagnostics["rounds_used"] > 0
-    for leaves in (4.5, True, 0, None):
-        with pytest.raises(InputError):
-            RegularityConfig(1e-6, 0.01, 0.01, max_leaves=leaves)
+    config = RegularityConfig(1e-6, 0.01, 0.01)
+    for cap in (1, 4):
+        monkeypatch.setattr(decompose, "_MAX_LEAVES", cap)
+        tree = build_regularity_tree(p, config)
+        assert tree.leaf_count <= cap + 1  # one split may straddle the cap check
+        assert tree.diagnostics["budget_exhausted"]
+        assert not tree.success
+    assert tree.leaf_count > 1  # a cap of 4 lets the root split before it binds
 
 
-def test_tree_depth_cap_respected():
-    p = random_polynomial(8, 2, 10, Rng(74))
-    config = RegularityConfig(1e-6, 0.01, 0.01, max_depth=2)
-    tree = build_regularity_tree(p, config)
-    assert tree.depth <= 2
-    for depth in (2.5, True, -1):
-        with pytest.raises(InputError):
-            RegularityConfig(1e-6, 0.01, 0.01, max_depth=depth)
+def test_tree_fixes_only_free_coordinates_when_influences_underflow():
+    # every squared coefficient underflows to 0, so every influence reads 0
+    # and the expansion must still pick a coordinate the leaf depends on
+    p = poly(3, {(0,): 1e-200, (1,): 1e-200, (2,): 1e-200, (0, 1, 2): 1e-200})
+    tree = build_regularity_tree(p, CONFIG)
+    for leaf in tree.leaves:
+        fixed = [i for i, _ in leaf.path]
+        assert len(fixed) == len(set(fixed))
+        assert p.restrict(dict(leaf.path)) == leaf.polynomial
+    assert tree.success
+
+
+def test_tree_labels_every_balanced_leaf_of_the_scaled_sum_plus_one():
+    # a balanced path of (x0 + ... + x11)/sqrt(12) restricts to exactly 0,
+    # and sgn(0) = +1
+    tree = build_regularity_tree(scaled_sum(12), RegularityConfig(0.01, 0.05, 0.05))
+    balanced = [
+        leaf for leaf in tree.leaves if leaf.depth == 12 and sum(v for _, v in leaf.path) == 0
+    ]
+    assert balanced
+    for leaf in balanced:
+        assert leaf.polynomial == MultilinearPolynomial.zero(12)
+        assert leaf.label.kind is LeafKind.NEAR_CONSTANT
+        assert leaf.label.sign == 1
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +336,12 @@ def test_block_partition_validation():
         block_partition(4, 5)
     with pytest.raises(InputError):
         BlockPartition(3, ((0, 1),))
+
+
+def test_block_partition_rejects_non_integer_counts():
+    for n, b in ((5, 2.5), (3, True), (4.0, 2), (5, 2.0)):
+        with pytest.raises(InputError):
+            block_partition(n, b)
 
 
 def test_block_identity_maj3():
@@ -419,7 +444,7 @@ def test_block_alpha_sum_witness_matches_exact_restriction_average():
                 coord: (1 if (mask >> bit) & 1 == 0 else -1)
                 for bit, coord in enumerate(outside)
             }
-            compressed, _ = p.restrict_many(assignment).compress_support()
+            compressed, _ = p.restrict(assignment).compress_support()
             exact_total += exact_alpha(compressed)
         exact_value = exact_total / (1 << len(outside))
         exact_sum += exact_value

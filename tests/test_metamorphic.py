@@ -23,6 +23,7 @@ from ptflab import (
     estimate_alpha,
     estimate_beta,
     exact_alpha,
+    hypercontractivity_check,
     random_polynomial,
     strong_anticoncentration_estimate,
 )
@@ -52,8 +53,6 @@ def outputs(p, scale=1.0):
         )
         for leaf in tree.leaves
     ]
-    diagnostics = dict(tree.diagnostics)
-    del diagnostics["depth_cap"]  # min(max_depth, n), so it grows with padding
     return {
         "terms": {m: c / scale for m, c in p.terms.items()},
         "alpha": estimate_alpha(p, SAMPLES, rng.child(0)),
@@ -62,9 +61,10 @@ def outputs(p, scale=1.0):
         "carbery_wright": carbery_wright_estimate(p, 0.1, SAMPLES, rng.child(3)),
         "exact_alpha": exact_alpha(p),
         "as": average_sensitivity_exact(SignFunction(p)),
+        "hypercontractivity": hypercontractivity_check(p, 4).lhs / abs(scale),
         "leaves": leaves,
         "success": tree.success,
-        "diagnostics": diagnostics,
+        "diagnostics": tree.diagnostics,
     }
 
 

@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -214,17 +216,42 @@ def test_gradient_matches_difference_oracle():
 
 def test_restrict_examples():
     p = poly(3, {(0, 1): 1.0, (2,): 1.0})
-    assert p.restrict(0, 1) == poly(3, {(1,): 1.0, (2,): 1.0})
+    assert p.restrict({0: 1}) == poly(3, {(1,): 1.0, (2,): 1.0})
+    assert p.restrict({0: -1, 2: 1}) == poly(3, {(): 1.0, (1,): -1.0})
+    assert p.restrict({}) == p
     q = poly(2, {(0, 1): 1.0, (1,): 1.0})
-    assert q.restrict(0, -1) == MultilinearPolynomial.zero(2)
+    assert q.restrict({0: -1}) == MultilinearPolynomial.zero(2)
 
 
 def test_restrict_validates():
     p = poly(2, {(0,): 1.0})
-    with pytest.raises(InputError):
-        p.restrict(5, 1)
-    with pytest.raises(InputError):
-        p.restrict(0, 2)
+    for assignment in ({5: 1}, {-1: 1}, {0.0: 1}, {0: 2}, {0: 0}, {1: 1, 0: -2}):
+        with pytest.raises(InputError):
+            p.restrict(assignment)
+
+
+def test_restrict_is_the_correctly_rounded_exact_sum():
+    gen = np.random.default_rng(2024)
+    for _, p in random_instances(103, 120, n_range=(2, 12), terms_range=(2, 14)):
+        assignment = {i: int(gen.choice((-1, 1))) for i in range(p.n) if gen.random() < 0.6}
+        fixed, negated = mask_from_indices(assignment), mask_from_indices(
+            i for i, v in assignment.items() if v == -1
+        )
+        exact: dict[int, Fraction] = {}
+        for mask, coeff in p.terms.items():
+            sign = -1 if (mask & negated).bit_count() % 2 else 1
+            key = mask & ~fixed
+            exact[key] = exact.get(key, Fraction(0)) + sign * Fraction(coeff)
+        assert p.restrict(assignment).terms == {k: float(v) for k, v in exact.items() if v}
+
+
+def test_balanced_restrictions_of_the_scaled_sum_cancel_exactly():
+    # one coordinate at a time, the running constant is rounded at each step
+    # and can end at +-1.1e-16 instead of 0
+    p = MultilinearPolynomial.coordinate_sum(12).scale(1.0 / math.sqrt(12))
+    for plus in itertools.combinations(range(12), 6):
+        assignment = {i: 1 if i in plus else -1 for i in range(12)}
+        assert p.restrict(assignment) == MultilinearPolynomial.zero(12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,17 +259,17 @@ def test_restrict_validates():
 def test_restrict_commutes_on_disjoint_indices(p, s, t):
     if p.n < 2:
         return
-    a = p.restrict(0, s).restrict(1, t)
-    b = p.restrict(1, t).restrict(0, s)
-    assert a.terms.keys() == b.terms.keys()
-    for mask in a.terms:
-        assert a.terms[mask] == pytest.approx(b.terms[mask], abs=1e-12)
+    a = p.restrict({0: s, 1: t})
+    assert p.restrict({1: t, 0: s}) == a
+    chained = p.restrict({0: s}).restrict({1: t})
+    for mask in a.terms.keys() | chained.terms.keys():
+        assert a.terms.get(mask, 0.0) == pytest.approx(chained.terms.get(mask, 0.0), abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(polynomials(), st.sampled_from([-1, 1]))
 def test_restrict_consistent_with_substitution(p, s):
-    restricted = p.restrict(0, s)
+    restricted = p.restrict({0: s})
     for pt in iter_cube(p.n):
         substituted = (float(s),) + pt[1:]
         assert restricted.eval(np.array(pt)) == pytest.approx(
@@ -255,7 +282,7 @@ def test_restrict_consistent_with_substitution(p, s):
 def test_degree_never_increases(p):
     d = p.degree
     if p.n >= 1:
-        assert p.restrict(0, 1).degree <= d
+        assert p.restrict({0: 1}).degree <= d
         assert p.partial_derivative(0).degree <= max(0, d - 1) if p.degree else True
 
 
@@ -265,7 +292,7 @@ def test_influence_conserved_under_restriction(p):
     if p.n < 2:
         return
     for j in range(1, p.n):
-        avg = 0.5 * (p.restrict(0, 1).influence(j) + p.restrict(0, -1).influence(j))
+        avg = 0.5 * (p.restrict({0: 1}).influence(j) + p.restrict({0: -1}).influence(j))
         assert avg == pytest.approx(p.influence(j), abs=1e-11)
 
 

@@ -808,6 +808,16 @@ def test_hypercontractivity_examples():
     assert product.holds
 
 
+def test_hypercontractivity_at_large_scale():
+    # the moment is taken of p / |p|_2, so (1e100)^4 never overflows
+    check = hypercontractivity_check(MultilinearPolynomial.constant(2, 1e100), 4)
+    assert check.lhs == check.rhs == 1e100
+    assert check.holds
+    zero = hypercontractivity_check(MultilinearPolynomial.zero(2), 4)
+    assert zero.lhs == zero.rhs == 0.0
+    assert zero.holds
+
+
 def test_hypercontractivity_sweep():
     for _, p in random_instances(48, 60, d_max=4):
         for t in (4, 6):
