@@ -48,9 +48,8 @@ from .hypercube import (
     noise_sensitivity_exact,
     theorem_bound,
     theorem_log_bound,
-    truth_table,
 )
-from .polynomial import ENUMERATION_BUDGET, MultilinearPolynomial, check_enumeration
+from .polynomial import ENUMERATION_BUDGET, MultilinearPolynomial, check_enumeration, finite_moments
 from .randomized import (
     Rng,
     _hypercontractivity,
@@ -93,7 +92,7 @@ def _influence_sandwich(p: MultilinearPolynomial) -> tuple[bool, float, float]:
 def _as_two_path(f: SignFunction) -> tuple[bool, float, float]:
     """as(f) by edge counting and by Fourier weights: (holds, edges, Fourier)."""
     edges = average_sensitivity_exact(f)
-    weighted = average_sensitivity_fourier(truth_table(f))
+    weighted = average_sensitivity_fourier(f)
     return abs(edges - weighted) <= IDENTITY_TOL, edges, weighted
 
 
@@ -247,11 +246,11 @@ def _analyze_report(
     workers: int,
     source: str,
 ) -> dict:
-    mom = p.moments()
+    mom = finite_moments(p)
     with np.errstate(over="ignore"):  # an infinite influence sum is refused here, not warned about
         total_influence = p.total_influence()
-    if not all(map(math.isfinite, (mom.variance, mom.l2_norm, total_influence))):
-        raise InputError("the coefficient squares overflow: a moment or influence sum is infinite")
+    if not math.isfinite(total_influence):
+        raise InputError("the coefficient squares overflow: the total influence is infinite")
     degree = p.degree
     # every exact quantity is a function of the support variables only
     compressed, _ = p.compress_support()
@@ -445,8 +444,7 @@ def _suite_invariants(
             )
         )
         f = SignFunction.from_values(p, values)
-        spectrum = fourier(truth_table(f))
-        parseval = float((spectrum.coefficients**2).sum())
+        parseval = float((fourier(f) ** 2).sum())
         rows.append(
             _row("parseval", f"instance={k}", "identity", abs(parseval - 1.0) <= 1e-9, parseval, 1.0)
         )

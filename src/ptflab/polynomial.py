@@ -90,6 +90,18 @@ class Moments:
     l2_norm: float
 
 
+def finite_moments(p: "MultilinearPolynomial") -> Moments:
+    """The moments of ``p``, refused when its coefficient squares overflow.
+
+    The variance, every influence and every squared coefficient are at
+    most |p|_2^2, so a finite |p|_2 keeps each of them finite.
+    """
+    mom = p.moments()
+    if not math.isfinite(mom.l2_norm):
+        raise InputError("the coefficient squares overflow: |p|_2 is infinite")
+    return mom
+
+
 @dataclass(frozen=True)
 class MultilinearPolynomial:
     """Immutable sparse multilinear polynomial on ``n`` variables."""
@@ -137,7 +149,7 @@ class MultilinearPolynomial:
             if len(set(indices)) != len(indices):
                 raise InputError(f"repeated variable in term {indices}")
             for i in indices:
-                if not 0 <= i < n:
+                if isinstance(i, bool) or not 0 <= i < n:
                     raise InputError(f"variable index {i} out of range for n={n}")
             mask = mask_from_indices(indices)
             if mask in out:
@@ -319,7 +331,7 @@ class MultilinearPolynomial:
         fixed = negated = 0
         for i, value in assignment.items():
             self._check_index(i)
-            if value not in (-1, 1):
+            if isinstance(value, bool) or value not in (-1, 1):
                 raise InputError(f"restriction value must be -1 or +1, got {value!r}")
             fixed |= 1 << i
             if value == -1:
@@ -329,7 +341,10 @@ class MultilinearPolynomial:
             addend = -coeff if (mask & negated).bit_count() & 1 else coeff
             groups.setdefault(mask & ~fixed, []).append(addend)
         # one IEEE addition rounds a pair correctly; fsum rounds any group once
-        terms = {k: a[0] + a[1] if len(a) == 2 else math.fsum(a) for k, a in groups.items()}
+        try:
+            terms = {k: a[0] + a[1] if len(a) == 2 else math.fsum(a) for k, a in groups.items()}
+        except OverflowError:  # from fsum; an overflowing pair gives inf, refused below
+            raise InputError("a restricted coefficient is not finite: its sum overflows") from None
         return MultilinearPolynomial(self.n, terms)
 
     # ------------------------------------------------------------------
@@ -520,8 +535,8 @@ class MultilinearPolynomial:
         return pts
 
     def _check_index(self, i: int) -> None:
-        if not isinstance(i, int) or not 0 <= i < self.n:
-            raise InputError(f"coordinate index {i!r} out of range for n={self.n}")
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < self.n:
+            raise InputError(f"coordinate index {i!r} is not an integer in [0, {self.n})")
 
     def _check_same_space(self, other: "MultilinearPolynomial") -> None:
         if self.n != other.n:

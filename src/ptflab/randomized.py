@@ -57,6 +57,11 @@ exactly zero the integrand is defined as 1 if the gradient of p at A is
 nonzero and 0 otherwise, the limit of the clamp along generic directions;
 under Gaussian inputs the case has probability zero and the rule only
 exists for robustness.
+
+Every function here that reads |p|_2, the variance or a squared gradient
+refuses with ``InputError`` a polynomial whose coefficient squares
+overflow (:func:`ptflab.polynomial.finite_moments`); the invariance gaps
+read none of them and accept it.
 """
 
 from __future__ import annotations
@@ -76,6 +81,7 @@ from .polynomial import (
     KERNEL_ROWS,
     MultilinearPolynomial,
     check_enumeration,
+    finite_moments,
     mask_from_indices,
 )
 
@@ -332,6 +338,7 @@ def ratio_estimate(
     has the same joint law with A (see :func:`_gaussian_derivative`).
     """
     _check_dist(dist)
+    finite_moments(p)  # the squared gradient of a zero denominator must not overflow
     form = _sampled_form(p, dist)
     k = form.n
 
@@ -364,6 +371,7 @@ def _block_ratios(
     correlation between blocks.  A row materialises A, B, the masked
     direction, the kernel rows and the ``b + 1`` outputs.
     """
+    finite_moments(p)
     compressed, support = p.compress_support()
     k = compressed.n
     position = {old: new for new, old in enumerate(support)}
@@ -441,7 +449,7 @@ def exact_alpha(p: MultilinearPolynomial) -> float:
 
 
 def _require_nonzero(p: MultilinearPolynomial) -> float:
-    l2 = p.moments().l2_norm
+    l2 = finite_moments(p).l2_norm
     if l2 == 0.0:
         raise InputError("operation requires a nonzero polynomial")
     return l2
@@ -571,6 +579,7 @@ def strong_anticoncentration_estimate(
     _check_eps(eps)
     if p.degree < 1:
         raise InputError("degenerate for constant polynomials: the event has probability 0")
+    finite_moments(p)
     compressed = _sampled_form(p, GAUSSIAN)
     k = compressed.n
 
@@ -726,7 +735,7 @@ def _hypercontractivity(
     p: MultilinearPolynomial, values: np.ndarray, t: int
 ) -> HypercontractivityCheck:
     """:func:`hypercontractivity_check` from the cube ``values`` of ``p``."""
-    norm = p.moments().l2_norm
+    norm = finite_moments(p).l2_norm
     scale = norm or 1.0  # the zero polynomial has zero values
     ratio = float(np.mean(np.abs(values / scale) ** t) ** (1.0 / t))
     factor = math.sqrt(t - 1.0) ** p.degree

@@ -94,7 +94,7 @@ def test_criterion_3_exact_identities():
 
             f = SignFunction(p)
             edge = average_sensitivity_exact(f)
-            weighted = average_sensitivity_fourier(truth_table(f))
+            weighted = average_sensitivity_fourier(f)
             assert abs(edge - weighted) <= 1e-9, f"instance {k}: sensitivity paths disagree"
 
         for k, p in random_instances(1033, 50, n_range=(4, 10), d_max=3):

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from ptflab import MultilinearPolynomial, Rng, estimate_alpha, estimate_beta
-from ptflab.cli import SUITE_NAMES, run_suite
+from ptflab import MultilinearPolynomial, Rng, estimate_alpha, estimate_beta, random_polynomial
+from ptflab.cli import SUITE_NAMES, _analyze_report, run_suite
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -73,3 +73,24 @@ def test_smoke_preconditions_reach_the_counted_layers(monkeypatch):
     assert calls["partial_derivative"] > 0
     estimate_alpha(wide, 1_000, Rng(2))
     assert calls["eval_many_with_directions"] > 0
+
+
+def test_analyze_calls_the_hypercube_names_smoke_counts(tracing, monkeypatch):
+    # perfbench/smoke.py requires hypercube.truth_table.calls, hypercube.fourier.calls,
+    # hypercube.fwht.bytes_computed and hypercube.noise_sensitivity_exact.s to be
+    # nonzero on exact_cube; tracing._rebind swaps each name in every module that
+    # holds it, so only calls through a module name are counted
+    calls = dict.fromkeys(("truth_table", "fourier", "fwht", "noise_sensitivity_exact"), 0)
+    hypercube = importlib.import_module("ptflab.hypercube")
+    for name in calls:
+        original = getattr(hypercube, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in map(importlib.import_module, tracing._MODULES):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    _analyze_report(random_polynomial(8, 3, 12, Rng(7)), 0, 7, 1.0, 1.0, 1, "random")
+    assert all(calls.values()), calls

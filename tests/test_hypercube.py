@@ -7,9 +7,9 @@ import pytest
 
 from ptflab import (
     CapExceededError,
-    FourierSpectrum,
     InputError,
     MultilinearPolynomial,
+    Rng,
     SignFunction,
     average_sensitivity_exact,
     average_sensitivity_fourier,
@@ -20,6 +20,7 @@ from ptflab import (
     gl_report_row,
     middle_layers_witness,
     noise_sensitivity_exact,
+    random_polynomial,
     theorem_bound,
     theorem_log_bound,
     truth_table,
@@ -150,14 +151,15 @@ def test_evaluate_on_hypercube_matches_pointwise():
 def test_truth_table_dictator():
     t = truth_table(SignFunction(poly(1, {(0,): 1.0})))
     # mask 0 is x0 = +1, mask 1 is x0 = -1
-    assert list(t.values) == [1, -1]
+    assert t.dtype == np.int8
+    assert list(t) == [1, -1]
 
 
 def test_truth_table_constant_sign_zero():
     t = truth_table(SignFunction(MultilinearPolynomial.constant(2, 5.0)))
-    assert list(t.values) == [1, 1, 1, 1]
+    assert list(t) == [1, 1, 1, 1]
     z = truth_table(SignFunction(MultilinearPolynomial.zero(1)))
-    assert list(z.values) == [1, 1]
+    assert list(z) == [1, 1]
 
 
 def test_truth_table_maj3_matches_pointwise():
@@ -165,7 +167,7 @@ def test_truth_table_maj3_matches_pointwise():
     t = truth_table(SignFunction(p))
     for mask in range(8):
         pt = point_from_mask(3, mask)
-        assert t.values[mask] == (1 if sum(pt) >= 0 else -1)
+        assert t[mask] == (1 if sum(pt) >= 0 else -1)
 
 
 def test_truth_table_cap():
@@ -177,10 +179,12 @@ def test_truth_table_and_spectrum_built_once_read_only():
     f = SignFunction(poly(3, {(0, 1): 1.0, (2,): -0.5}))
     table = truth_table(f)
     assert truth_table(f) is table
-    spectrum = fourier(table)
-    assert fourier(table) is spectrum
-    assert spectrum.level_weights is spectrum.level_weights
-    for array in (table.values, spectrum.coefficients, spectrum.level_weights):
+    spectrum = fourier(f)
+    assert fourier(f) is spectrum
+    assert f.level_weights is f.level_weights
+    assert (table.dtype, spectrum.dtype) == (np.int8, np.float64)
+    assert table.shape == spectrum.shape == (8,) and f.level_weights.shape == (4,)
+    for array in (table, spectrum, f.level_weights):
         assert not array.flags.writeable
 
 
@@ -189,41 +193,47 @@ def test_sign_function_from_values_reuses_the_caller_array():
         values = evaluate_on_hypercube(p)
         f = SignFunction.from_values(p, values)
         assert f == SignFunction(p)
-        np.testing.assert_array_equal(truth_table(f).values, truth_table(SignFunction(p)).values)
-        assert not truth_table(f).values.flags.writeable
+        np.testing.assert_array_equal(truth_table(f), truth_table(SignFunction(p)))
+        assert not truth_table(f).flags.writeable
+
+
+@pytest.mark.parametrize("shape", [(0,), (4,), (9,), (16,), (2, 4)])
+def test_sign_function_from_values_rejects_a_wrong_length(shape):
+    with pytest.raises(InputError):
+        SignFunction.from_values(MultilinearPolynomial.coordinate_sum(3), np.ones(shape))
 
 
 def test_level_weights_match_direct_sum_across_blocks():
-    # n = 18 spans several 2^16 blocks of the level-weight accumulation
-    rng = np.random.default_rng(12)
-    for n in (0, 3, 16, 18):
-        coeffs = rng.standard_normal(1 << n)
-        sizes = np.array([bin(s).count("1") for s in range(1 << n)])
-        direct = np.bincount(sizes, weights=coeffs**2, minlength=n + 1)
-        np.testing.assert_allclose(FourierSpectrum(n, coeffs).level_weights, direct, rtol=1e-12)
+    # n = 16 fills one 2^16 block of the level-weight accumulation, n = 18 spans four
+    for n, terms in ((0, 1), (3, 4), (16, 30), (18, 30)):
+        f = SignFunction(random_polynomial(n, min(n, 3), terms, Rng(12, n)))
+        sizes = np.bitwise_count(np.arange(1 << n))
+        direct = np.bincount(sizes, weights=fourier(f) ** 2, minlength=n + 1)
+        np.testing.assert_allclose(f.level_weights, direct, rtol=1e-12)
 
 
 def test_fourier_dictator_and_constant():
-    spec = fourier(truth_table(SignFunction(poly(1, {(0,): 1.0}))))
-    assert spec.coefficient(0b1) == pytest.approx(1.0)
-    assert spec.coefficient(0) == pytest.approx(0.0)
-    const = fourier(truth_table(SignFunction(MultilinearPolynomial.constant(2, 1.0))))
-    assert const.coefficient(0) == pytest.approx(1.0)
+    spec = fourier(SignFunction(poly(1, {(0,): 1.0})))
+    assert spec[0b1] == pytest.approx(1.0)
+    assert spec[0] == pytest.approx(0.0)
+    const = fourier(SignFunction(MultilinearPolynomial.constant(2, 1.0)))
+    assert const[0] == pytest.approx(1.0)
 
 
 def test_fourier_maj3():
-    spec = fourier(truth_table(SignFunction(MultilinearPolynomial.coordinate_sum(3))))
+    spec = fourier(SignFunction(MultilinearPolynomial.coordinate_sum(3)))
     for mask in (0b001, 0b010, 0b100):
-        assert spec.coefficient(mask) == pytest.approx(0.5)
-    assert spec.coefficient(0b111) == pytest.approx(-0.5)
+        assert spec[mask] == pytest.approx(0.5)
+    assert spec[0b111] == pytest.approx(-0.5)
     for mask in (0b000, 0b011, 0b101, 0b110):
-        assert spec.coefficient(mask) == pytest.approx(0.0)
+        assert spec[mask] == pytest.approx(0.0)
 
 
 def test_parseval_on_random_instances():
     for _, p in random_instances(22, 20):
-        spec = fourier(truth_table(SignFunction(p)))
-        assert float((spec.coefficients**2).sum()) == pytest.approx(1.0, abs=1e-9)
+        f = SignFunction(p)
+        assert float((fourier(f) ** 2).sum()) == pytest.approx(1.0, abs=1e-9)
+        assert float(f.level_weights.sum()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fourier_recovers_polynomial_coefficients():
@@ -265,7 +275,7 @@ def test_as_two_paths_agree():
     for _, p in random_instances(24, 25):
         f = SignFunction(p)
         edge = average_sensitivity_exact(f)
-        weighted = average_sensitivity_fourier(truth_table(f))
+        weighted = average_sensitivity_fourier(f)
         assert edge == pytest.approx(weighted, abs=1e-9)
 
 
@@ -304,7 +314,7 @@ def test_ns_zero_and_monotone():
 def test_ns_matches_direct_subset_sum():
     for _, p in random_instances(26, 8, n_range=(1, 8)):
         f = SignFunction(p)
-        coeffs = fourier(truth_table(f)).coefficients
+        coeffs = fourier(f)
         sizes = [bin(s).count("1") for s in range(1 << p.n)]
         for delta in (0.001, 0.1, 0.37):
             rho = 1.0 - 2.0 * delta

@@ -230,6 +230,27 @@ def test_restrict_validates():
             p.restrict(assignment)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: p.restrict({True: -1}),
+        lambda p: p.restrict({0: True}),
+        lambda p: p.partial_derivative(True),
+        lambda p: p.partial_derivative(False),
+        lambda p: p.influence(True),
+        lambda p: p.squared_gradient_norm(np.ones((2, 3)), [True]),
+        lambda p: MultilinearPolynomial.from_vars(p.n, {(True,): 1.0}),
+    ],
+    ids=[
+        "restrict_index", "restrict_value", "partial_true", "partial_false", "influence",
+        "gradient", "from_vars",
+    ],
+)
+def test_bool_coordinates_and_values_are_refused(call):
+    with pytest.raises(InputError):
+        call(MultilinearPolynomial.coordinate_sum(3))
+
+
 def test_restrict_is_the_correctly_rounded_exact_sum():
     gen = np.random.default_rng(2024)
     for _, p in random_instances(103, 120, n_range=(2, 12), terms_range=(2, 14)):
@@ -534,6 +555,10 @@ def test_enumeration_budget_boundary():
             lambda: block_sensitivity_identity_check(
                 SignFunction(MultilinearPolynomial.coordinate_sum(25)), block_partition(25, 3)
             ),
+            1 << 25,
+        ),
+        (
+            lambda: SignFunction.from_values(MultilinearPolynomial.coordinate_sum(25), np.ones(1)),
             1 << 25,
         ),
     ],

@@ -27,7 +27,15 @@ from ptflab import (
     weak_anticoncentration_exact,
 )
 
-from ptflab import RegularityConfig, block_alpha_sum, block_partition, randomized, recursion_trace
+from ptflab import (
+    RegularityConfig,
+    block_alpha_sum,
+    block_partition,
+    build_regularity_tree,
+    classify_leaf,
+    randomized,
+    recursion_trace,
+)
 from ptflab.decompose import BlockPartition
 from ptflab.polynomial import KERNEL_ROWS
 from ptflab.randomized import _BATCH_ELEMENTS, _batch_rows, _draw, _gaussian_form
@@ -646,6 +654,40 @@ def test_gaussian_form_keeps_the_value_and_the_squared_gradient_norm():
 )
 def test_gaussian_form_leaves_classes_of_fewer_than_two_unchanged(p):
     assert _gaussian_form(p) is p
+
+
+# |p|_2 overflows although every coefficient is finite; at unit scale x0 + x1
+# has weak anticoncentration 0.5 and is not regular at tau = 0.1
+HUGE = poly(2, {(0,): 1e200, (1,): 1e200})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: weak_anticoncentration_exact(HUGE),
+        lambda: weak_anticoncentration_estimate(HUGE, BERNOULLI, 1_000, Rng(1)),
+        lambda: carbery_wright_estimate(HUGE, 0.1, 1_000, Rng(1)),
+        lambda: tail_curve(HUGE, GAUSSIAN, [1.0], 1_000, Rng(1)),
+        lambda: hypercontractivity_check(HUGE, 4),
+        lambda: classify_leaf(HUGE, 0.1, 0.05),
+        lambda: build_regularity_tree(HUGE, RegularityConfig(tau=0.1, eps=0.05, delta=0.05)),
+        lambda: estimate_alpha(HUGE, 1_000, Rng(1)),
+        lambda: estimate_beta(HUGE, 1_000, Rng(1)),
+        lambda: strong_anticoncentration_estimate(HUGE, 0.1, 1_000, Rng(1)),
+        lambda: block_alpha_sum(HUGE, block_partition(2, 2), 1_000, Rng(1)),
+        lambda: MultilinearPolynomial(3, {0: 1e308, 1: 1e308, 2: 1e308, 4: 1e308}).restrict(
+            {0: 1, 1: 1, 2: 1}
+        ),
+    ],
+    ids=[
+        "weak_exact", "weak_estimate", "carbery_wright", "tail_curve", "hypercontractivity",
+        "classify_leaf", "regularity_tree", "alpha", "beta", "strong", "block_alpha_sum",
+        "restrict_fsum",
+    ],
+)
+def test_overflowing_coefficient_squares_are_refused(call):
+    with pytest.raises(InputError, match="overflow"):
+        call()
 
 
 def test_gaussian_form_does_not_overflow_on_huge_coefficients():
