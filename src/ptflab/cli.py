@@ -52,15 +52,15 @@ from .hypercube import (
 from .polynomial import ENUMERATION_BUDGET, MultilinearPolynomial, check_enumeration, finite_moments
 from .randomized import (
     Rng,
-    _hypercontractivity,
-    _weak_anticoncentration,
     abs_comparison_gap,
     carbery_wright_estimate,
     estimate_alpha,
     exact_alpha,
+    hypercontractivity_check,
     invariance_gap,
     random_polynomial,
     strong_anticoncentration_estimate,
+    weak_anticoncentration_exact,
 )
 
 EXIT_HARD_FAIL = 1
@@ -443,7 +443,7 @@ def _suite_invariants(
                 l2_enum,
             )
         )
-        f = SignFunction.from_values(p, values)
+        f = SignFunction(p)
         parseval = float((fourier(f) ** 2).sum())
         rows.append(
             _row("parseval", f"instance={k}", "identity", abs(parseval - 1.0) <= 1e-9, parseval, 1.0)
@@ -478,8 +478,7 @@ def _suite_anticoncentration(
 ) -> list[SuiteRow]:
     rows = []
     for k, p in sweep_instances(rng.child(0), 60, d_max=4):
-        values = evaluate_on_hypercube(p)  # one enumeration serves both identities
-        prob = _weak_anticoncentration(values, p.moments().l2_norm)
+        prob = weak_anticoncentration_exact(p)
         floor = 9.0 ** (-max(1, p.degree)) / 2.0
         rows.append(
             _row(
@@ -492,7 +491,7 @@ def _suite_anticoncentration(
                 f"d={p.degree}",
             )
         )
-        check = _hypercontractivity(p, values, 4)
+        check = hypercontractivity_check(p, 4)
         rows.append(
             _row(
                 "hypercontractivity_t4",

@@ -10,7 +10,9 @@ of its coefficient vector, and the transform of a truth table divided by
 Every function here enumerates the cube within the element budget
 :data:`ptflab.polynomial.ENUMERATION_BUDGET`.  A :class:`SignFunction` is
 the one exact view of f = sgn p: its +-1 table, spectrum and level weights,
-each built once and cached read-only; every exact quantity of f reads them.
+each built once from p alone and cached read-only; every exact quantity of
+f reads them.  A quantity of p's own cube values (a moment, a share of
+large values) takes the polynomial and enumerates it itself.
 
 Both 2^n-point transforms, evaluation and spectrum, are one :func:`fwht`:
 a pass of 32 x 32 Hadamard matrix products per 5-bit digit of the index,
@@ -48,22 +50,11 @@ class SignFunction:
     def n(self) -> int:
         return self.source.n
 
-    @classmethod
-    def from_values(cls, source: MultilinearPolynomial, values: np.ndarray) -> "SignFunction":
-        """The sign function of ``source``, its table built from ``values``,
-        the :func:`evaluate_on_hypercube` array a caller already holds."""
-        check_enumeration(f"the truth table of n={source.n}", 1 << source.n)
-        if np.shape(values) != (1 << source.n,):
-            raise InputError(f"values for n={source.n} must have length {1 << source.n}")
-        signs = np.where(values >= 0.0, np.int8(1), np.int8(-1))
-        signs.flags.writeable = False
-        f = cls(source)
-        f.__dict__["_table"] = signs
-        return f
-
     @cached_property
     def _table(self) -> np.ndarray:
-        return SignFunction.from_values(self.source, evaluate_on_hypercube(self.source))._table
+        signs = np.where(evaluate_on_hypercube(self.source) >= 0.0, np.int8(1), np.int8(-1))
+        signs.flags.writeable = False
+        return signs
 
     @cached_property
     def _spectrum(self) -> np.ndarray:

@@ -280,7 +280,12 @@ class MultilinearPolynomial:
 
     @cached_property
     def partials(self) -> tuple["MultilinearPolynomial", ...]:
-        """The n partial derivatives, built once with :meth:`partial_derivative`."""
+        """The n partial derivatives, built once with :meth:`partial_derivative`.
+
+        Refused with ``InputError`` when the coefficient squares of p overflow
+        (:func:`finite_moments`), so no squared partial coefficient does.
+        """
+        finite_moments(self)
         return tuple(self.partial_derivative(i) for i in range(self.n))
 
     def squared_gradient_norm(
@@ -340,10 +345,9 @@ class MultilinearPolynomial:
         for mask, coeff in self.terms.items():
             addend = -coeff if (mask & negated).bit_count() & 1 else coeff
             groups.setdefault(mask & ~fixed, []).append(addend)
-        # one IEEE addition rounds a pair correctly; fsum rounds any group once
         try:
-            terms = {k: a[0] + a[1] if len(a) == 2 else math.fsum(a) for k, a in groups.items()}
-        except OverflowError:  # from fsum; an overflowing pair gives inf, refused below
+            terms = {k: math.fsum(a) for k, a in groups.items()}
+        except OverflowError:  # fsum's, for a sum beyond the float range
             raise InputError("a restricted coefficient is not finite: its sum overflows") from None
         return MultilinearPolynomial(self.n, terms)
 

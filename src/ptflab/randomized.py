@@ -6,9 +6,7 @@ threads and nothing else.  Every estimator first compresses the
 polynomial onto its k support variables
 (:meth:`MultilinearPolynomial.compress_support`, exact for every
 distributional quantity since the other coordinates occur in no term) and
-draws only those k coordinates, coordinate-major: a C-order ``(k, m)``
-array whose ``.T`` view goes to ``eval_many``, so each column the
-evaluation kernel reads is contiguous.
+draws only those k coordinates.
 
 Gaussian draws of one polynomial run on its Gaussian form
 (:func:`_gaussian_form`).  A coordinate that occurs only in its degree-1
@@ -23,29 +21,29 @@ every coordinate.  A +-1 draw of ``rows * cols`` values takes
 ``ceil(rows * cols / 8)`` random bytes and unpacks their bits in C order,
 bit 1 to +1 and bit 0 to -1.
 
-Gaussian statistics of a directional derivative (strong
-anticoncentration, beta) draw no direction.  Given X, D_Y p(X) =
-Y . grad p(X) for an independent standard Gaussian Y is exactly
-N(0, |grad p(X)|^2), so (X, D_Y p(X)) has the law of
-(X, |grad p(X)| Z) with one scalar Z ~ N(0, 1): such a batch draws one
-C-order ``(k+1, m)`` block, rows ``0..k-1`` the point and row ``k`` the
-Z, and takes |grad p(X)|^2 from the cached partial derivatives
-(:meth:`MultilinearPolynomial.squared_gradient_norm`).  The +-1
-statistics draw a point and a direction and run the fused
-value-and-derivative pass; the per-block ratios of b disjoint blocks
-(:func:`_block_ratios`) share that one draw and run one fused pass per
-block, with the direction zeroed off the block.
+Every estimator draws through one sampler, :func:`_sample`, and passes
+it an integrand of the points, p(X) and, for a derivative statistic,
+D_Y p(X).  A point is a C-order ``(k, m)`` array whose ``.T`` view goes to
+``eval_many``, so each column the kernel reads is contiguous.  Under +-1
+inputs a direction is drawn after the point, for one fused
+value-and-derivative pass.  Under Gaussian inputs no direction is drawn:
+given X, D_Y p(X) = Y . grad p(X) is exactly N(0, |grad p(X)|^2), the law
+of |grad p(X)| Z for one scalar Z ~ N(0, 1).  So one C-order ``(k+1, m)``
+block holds the point in rows ``0..k-1`` and Z in row ``k``, and
+|grad p(X)|^2 comes from the cached partial derivatives
+(:meth:`MultilinearPolynomial.squared_gradient_norm`).  The per-block
+ratios of b disjoint blocks (:func:`_block_ratios`) keep their own
+layout: one +-1 point and direction and one fused pass per block, with
+the direction zeroed off the block.
 
 The memory batch is the one unit of the draws: it holds at most 2^18
 float64 elements, 2 MiB, about one core's L2 cache (``r = 2^18 // w``
-rows when one row materialises ``w`` elements: k drawn for a point, k + 1
-for a Gaussian point and its Z, 2k for a point and a direction, plus the
-kernel's ``KERNEL_ROWS``, or the output column count if that is larger;
-for Gaussian points k is the width of the Gaussian form; the block ratios
-take 3k + ``KERNEL_ROWS`` + b + 1: point, direction, masked direction,
-kernel rows, and the b block columns with their sum), so memory does not
-grow with n or the sample count.  Batch ``c`` covers
-rows ``[c*r, (c+1)*r)`` and draws from numpy's PCG64 seeded through
+rows when one row materialises ``w`` elements, :func:`_width`: the k, 2k
+or k + 1 values its layout draws plus the kernel's ``KERNEL_ROWS``, or
+twice the output column count if that is larger, since an estimate holds
+each output and its square; the block ratios take 3k + ``KERNEL_ROWS`` +
+b + 1), so memory does not grow with n or the sample count.  Batch ``c``
+covers rows ``[c*r, (c+1)*r)`` and draws from numpy's PCG64 seeded through
 ``SeedSequence(seed, spawn_key=(stream, c))``; batch results are merged in
 batch order, and the batches run on ``min(workers, batches,
 os.cpu_count())`` threads.  Seeded values depend on that batch rule and
@@ -66,6 +64,7 @@ read none of them and accept it.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -259,28 +258,17 @@ def _gaussian_form(p: MultilinearPolynomial) -> MultilinearPolynomial:
     return MultilinearPolynomial(p.n, terms).compress_support()[0]
 
 
-def _gaussian_derivative(
-    gen: np.random.Generator, p: MultilinearPolynomial, m: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(points, p(X), D_Y p(X))`` for ``m`` Gaussian rows.
+def _sampled_form(p: MultilinearPolynomial, dist: str) -> MultilinearPolynomial:
+    """The polynomial whose support a ``dist`` draw of p's values runs on.
 
-    Draws one C-order ``(k+1, m)`` block: rows ``0..k-1`` are the point X
-    (returned coordinate-major) and row ``k`` is Z ~ N(0, 1).  Given X,
-    D_Y p(X) = Y . grad p(X) is exactly N(0, |grad p(X)|^2), so
-    |grad p(X)| Z has the same joint law with X and no direction is drawn.
+    The support compression of ``p``, with its linear-only coordinates
+    merged (:func:`_gaussian_form`) under Gaussian inputs.  An unknown
+    ``dist`` is refused.
     """
-    k = p.n
-    draws = _draw(gen, GAUSSIAN, k + 1, m)
-    points = draws[:k]
-    deriv = np.sqrt(p.squared_gradient_norm(points.T))
-    deriv *= draws[k]
-    return points, p.eval_many(points.T), deriv
-
-
-def _check_dist(dist: str) -> str:
     if dist not in _DISTRIBUTIONS:
         raise InputError(f"distribution must be one of {_DISTRIBUTIONS}, got {dist!r}")
-    return dist
+    compressed = p.compress_support()[0]
+    return _gaussian_form(compressed) if dist == GAUSSIAN else compressed
 
 
 def _check_eps(eps: float) -> None:
@@ -288,14 +276,63 @@ def _check_eps(eps: float) -> None:
         raise InputError(f"eps must be positive and finite, got {eps}")
 
 
-def _sampled_form(p: MultilinearPolynomial, dist: str) -> MultilinearPolynomial:
-    """The polynomial whose support a ``dist`` draw of p's values runs on.
+def _width(k: int, dist: str, derivative: bool, columns: int = 1) -> int:
+    """float64 elements one row of a :func:`_sample` batch materialises.
 
-    The support compression of ``p``, with its linear-only coordinates
-    merged (:func:`_gaussian_form`) under Gaussian inputs.
+    The values its layout draws for ``k`` coordinates plus the kernel's
+    ``KERNEL_ROWS``, or twice the ``columns`` outputs if that is larger:
+    :func:`_estimate` holds each output column and its square.
     """
-    compressed = p.compress_support()[0]
-    return _gaussian_form(compressed) if dist == GAUSSIAN else compressed
+    if derivative:
+        k = k + 1 if dist == GAUSSIAN else 2 * k
+    return max(k + KERNEL_ROWS, 2 * columns)
+
+
+def _sample(
+    gen: np.random.Generator, form: MultilinearPolynomial, dist: str, m: int, derivative: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``(points, p(X), D_Y p(X) or None)`` for ``m`` ``dist`` rows of ``form``.
+
+    ``points`` is the coordinate-major ``(k, m)`` draw.  With
+    ``derivative`` a +-1 batch draws its directions after its points, for
+    one fused pass, and a Gaussian batch draws one ``(k+1, m)`` block whose
+    last row Z gives D_Y p(X) = |grad p(X)| Z.
+    """
+    k = form.n
+    if derivative and dist == GAUSSIAN:
+        draws = _draw(gen, GAUSSIAN, k + 1, m)
+        points = draws[:k]
+        deriv = np.sqrt(form.squared_gradient_norm(points.T))
+        deriv *= draws[k]
+        return points, form.eval_many(points.T), deriv
+    points = _draw(gen, dist, k, m)
+    if derivative:
+        return points, *form.eval_many(points.T, _draw(gen, dist, k, m).T)
+    return points, form.eval_many(points.T), None
+
+
+def _run_sampler(
+    driver: Callable[..., T],
+    integrand: Callable[[np.ndarray, np.ndarray, np.ndarray | None], np.ndarray],
+    form: MultilinearPolynomial,
+    dist: str,
+    samples: int,
+    rng: Rng,
+    workers: int,
+    *,
+    derivative: bool = False,
+    columns: int = 1,
+) -> T:
+    """:func:`_batches` or :func:`_estimate` (``driver``) of ``integrand(*_sample(...))``.
+
+    The batch width comes from the layout and the ``columns`` the integrand
+    returns (:func:`_width`).
+    """
+
+    def batch(gen: np.random.Generator, m: int) -> np.ndarray:
+        return integrand(*_sample(gen, form, dist, m, derivative))
+
+    return driver(batch, samples, rng, workers, _width(form.n, dist, derivative, columns))
 
 
 # ---------------------------------------------------------------------------
@@ -330,28 +367,14 @@ def ratio_estimate(
 ) -> EstimatorResult:
     """Expected clamped squared derivative-to-value ratio under ``dist`` inputs.
 
-    Each draw uses an independent point A and direction B from ``dist``.
-    Under +-1 inputs each row draws A and B (``2k`` values) for one fused
-    value-and-derivative pass.  Under Gaussian inputs each row draws the
-    point of the Gaussian form (:func:`_gaussian_form`) and one N(0, 1)
-    scalar Z (``k' + 1`` values) and takes D_B p(A) = |grad p(A)| Z, which
-    has the same joint law with A (see :func:`_gaussian_derivative`).
+    Each draw uses an independent point A and direction B from ``dist``;
+    under Gaussian inputs D_B p(A) is drawn as |grad p(A)| Z, which has the
+    same joint law with A (see :func:`_sample`).
     """
-    _check_dist(dist)
     finite_moments(p)  # the squared gradient of a zero denominator must not overflow
     form = _sampled_form(p, dist)
-    k = form.n
-
-    def batch(gen: np.random.Generator, m: int) -> np.ndarray:
-        if dist == GAUSSIAN:
-            points, values, deriv = _gaussian_derivative(gen, form, m)
-        else:
-            points = _draw(gen, dist, k, m)
-            values, deriv = form.eval_many(points.T, _draw(gen, dist, k, m).T)
-        return _clamped_ratio(form, None, points, values, deriv)
-
-    drawn = k + 1 if dist == GAUSSIAN else 2 * k
-    return _estimate(batch, samples, rng, workers, width=drawn + KERNEL_ROWS)[0]
+    ratio = functools.partial(_clamped_ratio, form, None)
+    return _run_sampler(_estimate, ratio, form, dist, samples, rng, workers, derivative=True)[0]
 
 
 def _block_ratios(
@@ -483,20 +506,14 @@ def tail_curve(
     workers: int = 1,
 ) -> TailCurve:
     """Estimate Pr(|p| > N |p|_2) on a grid of thresholds N."""
-    _check_dist(dist)
     l2 = _require_nonzero(p)
     levels = sorted(float(t) for t in thresholds)
     if not levels or not all(0.0 < t < math.inf for t in levels):
         raise InputError(f"thresholds must be positive and finite, got {levels}")
     cuts = np.array(levels) * l2
-    compressed = _sampled_form(p, dist)
-    k = compressed.n
-
-    def batch(gen: np.random.Generator, m: int) -> np.ndarray:
-        magnitudes = np.abs(compressed.eval_many(_draw(gen, dist, k, m).T))
-        return (magnitudes[:, None] > cuts[None, :]).astype(np.float64)
-
-    results = _estimate(batch, samples, rng, workers, width=max(k + KERNEL_ROWS, len(levels)))
+    above = lambda points, values, deriv: np.abs(values)[:, None] > cuts[None, :]
+    form = _sampled_form(p, dist)
+    results = _run_sampler(_estimate, above, form, dist, samples, rng, workers, columns=cuts.size)
     d_eff = max(1, p.degree)
     envelope = tuple(2.0 ** (-((t / 2.0) ** (2.0 / d_eff))) for t in levels)
     return TailCurve(
@@ -513,12 +530,7 @@ def tail_curve(
 def weak_anticoncentration_exact(p: MultilinearPolynomial) -> float:
     """Pr(|p(A)| >= |p|_2 / 2) by full enumeration (Paley-Zygmund check)."""
     l2 = _require_nonzero(p)
-    return _weak_anticoncentration(evaluate_on_hypercube(p), l2)
-
-
-def _weak_anticoncentration(values: np.ndarray, l2: float) -> float:
-    """The share of cube ``values`` with absolute value at least ``l2 / 2``."""
-    return float(np.mean(np.abs(values) >= l2 / 2.0))
+    return float(np.mean(np.abs(evaluate_on_hypercube(p)) >= l2 / 2.0))
 
 
 def weak_anticoncentration_estimate(
@@ -529,16 +541,9 @@ def weak_anticoncentration_estimate(
     *,
     workers: int = 1,
 ) -> EstimatorResult:
-    _check_dist(dist)
     l2 = _require_nonzero(p)
-    compressed = _sampled_form(p, dist)
-    k = compressed.n
-
-    def batch(gen: np.random.Generator, m: int) -> np.ndarray:
-        values = compressed.eval_many(_draw(gen, dist, k, m).T)
-        return (np.abs(values) >= l2 / 2.0).astype(np.float64)
-
-    return _estimate(batch, samples, rng, workers, width=k + KERNEL_ROWS)[0]
+    large = lambda points, values, deriv: np.abs(values) >= l2 / 2.0
+    return _run_sampler(_estimate, large, _sampled_form(p, dist), dist, samples, rng, workers)[0]
 
 
 def carbery_wright_estimate(
@@ -552,14 +557,9 @@ def carbery_wright_estimate(
     """Estimate Pr(|p(X)| <= eps |p|_2) under Gaussian input."""
     _check_eps(eps)
     l2 = _require_nonzero(p)
-    compressed = _sampled_form(p, GAUSSIAN)
-    k = compressed.n
-
-    def batch(gen: np.random.Generator, m: int) -> np.ndarray:
-        values = compressed.eval_many(_draw(gen, GAUSSIAN, k, m).T)
-        return (np.abs(values) <= eps * l2).astype(np.float64)
-
-    return _estimate(batch, samples, rng, workers, width=k + KERNEL_ROWS)[0]
+    small = lambda points, values, deriv: np.abs(values) <= eps * l2
+    form = _sampled_form(p, GAUSSIAN)
+    return _run_sampler(_estimate, small, form, GAUSSIAN, samples, rng, workers)[0]
 
 
 def strong_anticoncentration_estimate(
@@ -574,20 +574,15 @@ def strong_anticoncentration_estimate(
 
     Each row draws X and one N(0, 1) scalar Z and takes D_Y p(X) =
     |grad p(X)| Z, which has the same joint law with X, so no direction
-    vector is drawn (see :func:`_gaussian_derivative`).
+    vector is drawn (see :func:`_sample`).
     """
     _check_eps(eps)
     if p.degree < 1:
         raise InputError("degenerate for constant polynomials: the event has probability 0")
     finite_moments(p)
-    compressed = _sampled_form(p, GAUSSIAN)
-    k = compressed.n
-
-    def batch(gen: np.random.Generator, m: int) -> np.ndarray:
-        _, values, deriv = _gaussian_derivative(gen, compressed, m)
-        return (np.abs(values) <= eps * np.abs(deriv)).astype(np.float64)
-
-    return _estimate(batch, samples, rng, workers, width=k + 1 + KERNEL_ROWS)[0]
+    small = lambda points, values, deriv: np.abs(values) <= eps * np.abs(deriv)
+    form = _sampled_form(p, GAUSSIAN)
+    return _run_sampler(_estimate, small, form, GAUSSIAN, samples, rng, workers, derivative=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -642,12 +637,8 @@ def invariance_gap(
 
     def values(dist: str, stream: Rng) -> np.ndarray:
         form = _sampled_form(p, dist)
-        k = form.n
-
-        def batch(gen: np.random.Generator, m: int) -> np.ndarray:
-            return form.eval_many(_draw(gen, dist, k, m).T)
-
-        return np.concatenate(_batches(batch, samples, stream, workers, width=k + KERNEL_ROWS))
+        value = lambda points, values, deriv: values
+        return np.concatenate(_run_sampler(_batches, value, form, dist, samples, stream, workers))
 
     gaussian = values(GAUSSIAN, rng.child(0))
     bernoulli = values(BERNOULLI, rng.child(1))
@@ -686,14 +677,10 @@ def abs_comparison_gap(
         raise InputError(f"dimension mismatch: n={p.n} vs n={q.n}")
     support = tuple(sorted(set(p.support) | set(q.support)))
     pc, qc = p.compress_support(support)[0], q.compress_support(support)[0]
-    k = len(support)
 
     def share(dist: str, stream: Rng) -> EstimatorResult:
-        def batch(gen: np.random.Generator, m: int) -> np.ndarray:
-            pts = _draw(gen, dist, k, m).T
-            return (np.abs(pc.eval_many(pts)) <= np.abs(qc.eval_many(pts))).astype(np.float64)
-
-        return _estimate(batch, samples, stream, workers, width=k + KERNEL_ROWS)[0]
+        below = lambda points, values, deriv: np.abs(values) <= np.abs(qc.eval_many(points.T))
+        return _run_sampler(_estimate, below, pc, dist, samples, stream, workers)[0]
 
     bern, gauss = share(BERNOULLI, rng.child(0)), share(GAUSSIAN, rng.child(1))
     return EstimatorResult(
@@ -728,16 +715,9 @@ def hypercontractivity_check(p: MultilinearPolynomial, t: int) -> Hypercontracti
     """
     if not isinstance(t, int) or t % 2 != 0 or t < 2:
         raise InputError(f"the exact path needs an even moment order >= 2, got {t!r}")
-    return _hypercontractivity(p, evaluate_on_hypercube(p), t)
-
-
-def _hypercontractivity(
-    p: MultilinearPolynomial, values: np.ndarray, t: int
-) -> HypercontractivityCheck:
-    """:func:`hypercontractivity_check` from the cube ``values`` of ``p``."""
     norm = finite_moments(p).l2_norm
     scale = norm or 1.0  # the zero polynomial has zero values
-    ratio = float(np.mean(np.abs(values / scale) ** t) ** (1.0 / t))
+    ratio = float(np.mean(np.abs(evaluate_on_hypercube(p) / scale) ** t) ** (1.0 / t))
     factor = math.sqrt(t - 1.0) ** p.degree
     return HypercontractivityCheck(
         t=t, lhs=ratio * scale, rhs=factor * norm, holds=ratio <= factor + 1e-9, degree=p.degree
@@ -753,8 +733,7 @@ def random_polynomial(
 ) -> MultilinearPolynomial:
     """Random multilinear polynomial: distinct uniform subsets of size <= degree,
     standard normal coefficients, deterministic per (seed, stream)."""
-    if n < 0:
-        raise InputError(f"dimension must be non-negative, got {n}")
+    MultilinearPolynomial.zero(n)  # the constructor's checks of n, before any draw
     if degree < 0 or degree > n:
         raise InputError(f"need 0 <= degree <= n, got degree={degree}")
     if terms < 0:

@@ -235,6 +235,15 @@ def test_random_unsatisfiable_sparsity_exits_3(runner):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("command", ["analyze", "random"])
+def test_generated_instance_over_the_variable_limit_exits_2(runner, command):
+    # n is refused before any draw: mask_from_indices would build a 2^(10^12)-bit integer
+    args = [command, "--n", "1000000000000", "--d", "1", "--terms", "2", "--seed", "1"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "at most 4096 variables" in result.output
+
+
 # ---------------------------------------------------------------------------
 # suite
 

@@ -188,21 +188,6 @@ def test_truth_table_and_spectrum_built_once_read_only():
         assert not array.flags.writeable
 
 
-def test_sign_function_from_values_reuses_the_caller_array():
-    for _, p in random_instances(119, 10, n_range=(1, 8)):
-        values = evaluate_on_hypercube(p)
-        f = SignFunction.from_values(p, values)
-        assert f == SignFunction(p)
-        np.testing.assert_array_equal(truth_table(f), truth_table(SignFunction(p)))
-        assert not truth_table(f).flags.writeable
-
-
-@pytest.mark.parametrize("shape", [(0,), (4,), (9,), (16,), (2, 4)])
-def test_sign_function_from_values_rejects_a_wrong_length(shape):
-    with pytest.raises(InputError):
-        SignFunction.from_values(MultilinearPolynomial.coordinate_sum(3), np.ones(shape))
-
-
 def test_level_weights_match_direct_sum_across_blocks():
     # n = 16 fills one 2^16 block of the level-weight accumulation, n = 18 spans four
     for n, terms in ((0, 1), (3, 4), (16, 30), (18, 30)):

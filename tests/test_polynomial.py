@@ -194,6 +194,13 @@ def test_squared_gradient_norm_edge_cases():
         linear.squared_gradient_norm(rows[:, :2])
 
 
+@pytest.mark.parametrize("mask", [0b01, 0b11], ids=["constant_partial", "linear_partial"])
+def test_squared_gradient_norm_refuses_overflowing_coefficient_squares(mask):
+    # (1e200)^2 overflows in the folded constant or in the evaluated partial
+    with pytest.raises(InputError, match="overflow"):
+        MultilinearPolynomial(2, {mask: 1e200}).squared_gradient_norm(np.ones((1, 2)))
+
+
 def test_eval_many_validates_shapes():
     p = poly(3, {(0, 2): 1.0})
     with pytest.raises(InputError):
@@ -555,10 +562,6 @@ def test_enumeration_budget_boundary():
             lambda: block_sensitivity_identity_check(
                 SignFunction(MultilinearPolynomial.coordinate_sum(25)), block_partition(25, 3)
             ),
-            1 << 25,
-        ),
-        (
-            lambda: SignFunction.from_values(MultilinearPolynomial.coordinate_sum(25), np.ones(1)),
             1 << 25,
         ),
     ],

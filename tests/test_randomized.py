@@ -38,7 +38,7 @@ from ptflab import (
 )
 from ptflab.decompose import BlockPartition
 from ptflab.polynomial import KERNEL_ROWS
-from ptflab.randomized import _BATCH_ELEMENTS, _batch_rows, _draw, _gaussian_form
+from ptflab.randomized import _BATCH_ELEMENTS, _batch_rows, _draw, _gaussian_form, _width
 
 from conftest import brute_alpha, poly, random_instances
 
@@ -197,7 +197,7 @@ def test_thread_pool_is_capped_at_cpu_count(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(randomized, "ThreadPoolExecutor", RecordingPool)
-    samples = 3 * _batch_rows(2 * WIDE.n + KERNEL_ROWS) + 1  # four batches
+    samples = 3 * _batch_rows(_width(WIDE.n, BERNOULLI, True)) + 1  # four batches
     monkeypatch.setattr(randomized.os, "cpu_count", lambda: 4)
     pooled = estimate_alpha(WIDE, samples, Rng(6, 3), workers=64)
     assert sizes == [4]
@@ -213,10 +213,10 @@ def test_thread_pool_is_capped_at_cpu_count(monkeypatch):
 # coordinates are one.  The block pass holds more per row (a point, a direction, the
 # masked direction and b + 1 outputs), so _SPAN2 rows span more than three of its batches.
 _MERGED = _gaussian_form(WIDE).n
-_SPAN = 2 * _batch_rows(WIDE.n + KERNEL_ROWS) + 1
-_SPAN2 = 2 * _batch_rows(2 * WIDE.n + KERNEL_ROWS) + 1
-_SPAN_G = 2 * _batch_rows(_MERGED + KERNEL_ROWS) + 1
-_SPAN_Z = 2 * _batch_rows(_MERGED + 1 + KERNEL_ROWS) + 1
+_SPAN = 2 * _batch_rows(_width(WIDE.n, BERNOULLI, False)) + 1
+_SPAN2 = 2 * _batch_rows(_width(WIDE.n, BERNOULLI, True)) + 1
+_SPAN_G = 2 * _batch_rows(_width(_MERGED, GAUSSIAN, False)) + 1
+_SPAN_Z = 2 * _batch_rows(_width(_MERGED, GAUSSIAN, True)) + 1
 
 _ENTRY_POINTS = {
     "alpha": lambda w: estimate_alpha(WIDE, _SPAN2, Rng(12, 1), workers=w),
@@ -273,14 +273,31 @@ def _block_alpha_terms(p, m):
     return [*report.per_block, report.alpha_hat]
 
 
+def _tail_curve_terms(p, m):
+    # 4096 output columns: each batch holds the float64 outputs and their squares
+    curve = tail_curve(p, GAUSSIAN, np.linspace(0.01, 3.0, 4096), m, Rng(8, 8))
+    return [
+        EstimatorResult(estimate, error, curve.samples, curve.seed, curve.stream)
+        for estimate, error in zip(curve.probabilities, curve.std_errors)
+    ]
+
+
 @pytest.mark.parametrize(
     "p, estimate",
     [
         (_SPARSE_1024, lambda p, m: [estimate_beta(p, m, Rng(8, 1))]),
         (_SPARSE_1024, lambda p, m: [strong_anticoncentration_estimate(p, 0.1, m, Rng(8, 2))]),
         (_DENSE_1024, _block_alpha_terms),
+        (_DENSE_1024, lambda p, m: [estimate_alpha(p, m, Rng(8, 4))]),
+        (_DENSE_1024, lambda p, m: [weak_anticoncentration_estimate(p, BERNOULLI, m, Rng(8, 5))]),
+        (_DENSE_1024, lambda p, m: [carbery_wright_estimate(p, 0.1, m, Rng(8, 6))]),
+        (_DENSE_1024, lambda p, m: [abs_comparison_gap(p, _SPARSE_1024, m, Rng(8, 7))]),
+        (_SPARSE_1024, _tail_curve_terms),
     ],
-    ids=["beta", "strong", "block_alpha_sum"],
+    ids=[
+        "beta", "strong", "block_alpha_sum", "alpha", "weak_anticoncentration", "carbery_wright",
+        "abs_comparison_gap", "tail_curve_4096_thresholds",
+    ],
 )
 def test_estimator_memory_is_bounded_by_the_batch_budget(p, estimate):
     import tracemalloc
@@ -678,11 +695,12 @@ HUGE = poly(2, {(0,): 1e200, (1,): 1e200})
         lambda: MultilinearPolynomial(3, {0: 1e308, 1: 1e308, 2: 1e308, 4: 1e308}).restrict(
             {0: 1, 1: 1, 2: 1}
         ),
+        lambda: MultilinearPolynomial(1, {0: 1e308, 1: 1e308}).restrict({0: 1}),
     ],
     ids=[
         "weak_exact", "weak_estimate", "carbery_wright", "tail_curve", "hypercontractivity",
         "classify_leaf", "regularity_tree", "alpha", "beta", "strong", "block_alpha_sum",
-        "restrict_fsum",
+        "restrict_fsum", "restrict_pair",
     ],
 )
 def test_overflowing_coefficient_squares_are_refused(call):
