@@ -49,7 +49,7 @@ from .hypercube import (
     theorem_bound,
     theorem_log_bound,
 )
-from .polynomial import ENUMERATION_BUDGET, MultilinearPolynomial, check_enumeration, finite_moments
+from .polynomial import ENUMERATION_BUDGET, MultilinearPolynomial, check_enumeration
 from .randomized import (
     Rng,
     abs_comparison_gap,
@@ -218,18 +218,15 @@ def _rows_to_csv(rows: list[SuiteRow]) -> str:
     return buffer.getvalue()
 
 
-def sweep_instances(rng: Rng, count: int, n_range=(2, 10), d_max=3, terms_range=(2, 12)):
-    """Deterministic stream of random nonconstant polynomial instances."""
+def sweep_instances(rng: Rng, count: int, n_range=(2, 10), d_max=3):
+    """Deterministic stream of random nonconstant polynomial instances of 2 to 12 terms."""
     for k in range(count):
         inst = rng.child(k)
         gen = inst.generator()
         n = int(gen.integers(n_range[0], n_range[1] + 1))
         d = int(gen.integers(1, min(d_max, n) + 1))
         total = sum(math.comb(n, j) for j in range(d + 1))
-        lo = min(terms_range[0], total)
-        hi = min(terms_range[1], total)
-        t = int(gen.integers(lo, hi + 1))
-        t = max(t, min(2, total))
+        t = int(gen.integers(min(2, total), min(12, total) + 1))
         yield k, random_polynomial(n, d, t, inst.child(1))
 
 
@@ -246,7 +243,7 @@ def _analyze_report(
     workers: int,
     source: str,
 ) -> dict:
-    mom = finite_moments(p)
+    mom = p.moments()
     with np.errstate(over="ignore"):  # an infinite influence sum is refused here, not warned about
         total_influence = p.total_influence()
     if not math.isfinite(total_influence):

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InputError
 from .hypercube import SignFunction, average_sensitivity_exact, evaluate_on_hypercube, truth_table
 from .hypercube import _table_average_sensitivity
-from .polynomial import MultilinearPolynomial, finite_moments, sign_pm1
+from .polynomial import MultilinearPolynomial, sign_pm1
 from .randomized import EstimatorResult, Rng, _block_ratios, estimate_alpha, exact_alpha
 
 _FORMULA_DOMAIN_CAP = 0.2499999999
@@ -193,7 +193,7 @@ def classify_leaf(p: MultilinearPolynomial, tau: float, eps: float) -> LeafClass
         raise InputError(f"tau must be positive and finite, got {tau}")
     if not 0 < eps < 1:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
-    mom = finite_moments(p)
+    mom = p.moments()
     if mom.variance > 0 and p.is_regular(tau):
         return LeafClass(LeafKind.REGULAR)
     sign = sign_pm1(mom.mean)

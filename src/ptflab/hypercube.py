@@ -14,10 +14,10 @@ each built once from p alone and cached read-only; every exact quantity of
 f reads them.  A quantity of p's own cube values (a moment, a share of
 large values) takes the polynomial and enumerates it itself.
 
-Both 2^n-point transforms, evaluation and spectrum, are one :func:`fwht`:
-a pass of 32 x 32 Hadamard matrix products per 5-bit digit of the index,
-in place through one scratch panel of the memory batch.  It is exact on
-+-1 tables, so spectra do not depend on its summation order.
+Both 2^n-point transforms, evaluation and spectrum, are one in-place kernel
+(:func:`fwht` runs it on a copy): a pass of 32 x 32 Hadamard matrix products
+per 5-bit digit of the index, through one scratch panel of the memory batch.
+It is exact on +-1 tables, so spectra do not depend on its summation order.
 """
 
 from __future__ import annotations
@@ -103,9 +103,8 @@ def fwht(values: np.ndarray) -> np.ndarray:
     one pass of dense matrix products: the digit is the middle axis of an
     ``(A, 2^r, 2^low)`` view and the pass is ``H @ view`` (``rows @ H``
     for the lowest digit); n = 22 takes 5 passes.  The passes run in place
-    on one float64 copy of the input, panel by panel through one scratch
-    panel of at most ``_BATCH_ELEMENTS`` values, so the input is left
-    untouched and the extra memory is one panel.
+    on one float64 copy of the input (:func:`_transform`), so the input is
+    left untouched.
 
     On integer-valued input whose absolute values sum below 2^53, such as
     a +-1 table, every partial sum is an integer that a float64 holds, so
@@ -113,7 +112,11 @@ def fwht(values: np.ndarray) -> np.ndarray:
     output is rounded like any sum of 2^n signed terms in which a term
     passes through at most sum_d (2^{r_d} - 1) additions.
     """
-    a = np.array(values, dtype=np.float64, copy=True)
+    return _transform(np.array(values, dtype=np.float64, copy=True))
+
+
+def _transform(a: np.ndarray) -> np.ndarray:
+    """:func:`fwht` of the float64 vector ``a``, in place through one scratch panel."""
     size = a.size
     if a.ndim != 1 or size & (size - 1):
         raise InputError(f"transform needs a vector of power-of-two length, got shape {a.shape}")
@@ -152,8 +155,8 @@ def all_points(n: int) -> np.ndarray:
 
 
 def evaluate_on_hypercube(p: MultilinearPolynomial) -> np.ndarray:
-    """p evaluated at every point, in mask order, via the transform."""
-    return fwht(p.dense_coefficients())
+    """p evaluated at every point, in mask order: its dense coefficients transformed in place."""
+    return _transform(p.dense_coefficients())
 
 
 def truth_table(f: SignFunction) -> np.ndarray:

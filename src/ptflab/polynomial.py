@@ -90,18 +90,6 @@ class Moments:
     l2_norm: float
 
 
-def finite_moments(p: "MultilinearPolynomial") -> Moments:
-    """The moments of ``p``, refused when its coefficient squares overflow.
-
-    The variance, every influence and every squared coefficient are at
-    most |p|_2^2, so a finite |p|_2 keeps each of them finite.
-    """
-    mom = p.moments()
-    if not math.isfinite(mom.l2_norm):
-        raise InputError("the coefficient squares overflow: |p|_2 is infinite")
-    return mom
-
-
 @dataclass(frozen=True)
 class MultilinearPolynomial:
     """Immutable sparse multilinear polynomial on ``n`` variables."""
@@ -283,9 +271,9 @@ class MultilinearPolynomial:
         """The n partial derivatives, built once with :meth:`partial_derivative`.
 
         Refused with ``InputError`` when the coefficient squares of p overflow
-        (:func:`finite_moments`), so no squared partial coefficient does.
+        (:meth:`moments`), so no squared partial coefficient does.
         """
-        finite_moments(self)
+        self.moments()
         return tuple(self.partial_derivative(i) for i in range(self.n))
 
     def squared_gradient_norm(
@@ -355,9 +343,16 @@ class MultilinearPolynomial:
     # moments, influences, regularity
 
     def moments(self) -> Moments:
+        """The :class:`Moments` of p, refused when its coefficient squares overflow.
+
+        A finite |p|_2 bounds the variance, every influence and every squared coefficient.
+        """
         mean = self.terms.get(0, 0.0)
         variance = sum(c * c for mask, c in self.terms.items() if mask != 0)
-        return Moments(mean=mean, variance=variance, l2_norm=math.sqrt(mean * mean + variance))
+        l2_norm = math.sqrt(mean * mean + variance)
+        if not math.isfinite(l2_norm):
+            raise InputError("the coefficient squares overflow: |p|_2 is infinite")
+        return Moments(mean=mean, variance=variance, l2_norm=l2_norm)
 
     def influence(self, i: int) -> float:
         """Squared L2 norm of the i-th partial derivative."""

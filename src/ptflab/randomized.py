@@ -6,20 +6,20 @@ threads and nothing else.  Every estimator first compresses the
 polynomial onto its k support variables
 (:meth:`MultilinearPolynomial.compress_support`, exact for every
 distributional quantity since the other coordinates occur in no term) and
-draws only those k coordinates.
+draws only those k coordinates.  Every statistic of one polynomial here
+but the hypercontractivity check is scale-free and runs on the unit form
+(:func:`_unit`), exactly p times a power of two: each result is bit for
+bit that of p, no square it reads overflows, and any finite coefficients
+are accepted.  ``hypercontractivity_check`` reports in p's units and
+refuses |p|_2 = inf (:meth:`MultilinearPolynomial.moments`).
 
 Gaussian draws of one polynomial run on its Gaussian form
-(:func:`_gaussian_form`).  A coordinate that occurs only in its degree-1
-term contributes a_i X_i and nothing else, and the sum of such terms over
-the class L of those coordinates is exactly N(0, |a_L|^2); so the class
-merges into one coordinate with coefficient ``hypot(*a_L)`` (which cannot
-overflow where the sum of squares would), and the merged form has the
-joint law of (p(X), |grad p(X)|^2).  A class of fewer than two is left
-as it is.  The linear form at n = 400 draws one value per row instead of
-400.  ``abs_comparison_gap`` draws two polynomials at one point and keeps
-every coordinate.  A +-1 draw of ``rows * cols`` values takes
-``ceil(rows * cols / 8)`` random bytes and unpacks their bits in C order,
-bit 1 to +1 and bit 0 to -1.
+(:func:`_gaussian_form`), whose linear-only coordinates are merged into
+one with the same joint law of (p(X), |grad p(X)|^2): the linear form
+at n = 400 draws one value per row instead of 400.  ``abs_comparison_gap``
+draws two polynomials at one point and keeps every coordinate.  A +-1 draw
+of ``rows * cols`` values takes ``ceil(rows * cols / 8)`` random bytes and
+unpacks their bits in C order, bit 1 to +1 and bit 0 to -1.
 
 Every estimator draws through one sampler, :func:`_sample`, and passes
 it an integrand of the points, p(X) and, for a derivative statistic,
@@ -36,30 +36,25 @@ ratios of b disjoint blocks (:func:`_block_ratios`) keep their own
 layout: one +-1 point and direction and one fused pass per block, with
 the direction zeroed off the block.
 
-The memory batch is the one unit of the draws: it holds at most 2^18
-float64 elements, 2 MiB, about one core's L2 cache (``r = 2^18 // w``
-rows when one row materialises ``w`` elements, :func:`_width`: the k, 2k
-or k + 1 values its layout draws plus the kernel's ``KERNEL_ROWS``, or
-twice the output column count if that is larger, since an estimate holds
-each output and its square; the block ratios take 3k + ``KERNEL_ROWS`` +
-b + 1), so memory does not grow with n or the sample count.  Batch ``c``
-covers rows ``[c*r, (c+1)*r)`` and draws from numpy's PCG64 seeded through
+The memory batch is the one unit of the draws: it holds at most 2^18 float64
+elements, 2 MiB, about one core's L2 cache (``r = 2^18 // w`` rows when one
+row materialises ``w`` elements, :func:`_width`: the k, 2k or k + 1 values
+its layout draws plus the kernel's ``KERNEL_ROWS``, or twice the output
+column count if that is larger, since an estimate holds each output and its
+float64 copy; the block ratios take 3k + ``KERNEL_ROWS`` + b + 1), so memory
+does not grow with n or the sample count.  Batch ``c`` covers rows
+``[c*r, (c+1)*r)`` and draws from numpy's PCG64 seeded through
 ``SeedSequence(seed, spawn_key=(stream, c))``; batch results are merged in
-batch order, and the batches run on ``min(workers, batches,
-os.cpu_count())`` threads.  Seeded values depend on that batch rule and
-draw layout, never on the worker count.  Gaussian draws use numpy's
-ziggurat, fixed within one build.
+batch order as they arrive, and the batches run on ``min(workers, batches,
+os.cpu_count())`` threads, one batch per thread ahead of the merge.  Seeded
+values depend on that batch rule and draw layout, never on the worker count.
+Gaussian draws use numpy's ziggurat, fixed within one build.
 
 The ratio statistics clamp at 1.  When the denominator value p(A) is
 exactly zero the integrand is defined as 1 if the gradient of p at A is
 nonzero and 0 otherwise, the limit of the clamp along generic directions;
 under Gaussian inputs the case has probability zero and the rule only
 exists for robustness.
-
-Every function here that reads |p|_2, the variance or a squared gradient
-refuses with ``InputError`` a polynomial whose coefficient squares
-overflow (:func:`ptflab.polynomial.finite_moments`); the invariance gaps
-read none of them and accept it.
 """
 
 from __future__ import annotations
@@ -69,7 +64,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -80,7 +75,6 @@ from .polynomial import (
     KERNEL_ROWS,
     MultilinearPolynomial,
     check_enumeration,
-    finite_moments,
     mask_from_indices,
 )
 
@@ -174,8 +168,8 @@ def _batches(
     rng: Rng,
     workers: int,
     width: int,
-) -> list[T]:
-    """``batch_fn(rng.chunk_generator(c), m)`` for each batch ``c`` of ``m`` rows, in order."""
+) -> Iterator[T]:
+    """Yield ``batch_fn(rng.chunk_generator(c), m)`` for each batch ``c`` of ``m`` rows, in order."""
     if samples < 1:
         raise InputError(f"need at least one sample, got {samples}")
     if workers < 1:
@@ -185,9 +179,15 @@ def _batches(
     generators = map(rng.chunk_generator, range(len(sizes)))
     threads = min(workers, len(sizes), os.cpu_count() or 1)
     if threads == 1:
-        return list(map(batch_fn, generators, sizes))
+        yield from map(batch_fn, generators, sizes)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(batch_fn, generators, sizes))
+        ahead = []  # at most one batch per thread past the one merged next
+        for args in zip(generators, sizes):
+            ahead.append(pool.submit(batch_fn, *args))
+            if len(ahead) > threads:
+                yield ahead.pop(0).result()
+        yield from (future.result() for future in ahead)
 
 
 def _estimate(
@@ -201,7 +201,7 @@ def _estimate(
 
     def column_sums(gen: np.random.Generator, m: int) -> np.ndarray:
         values = np.asarray(batch_fn(gen, m), dtype=np.float64).reshape(m, -1)
-        return np.array([values.sum(axis=0), (values * values).sum(axis=0)])
+        return np.array([values.sum(axis=0), np.square(values, out=values).sum(axis=0)])
 
     total, total_sq = sum(_batches(column_sums, samples, rng, workers, width))
     out = []
@@ -258,17 +258,30 @@ def _gaussian_form(p: MultilinearPolynomial) -> MultilinearPolynomial:
     return MultilinearPolynomial(p.n, terms).compress_support()[0]
 
 
+def _exponent(p: MultilinearPolynomial) -> int:
+    """The e with 2^e <= max |coefficient of p| < 2^(e+1); 0 for the zero polynomial."""
+    return math.frexp(max(map(abs, p.terms.values()), default=1.0))[1] - 1
+
+
+def _unit(p: MultilinearPolynomial) -> MultilinearPolynomial:
+    """The unit form of p: p times 2^-e (:func:`_exponent`), exactly, so its largest
+    |coefficient| lies in [1, 2).  A coefficient more than about 2^1074 below the
+    largest underflows and drops: no +-1 value of p resolves it."""
+    e = _exponent(p)
+    return MultilinearPolynomial(p.n, {m: math.ldexp(c, -e) for m, c in p.terms.items()})
+
+
 def _sampled_form(p: MultilinearPolynomial, dist: str) -> MultilinearPolynomial:
     """The polynomial whose support a ``dist`` draw of p's values runs on.
 
-    The support compression of ``p``, with its linear-only coordinates
-    merged (:func:`_gaussian_form`) under Gaussian inputs.  An unknown
-    ``dist`` is refused.
+    The unit form (:func:`_unit`) of the support compression of ``p``, with
+    its linear-only coordinates merged (:func:`_gaussian_form`) under
+    Gaussian inputs.  An unknown ``dist`` is refused.
     """
     if dist not in _DISTRIBUTIONS:
         raise InputError(f"distribution must be one of {_DISTRIBUTIONS}, got {dist!r}")
-    compressed = p.compress_support()[0]
-    return _gaussian_form(compressed) if dist == GAUSSIAN else compressed
+    unit = _unit(p.compress_support()[0])
+    return _gaussian_form(unit) if dist == GAUSSIAN else unit
 
 
 def _check_eps(eps: float) -> None:
@@ -281,7 +294,7 @@ def _width(k: int, dist: str, derivative: bool, columns: int = 1) -> int:
 
     The values its layout draws for ``k`` coordinates plus the kernel's
     ``KERNEL_ROWS``, or twice the ``columns`` outputs if that is larger:
-    :func:`_estimate` holds each output column and its square.
+    :func:`_estimate` holds each output column and its float64 copy, squared in place.
     """
     if derivative:
         k = k + 1 if dist == GAUSSIAN else 2 * k
@@ -371,7 +384,6 @@ def ratio_estimate(
     under Gaussian inputs D_B p(A) is drawn as |grad p(A)| Z, which has the
     same joint law with A (see :func:`_sample`).
     """
-    finite_moments(p)  # the squared gradient of a zero denominator must not overflow
     form = _sampled_form(p, dist)
     ratio = functools.partial(_clamped_ratio, form, None)
     return _run_sampler(_estimate, ratio, form, dist, samples, rng, workers, derivative=True)[0]
@@ -394,26 +406,24 @@ def _block_ratios(
     correlation between blocks.  A row materialises A, B, the masked
     direction, the kernel rows and the ``b + 1`` outputs.
     """
-    finite_moments(p)
-    compressed, support = p.compress_support()
-    k = compressed.n
-    position = {old: new for new, old in enumerate(support)}
+    form = _sampled_form(p, BERNOULLI)
+    position = {old: new for new, old in enumerate(p.support)}
     local = [[position[i] for i in block if i in position] for block in blocks]
 
     def batch(gen: np.random.Generator, m: int) -> np.ndarray:
-        points = _draw(gen, BERNOULLI, k, m)
-        directions = _draw(gen, BERNOULLI, k, m)
+        points = _draw(gen, BERNOULLI, form.n, m)
+        directions = _draw(gen, BERNOULLI, form.n, m)
         masked = np.zeros_like(directions)
         out = np.empty((m, len(local) + 1))
         for j, coords in enumerate(local):
             masked[coords] = directions[coords]
-            values, deriv = compressed.eval_many(points.T, masked.T)
-            out[:, j] = _clamped_ratio(compressed, coords, points, values, deriv)
+            values, deriv = form.eval_many(points.T, masked.T)
+            out[:, j] = _clamped_ratio(form, coords, points, values, deriv)
             masked[coords] = 0.0
         out[:, -1] = out[:, :-1].sum(axis=1)
         return out
 
-    width = 3 * k + KERNEL_ROWS + len(local) + 1
+    width = 3 * form.n + KERNEL_ROWS + len(local) + 1
     return _estimate(batch, samples, rng, workers, width=width)
 
 
@@ -447,6 +457,7 @@ def exact_alpha(p: MultilinearPolynomial) -> float:
     """
     n = p.n
     check_enumeration(f"exact alpha over the (A, B) pairs of n={n}", 1 << (2 * n))
+    p = _unit(p)
     size = 1 << n
     values = evaluate_on_hypercube(p)
     grads = np.array([evaluate_on_hypercube(part) for part in p.partials])
@@ -471,11 +482,12 @@ def exact_alpha(p: MultilinearPolynomial) -> float:
 # concentration and anticoncentration
 
 
-def _require_nonzero(p: MultilinearPolynomial) -> float:
-    l2 = finite_moments(p).l2_norm
-    if l2 == 0.0:
+def _unit_l2(p: MultilinearPolynomial) -> tuple[MultilinearPolynomial, float]:
+    """The unit form of p (:func:`_unit`) and its L2 norm, refused for the zero polynomial."""
+    unit = _unit(p)
+    if not unit.terms:
         raise InputError("operation requires a nonzero polynomial")
-    return l2
+    return unit, unit.moments().l2_norm
 
 
 @dataclass(frozen=True)
@@ -506,13 +518,13 @@ def tail_curve(
     workers: int = 1,
 ) -> TailCurve:
     """Estimate Pr(|p| > N |p|_2) on a grid of thresholds N."""
-    l2 = _require_nonzero(p)
+    unit, l2 = _unit_l2(p)
     levels = sorted(float(t) for t in thresholds)
     if not levels or not all(0.0 < t < math.inf for t in levels):
         raise InputError(f"thresholds must be positive and finite, got {levels}")
     cuts = np.array(levels) * l2
     above = lambda points, values, deriv: np.abs(values)[:, None] > cuts[None, :]
-    form = _sampled_form(p, dist)
+    form = _sampled_form(unit, dist)
     results = _run_sampler(_estimate, above, form, dist, samples, rng, workers, columns=cuts.size)
     d_eff = max(1, p.degree)
     envelope = tuple(2.0 ** (-((t / 2.0) ** (2.0 / d_eff))) for t in levels)
@@ -529,8 +541,8 @@ def tail_curve(
 
 def weak_anticoncentration_exact(p: MultilinearPolynomial) -> float:
     """Pr(|p(A)| >= |p|_2 / 2) by full enumeration (Paley-Zygmund check)."""
-    l2 = _require_nonzero(p)
-    return float(np.mean(np.abs(evaluate_on_hypercube(p)) >= l2 / 2.0))
+    unit, l2 = _unit_l2(p)
+    return float(np.mean(np.abs(evaluate_on_hypercube(unit)) >= l2 / 2.0))
 
 
 def weak_anticoncentration_estimate(
@@ -541,9 +553,9 @@ def weak_anticoncentration_estimate(
     *,
     workers: int = 1,
 ) -> EstimatorResult:
-    l2 = _require_nonzero(p)
+    unit, l2 = _unit_l2(p)
     large = lambda points, values, deriv: np.abs(values) >= l2 / 2.0
-    return _run_sampler(_estimate, large, _sampled_form(p, dist), dist, samples, rng, workers)[0]
+    return _run_sampler(_estimate, large, _sampled_form(unit, dist), dist, samples, rng, workers)[0]
 
 
 def carbery_wright_estimate(
@@ -556,9 +568,9 @@ def carbery_wright_estimate(
 ) -> EstimatorResult:
     """Estimate Pr(|p(X)| <= eps |p|_2) under Gaussian input."""
     _check_eps(eps)
-    l2 = _require_nonzero(p)
+    unit, l2 = _unit_l2(p)
     small = lambda points, values, deriv: np.abs(values) <= eps * l2
-    form = _sampled_form(p, GAUSSIAN)
+    form = _sampled_form(unit, GAUSSIAN)
     return _run_sampler(_estimate, small, form, GAUSSIAN, samples, rng, workers)[0]
 
 
@@ -579,7 +591,6 @@ def strong_anticoncentration_estimate(
     _check_eps(eps)
     if p.degree < 1:
         raise InputError("degenerate for constant polynomials: the event has probability 0")
-    finite_moments(p)
     small = lambda points, values, deriv: np.abs(values) <= eps * np.abs(deriv)
     form = _sampled_form(p, GAUSSIAN)
     return _run_sampler(_estimate, small, form, GAUSSIAN, samples, rng, workers, derivative=True)[0]
@@ -638,16 +649,18 @@ def invariance_gap(
     def values(dist: str, stream: Rng) -> np.ndarray:
         form = _sampled_form(p, dist)
         value = lambda points, values, deriv: values
-        return np.concatenate(_run_sampler(_batches, value, form, dist, samples, stream, workers))
+        return np.concatenate([*_run_sampler(_batches, value, form, dist, samples, stream, workers)])
 
     gaussian = values(GAUSSIAN, rng.child(0))
     bernoulli = values(BERNOULLI, rng.child(1))
     gaussian.sort()
     bernoulli.sort()
-    if t_grid is None:
-        grid = _quantile_grid(gaussian, bernoulli)
-    cdf_x = np.searchsorted(gaussian, grid, side="right") / samples
-    cdf_a = np.searchsorted(bernoulli, grid, side="right") / samples
+    e = _exponent(p)  # the draws are of p times 2^-e
+    with np.errstate(over="ignore"):  # a threshold beyond the float range at one scale is inf
+        cuts = _quantile_grid(gaussian, bernoulli) if t_grid is None else np.ldexp(grid, -e)
+        grid = np.ldexp(cuts, e) if t_grid is None else grid
+    cdf_x = np.searchsorted(gaussian, cuts, side="right") / samples
+    cdf_a = np.searchsorted(bernoulli, cuts, side="right") / samples
     per_t = np.abs(cdf_x - cdf_a)
     return InvarianceGap(
         gap=float(per_t.max()),
@@ -715,7 +728,7 @@ def hypercontractivity_check(p: MultilinearPolynomial, t: int) -> Hypercontracti
     """
     if not isinstance(t, int) or t % 2 != 0 or t < 2:
         raise InputError(f"the exact path needs an even moment order >= 2, got {t!r}")
-    norm = finite_moments(p).l2_norm
+    norm = p.moments().l2_norm
     scale = norm or 1.0  # the zero polynomial has zero values
     ratio = float(np.mean(np.abs(evaluate_on_hypercube(p) / scale) ** t) ** (1.0 / t))
     factor = math.sqrt(t - 1.0) ** p.degree

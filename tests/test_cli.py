@@ -1,8 +1,11 @@
 import json
+import math
 import warnings
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ptflab import MultilinearPolynomial, Rng, middle_layers_witness, random_polynomial
 from ptflab.cli import SuiteRow, _bundle_exit_code, main
@@ -420,6 +423,47 @@ def test_analyze_overflowing_coefficient_squares_exit_2_in_every_format(
     assert result.exit_code == 2
     assert result.stdout == ""
     assert "overflow" in result.stderr
+
+
+@st.composite
+def wire_polynomials(draw):
+    """Wire-format polynomials: n in 0..10, at most 8 terms of degree <= 3, any finite
+    float64 coefficient (hypothesis draws +-1e308-sized values and subnormals too)."""
+    n = draw(st.integers(0, 10))
+    subsets = st.lists(st.integers(0, max(n - 1, 0)), max_size=min(3, n), unique=True).map(sorted)
+    variables = draw(st.lists(subsets, max_size=8, unique_by=tuple))
+    coeffs = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [1e308, -1e308, 5e-324, -2.2e-308]
+    )
+    return {"n": n, "terms": [{"vars": v, "coeff": draw(coeffs)} for v in variables]}
+
+
+def _wire_sum(n, pairs, coeff):
+    return {"n": n, "terms": [{"vars": list(v), "coeff": coeff} for v in pairs]}
+
+
+@settings(
+    max_examples=100, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=wire_polynomials(), samples=st.sampled_from([0, 1, 17]))
+# the Monte Carlo alpha path: 30 support variables
+@example(data=_wire_sum(30, [(i,) for i in range(30)], 1.0), samples=17)
+# over the enumeration budget without samples: infeasible
+@example(data=_wire_sum(40, [(i,) for i in range(40)], 1.0), samples=0)
+# the squared gradient at (1, ..., 1) overflows although |p|_2 is finite
+@example(data=_wire_sum(12, [(0, i) for i in range(1, 12)], 2.0**512 / math.sqrt(50)), samples=17)
+def test_analyze_input_contract(runner, tmp_path, data, samples):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    args = ["analyze", "--input", str(path), "--seed", "1", "--samples", str(samples)]
+    result = runner.invoke(main, args)
+    assert result.exit_code in (0, 2, 3), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    if result.exit_code == 0:
+        strict_loads(result.stdout)
+    if result.exit_code == 2:
+        assert "\nerror: " in "\n" + result.stderr
 
 
 @pytest.mark.parametrize(

@@ -135,6 +135,19 @@ def test_fwht_peak_is_one_copy_plus_one_panel():
     assert peak <= x.nbytes + _BATCH_ELEMENTS * 8 + (64 << 10), f"peak {peak / 2**20:.2f} MiB"
 
 
+def test_evaluate_on_hypercube_peak_is_its_result_plus_one_panel():
+    # the dense coefficient vector is transformed in place, so no second
+    # 2^n array is held: 8 MiB of values and 2 MiB of panel at n = 20
+    p = random_polynomial(20, 3, 30, Rng(7))
+    tracemalloc.start()
+    try:
+        evaluate_on_hypercube(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 << 20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_evaluate_on_hypercube_matches_pointwise():
     for _, p in random_instances(21, 8, n_range=(1, 6)):
         values = evaluate_on_hypercube(p)

@@ -6,26 +6,45 @@ negated (away from its zeros).  Scaling by a power of two is exact in
 floating point, so every seeded estimate, every exact quantity and the
 restriction tree must come out bit-identical, not merely close.  The one
 exception is exact alpha under padding, whose sum over the 4^n pairs of
-points grows and is rounded differently; relabelling the variables is
-left out for the same reason.
+points grows and is rounded differently.  The scale-free statistics run
+on the unit form of p, so they stay bit-identical even at scales where
+the squares of the coefficients overflow or underflow.
+
+Relabelling the variables permutes the truth table and the spectrum bit
+for bit (a +-1 table transforms exactly) and leaves every quantity built
+from them unchanged; the influences are permuted up to the rounding of
+their sums, whose term order changes.
 """
 
+import numpy as np
 import pytest
 
 from ptflab import (
+    BERNOULLI,
+    GAUSSIAN,
     MultilinearPolynomial,
     RegularityConfig,
     Rng,
     SignFunction,
     average_sensitivity_exact,
+    average_sensitivity_fourier,
+    block_alpha_sum,
+    block_partition,
     build_regularity_tree,
     carbery_wright_estimate,
     estimate_alpha,
     estimate_beta,
     exact_alpha,
+    fourier,
     hypercontractivity_check,
+    invariance_gap,
+    noise_sensitivity_exact,
     random_polynomial,
     strong_anticoncentration_estimate,
+    tail_curve,
+    truth_table,
+    weak_anticoncentration_estimate,
+    weak_anticoncentration_exact,
 )
 
 # numpy's overflow, invalid and divide warnings fail the test
@@ -86,3 +105,62 @@ def test_results_ignore_unused_variables(p):
 @pytest.mark.parametrize("p", INSTANCES)
 def test_negation_flips_only_the_tree_signs(p):
     assert outputs(p.scale(-1.0), -1.0) == outputs(p)
+
+
+# beyond +-2^512 the coefficient squares overflow or underflow
+EXTREME_EXPONENTS = (-1000, -600, 600, 1000)
+GAP_THRESHOLDS = np.array([-1.5, 0.0, 0.7])
+
+
+def scale_free_outputs(p, e=0):
+    """Every scale-free result of p, whose scale is 2^e, at unit scale.
+
+    The invariance gap's quantile thresholds are compared scaled back by
+    2^-e, and its given thresholds are the fixed ones times 2^e.
+    """
+    rng = Rng(12)
+    gap = invariance_gap(p, None, SAMPLES, rng.child(7))
+    fixed = invariance_gap(p, np.ldexp(GAP_THRESHOLDS, e), SAMPLES, rng.child(8))
+    return {
+        "alpha": estimate_alpha(p, SAMPLES, rng.child(0)),
+        "beta": estimate_beta(p, SAMPLES, rng.child(1)),
+        "strong": strong_anticoncentration_estimate(p, 0.1, SAMPLES, rng.child(2)),
+        "carbery_wright": carbery_wright_estimate(p, 0.1, SAMPLES, rng.child(3)),
+        "weak_exact": weak_anticoncentration_exact(p),
+        "weak_bernoulli": weak_anticoncentration_estimate(p, BERNOULLI, SAMPLES, rng.child(4)),
+        "weak_gaussian": weak_anticoncentration_estimate(p, GAUSSIAN, SAMPLES, rng.child(5)),
+        "tail": tail_curve(p, GAUSSIAN, [0.5, 1.0, 2.0], SAMPLES, rng.child(6)),
+        "blocks": block_alpha_sum(p, block_partition(p.n, 3), SAMPLES, rng.child(9)),
+        "exact_alpha": exact_alpha(p),
+        "gap": (gap.gap, np.ldexp(gap.thresholds, -e).tolist(), gap.per_t.tolist()),
+        "fixed_gap": (fixed.gap, np.ldexp(fixed.thresholds, -e).tolist(), fixed.per_t.tolist()),
+    }
+
+
+@pytest.mark.parametrize("p", INSTANCES)
+def test_scale_free_statistics_are_bit_identical_at_any_finite_scale(p):
+    reference = scale_free_outputs(p)
+    for e in EXTREME_EXPONENTS:
+        assert scale_free_outputs(p.scale(2.0**e), e) == reference, e
+
+
+def _relabel(mask, perm):
+    return sum(1 << perm[i] for i in range(len(perm)) if mask >> i & 1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_relabelling_permutes_the_exact_views(seed):
+    p = random_polynomial(9, 3, 20, Rng(300 + seed))
+    perm = [int(i) for i in np.random.default_rng(seed).permutation(p.n)]
+    q = MultilinearPolynomial(p.n, {_relabel(m, perm): c for m, c in p.terms.items()})
+    f, g = SignFunction(p), SignFunction(q)
+    # point mask a of p is point mask _relabel(a) of q, and likewise for subsets
+    index = np.array([_relabel(a, perm) for a in range(1 << p.n)])
+    assert np.array_equal(truth_table(g)[index], truth_table(f))
+    assert np.array_equal(fourier(g)[index], fourier(f))
+    assert np.array_equal(g.level_weights, f.level_weights)
+    assert average_sensitivity_exact(g) == average_sensitivity_exact(f)
+    assert average_sensitivity_fourier(g) == average_sensitivity_fourier(f)
+    for delta in (0.05, 0.2, 0.5):
+        assert noise_sensitivity_exact(g, delta) == noise_sensitivity_exact(f, delta)
+    np.testing.assert_allclose(q.influences()[perm], p.influences(), rtol=1e-14)

@@ -273,36 +273,47 @@ def _block_alpha_terms(p, m):
     return [*report.per_block, report.alpha_hat]
 
 
-def _tail_curve_terms(p, m):
+def _tail_curve_terms(p, m, workers=1):
     # 4096 output columns: each batch holds the float64 outputs and their squares
-    curve = tail_curve(p, GAUSSIAN, np.linspace(0.01, 3.0, 4096), m, Rng(8, 8))
+    curve = tail_curve(p, GAUSSIAN, np.linspace(0.01, 3.0, 4096), m, Rng(8, 8), workers=workers)
     return [
         EstimatorResult(estimate, error, curve.samples, curve.seed, curve.stream)
         for estimate, error in zip(curve.probabilities, curve.std_errors)
     ]
 
 
+# a few hundred rows of 1024 variables, several batches
+_ROWS_1024 = 3 * (_BATCH_ELEMENTS // (2 * 1024)) + 100
+# 20,000 rows of 4096 columns: 625 batches, whose column sums must not be kept
+_NARROW = random_polynomial(8, 3, 8, Rng(1))
+
+
 @pytest.mark.parametrize(
-    "p, estimate",
+    "p, samples, estimate",
     [
-        (_SPARSE_1024, lambda p, m: [estimate_beta(p, m, Rng(8, 1))]),
-        (_SPARSE_1024, lambda p, m: [strong_anticoncentration_estimate(p, 0.1, m, Rng(8, 2))]),
-        (_DENSE_1024, _block_alpha_terms),
-        (_DENSE_1024, lambda p, m: [estimate_alpha(p, m, Rng(8, 4))]),
-        (_DENSE_1024, lambda p, m: [weak_anticoncentration_estimate(p, BERNOULLI, m, Rng(8, 5))]),
-        (_DENSE_1024, lambda p, m: [carbery_wright_estimate(p, 0.1, m, Rng(8, 6))]),
-        (_DENSE_1024, lambda p, m: [abs_comparison_gap(p, _SPARSE_1024, m, Rng(8, 7))]),
-        (_SPARSE_1024, _tail_curve_terms),
+        (_SPARSE_1024, _ROWS_1024, lambda p, m: [estimate_beta(p, m, Rng(8, 1))]),
+        (_SPARSE_1024, _ROWS_1024,
+         lambda p, m: [strong_anticoncentration_estimate(p, 0.1, m, Rng(8, 2))]),
+        (_DENSE_1024, _ROWS_1024, _block_alpha_terms),
+        (_DENSE_1024, _ROWS_1024, lambda p, m: [estimate_alpha(p, m, Rng(8, 4))]),
+        (_DENSE_1024, _ROWS_1024,
+         lambda p, m: [weak_anticoncentration_estimate(p, BERNOULLI, m, Rng(8, 5))]),
+        (_DENSE_1024, _ROWS_1024, lambda p, m: [carbery_wright_estimate(p, 0.1, m, Rng(8, 6))]),
+        (_DENSE_1024, _ROWS_1024,
+         lambda p, m: [abs_comparison_gap(p, _SPARSE_1024, m, Rng(8, 7))]),
+        (_SPARSE_1024, _ROWS_1024, _tail_curve_terms),
+        (_NARROW, 20_000, _tail_curve_terms),
+        (_NARROW, 20_000, lambda p, m: _tail_curve_terms(p, m, workers=2)),
     ],
     ids=[
         "beta", "strong", "block_alpha_sum", "alpha", "weak_anticoncentration", "carbery_wright",
-        "abs_comparison_gap", "tail_curve_4096_thresholds",
+        "abs_comparison_gap", "tail_curve_4096_thresholds", "tail_curve_20000_rows_workers_1",
+        "tail_curve_20000_rows_workers_2",
     ],
 )
-def test_estimator_memory_is_bounded_by_the_batch_budget(p, estimate):
+def test_estimator_memory_is_bounded_by_the_batch_budget(p, samples, estimate):
     import tracemalloc
 
-    samples = 3 * (_BATCH_ELEMENTS // (2 * p.n)) + 100  # a few thousand rows, several batches
     tracemalloc.start()
     try:
         results = estimate(p, samples)
@@ -681,31 +692,56 @@ HUGE = poly(2, {(0,): 1e200, (1,): 1e200})
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: weak_anticoncentration_exact(HUGE),
-        lambda: weak_anticoncentration_estimate(HUGE, BERNOULLI, 1_000, Rng(1)),
-        lambda: carbery_wright_estimate(HUGE, 0.1, 1_000, Rng(1)),
-        lambda: tail_curve(HUGE, GAUSSIAN, [1.0], 1_000, Rng(1)),
         lambda: hypercontractivity_check(HUGE, 4),
         lambda: classify_leaf(HUGE, 0.1, 0.05),
         lambda: build_regularity_tree(HUGE, RegularityConfig(tau=0.1, eps=0.05, delta=0.05)),
-        lambda: estimate_alpha(HUGE, 1_000, Rng(1)),
-        lambda: estimate_beta(HUGE, 1_000, Rng(1)),
-        lambda: strong_anticoncentration_estimate(HUGE, 0.1, 1_000, Rng(1)),
-        lambda: block_alpha_sum(HUGE, block_partition(2, 2), 1_000, Rng(1)),
         lambda: MultilinearPolynomial(3, {0: 1e308, 1: 1e308, 2: 1e308, 4: 1e308}).restrict(
             {0: 1, 1: 1, 2: 1}
         ),
         lambda: MultilinearPolynomial(1, {0: 1e308, 1: 1e308}).restrict({0: 1}),
     ],
-    ids=[
-        "weak_exact", "weak_estimate", "carbery_wright", "tail_curve", "hypercontractivity",
-        "classify_leaf", "regularity_tree", "alpha", "beta", "strong", "block_alpha_sum",
-        "restrict_fsum", "restrict_pair",
-    ],
+    ids=["hypercontractivity", "classify_leaf", "regularity_tree", "restrict_fsum", "restrict_pair"],
 )
 def test_overflowing_coefficient_squares_are_refused(call):
+    # these report in p's units (or build p's restrictions), so |p|_2 = inf has no answer
     with pytest.raises(InputError, match="overflow"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: weak_anticoncentration_exact(p),
+        lambda p: weak_anticoncentration_estimate(p, BERNOULLI, 1_000, Rng(1)),
+        lambda p: carbery_wright_estimate(p, 0.1, 1_000, Rng(1)),
+        lambda p: tail_curve(p, GAUSSIAN, [1.0], 1_000, Rng(1)),
+        lambda p: estimate_alpha(p, 1_000, Rng(1)),
+        lambda p: estimate_beta(p, 1_000, Rng(1)),
+        lambda p: strong_anticoncentration_estimate(p, 0.1, 1_000, Rng(1)),
+        lambda p: block_alpha_sum(p, block_partition(2, 2), 1_000, Rng(1)),
+    ],
+    ids=[
+        "weak_exact", "weak_estimate", "carbery_wright", "tail_curve", "alpha", "beta", "strong",
+        "block_alpha_sum",
+    ],
+)
+def test_overflowing_squares_give_the_unit_scale_results(call):
+    # scale-free statistics run on the unit form of p, whose squares are finite
+    assert call(HUGE) == call(poly(2, {(0,): 1.0, (1,): 1.0}))
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_squared_gradient_gives_the_unit_scale_results():
+    # |p|_2^2 = 20 * 2^1016 is finite, but |grad p(X)|^2 = 2^1016 ((sum_i X_i)^2 +
+    # 20 X_0^2) overflows on the rows where the bracket exceeds 2^8, about one in 600
+    unit = MultilinearPolynomial(21, {1 | 1 << i: 1.0 for i in range(1, 21)})
+    huge = unit.scale(2.0**508)
+    assert math.isfinite(huge.moments().l2_norm)
+    for statistic in (
+        lambda p: strong_anticoncentration_estimate(p, 0.1, 10_000, Rng(1)),
+        lambda p: estimate_beta(p, 10_000, Rng(1)),
+    ):
+        assert statistic(huge) == statistic(unit)
 
 
 def test_gaussian_form_does_not_overflow_on_huge_coefficients():
