@@ -665,7 +665,7 @@ def _suite_decompose(
             True,
             report.total.estimate,
             report.reference,
-            f"alpha_hat={report.alpha_hat.estimate!r}",
+            f"alpha_hat={report.alpha_hat.estimate!r};std_error={report.total.std_error!r}",
         )
     )
     trace = recursion_trace(

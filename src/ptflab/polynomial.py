@@ -53,6 +53,14 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _as_float(value, what: str) -> float:
+    """``float(value)``, with an integer beyond the float range refused as bad input."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"{what} is beyond the float range") from None
+
+
 def mask_from_indices(indices: Iterable[int]) -> int:
     mask = 0
     for i in indices:
@@ -108,7 +116,7 @@ class MultilinearPolynomial:
                 raise InputError(f"term key must be a non-negative bitmask, got {mask!r}")
             if mask >> self.n:
                 raise InputError(f"term {bin(mask)} references variables >= n={self.n}")
-            c = float(coeff)
+            c = _as_float(coeff, f"coefficient for term {bin(mask)}")
             if not math.isfinite(c):
                 raise InputError(f"coefficient for term {bin(mask)} is not finite: {coeff!r}")
             if c == 0.0:
@@ -399,12 +407,13 @@ class MultilinearPolynomial:
     # algebra
 
     def scale(self, c: float) -> "MultilinearPolynomial":
+        c = _as_float(c, "scale factor")
         return MultilinearPolynomial(self.n, {m: c * v for m, v in self.terms.items()})
 
     def __add__(self, other):
         """Sum with a polynomial on the same variables, or with a real number as a constant."""
         if isinstance(other, numbers.Real):
-            other = MultilinearPolynomial.constant(self.n, float(other))
+            other = MultilinearPolynomial.constant(self.n, other)
         elif not isinstance(other, MultilinearPolynomial):
             return NotImplemented
         self._check_same_space(other)
@@ -446,7 +455,7 @@ class MultilinearPolynomial:
     def __mul__(self, other):
         if isinstance(other, MultilinearPolynomial):
             return self.multiply(other)
-        return self.scale(float(other))
+        return self.scale(other)
 
     __rmul__ = __mul__
 
@@ -509,19 +518,20 @@ class MultilinearPolynomial:
             coeff = item["coeff"]
             if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
                 raise InputError(f"term {k}: coefficient must be a number, got {coeff!r}")
-            if not math.isfinite(float(coeff)):
+            value = _as_float(coeff, f"term {k}: coefficient")
+            if not math.isfinite(value):
                 raise InputError(f"term {k}: coefficient must be finite, got {coeff!r}")
             mask = mask_from_indices(variables)
             if mask in seen:
                 raise InputError(f"term {k}: duplicate subset {variables}")
-            seen[mask] = float(coeff)
+            seen[mask] = value
         return cls(n, seen)
 
     @classmethod
     def from_json(cls, text: str) -> "MultilinearPolynomial":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # a syntax error, or an integer literal past the digit limit
             raise InputError(f"invalid polynomial JSON: {e}") from e
         return cls.from_json_dict(data)
 

@@ -23,10 +23,14 @@ unpacks their bits in C order, bit 1 to +1 and bit 0 to -1.
 
 Every estimator draws through one sampler, :func:`_sample`, and passes
 it an integrand of the points, p(X) and, for a derivative statistic,
-D_Y p(X).  A point is a C-order ``(k, m)`` array whose ``.T`` view goes to
-``eval_many``, so each column the kernel reads is contiguous.  Under +-1
-inputs a direction is drawn after the point, for one fused
-value-and-derivative pass.  Under Gaussian inputs no direction is drawn:
+D_Y p(X).  One driver, :func:`_batches`, runs the memory batches, and one
+mean, :func:`_estimate`, reduces each batch to its column sums;
+``invariance_gap`` reduces each batch to its counts at the threshold grid
+instead.  No statistic holds a whole sample.  A point is a C-order
+``(k, m)`` array whose ``.T`` view goes to ``eval_many``, so each column
+the kernel reads is contiguous.  Under +-1 inputs a direction is drawn
+after the point, for one fused value-and-derivative pass.  Under Gaussian
+inputs no direction is drawn:
 given X, D_Y p(X) = Y . grad p(X) is exactly N(0, |grad p(X)|^2), the law
 of |grad p(X)| Z for one scalar Z ~ N(0, 1).  So one C-order ``(k+1, m)``
 block holds the point in rows ``0..k-1`` and Z in row ``k``, and
@@ -41,8 +45,8 @@ elements, 2 MiB, about one core's L2 cache (``r = 2^18 // w`` rows when one
 row materialises ``w`` elements, :func:`_width`: the k, 2k or k + 1 values
 its layout draws plus the kernel's ``KERNEL_ROWS``, or twice the output
 column count if that is larger, since an estimate holds each output and its
-float64 copy; the block ratios take 3k + ``KERNEL_ROWS`` + b + 1), so memory
-does not grow with n or the sample count.  Batch ``c`` covers rows
+float64 copy; the block ratios take 3k + ``KERNEL_ROWS`` + b + 1), so no
+statistic's memory grows with n or the sample count.  Batch ``c`` covers rows
 ``[c*r, (c+1)*r)`` and draws from numpy's PCG64 seeded through
 ``SeedSequence(seed, spawn_key=(stream, c))``; batch results are merged in
 batch order as they arrive, and the batches run on ``min(workers, batches,
@@ -83,7 +87,7 @@ GAUSSIAN = "gaussian"
 _DISTRIBUTIONS = (BERNOULLI, GAUSSIAN)
 
 _M64 = (1 << 64) - 1
-# invariance_gap without a threshold grid: evenly spaced pooled quantiles
+# invariance_gap without a threshold grid: evenly spaced quantiles of a pilot draw
 _QUANTILE_GRID_POINTS = 201
 
 T = TypeVar("T")
@@ -325,7 +329,6 @@ def _sample(
 
 
 def _run_sampler(
-    driver: Callable[..., T],
     integrand: Callable[[np.ndarray, np.ndarray, np.ndarray | None], np.ndarray],
     form: MultilinearPolynomial,
     dist: str,
@@ -335,8 +338,8 @@ def _run_sampler(
     *,
     derivative: bool = False,
     columns: int = 1,
-) -> T:
-    """:func:`_batches` or :func:`_estimate` (``driver``) of ``integrand(*_sample(...))``.
+) -> list[EstimatorResult]:
+    """:func:`_estimate` of ``integrand(*_sample(...))``.
 
     The batch width comes from the layout and the ``columns`` the integrand
     returns (:func:`_width`).
@@ -345,7 +348,7 @@ def _run_sampler(
     def batch(gen: np.random.Generator, m: int) -> np.ndarray:
         return integrand(*_sample(gen, form, dist, m, derivative))
 
-    return driver(batch, samples, rng, workers, _width(form.n, dist, derivative, columns))
+    return _estimate(batch, samples, rng, workers, _width(form.n, dist, derivative, columns))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +389,7 @@ def ratio_estimate(
     """
     form = _sampled_form(p, dist)
     ratio = functools.partial(_clamped_ratio, form, None)
-    return _run_sampler(_estimate, ratio, form, dist, samples, rng, workers, derivative=True)[0]
+    return _run_sampler(ratio, form, dist, samples, rng, workers, derivative=True)[0]
 
 
 def _block_ratios(
@@ -525,7 +528,7 @@ def tail_curve(
     cuts = np.array(levels) * l2
     above = lambda points, values, deriv: np.abs(values)[:, None] > cuts[None, :]
     form = _sampled_form(unit, dist)
-    results = _run_sampler(_estimate, above, form, dist, samples, rng, workers, columns=cuts.size)
+    results = _run_sampler(above, form, dist, samples, rng, workers, columns=cuts.size)
     d_eff = max(1, p.degree)
     envelope = tuple(2.0 ** (-((t / 2.0) ** (2.0 / d_eff))) for t in levels)
     return TailCurve(
@@ -555,7 +558,7 @@ def weak_anticoncentration_estimate(
 ) -> EstimatorResult:
     unit, l2 = _unit_l2(p)
     large = lambda points, values, deriv: np.abs(values) >= l2 / 2.0
-    return _run_sampler(_estimate, large, _sampled_form(unit, dist), dist, samples, rng, workers)[0]
+    return _run_sampler(large, _sampled_form(unit, dist), dist, samples, rng, workers)[0]
 
 
 def carbery_wright_estimate(
@@ -571,7 +574,7 @@ def carbery_wright_estimate(
     unit, l2 = _unit_l2(p)
     small = lambda points, values, deriv: np.abs(values) <= eps * l2
     form = _sampled_form(unit, GAUSSIAN)
-    return _run_sampler(_estimate, small, form, GAUSSIAN, samples, rng, workers)[0]
+    return _run_sampler(small, form, GAUSSIAN, samples, rng, workers)[0]
 
 
 def strong_anticoncentration_estimate(
@@ -593,7 +596,7 @@ def strong_anticoncentration_estimate(
         raise InputError("degenerate for constant polynomials: the event has probability 0")
     small = lambda points, values, deriv: np.abs(values) <= eps * np.abs(deriv)
     form = _sampled_form(p, GAUSSIAN)
-    return _run_sampler(_estimate, small, form, GAUSSIAN, samples, rng, workers, derivative=True)[0]
+    return _run_sampler(small, form, GAUSSIAN, samples, rng, workers, derivative=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -612,17 +615,6 @@ class InvarianceGap:
     stream: int
 
 
-def _quantile_grid(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Evenly spaced quantiles of the pooled values of two sorted arrays.
-
-    Quantiles read only order statistics, so the stable merge of the sorted
-    halves (the stable sort merges the two runs) has the grid of the
-    unsorted pooled sample, and selecting in sorted input is cheap.
-    """
-    pooled = np.sort(np.concatenate([first, second]), kind="stable")
-    return np.quantile(pooled, np.linspace(0.0, 1.0, _QUANTILE_GRID_POINTS))
-
-
 def invariance_gap(
     p: MultilinearPolynomial,
     t_grid: Sequence[float] | None,
@@ -633,11 +625,26 @@ def invariance_gap(
 ) -> InvarianceGap:
     """Estimate sup_t |Pr(p(X) <= t) - Pr(p(A) <= t)| on a threshold grid.
 
-    Both CDFs are estimated from ``samples`` fresh draws.  When ``t_grid``
-    is None the grid is 201 evenly spaced quantiles of the
-    pooled sample, which adapts to wherever the distributions put mass.
+    Both CDFs are estimated from ``samples`` fresh draws, each memory batch
+    reduced to its counts at the grid.  When ``t_grid`` is None the grid is
+    201 evenly spaced quantiles of a pilot: one batch of each law, equal in
+    size, drawn on streams of its own, so the grid adapts to wherever the
+    distributions put mass and is not read from the draws it is counted on.
     """
-    if t_grid is not None:
+    forms = {dist: _sampled_form(p, dist) for dist in (GAUSSIAN, BERNOULLI)}
+    widths = {dist: _width(form.n, dist, False) for dist, form in forms.items()}
+
+    def draws(dist: str, rows: int, stream: Rng, reduce: Callable[[np.ndarray], T]) -> Iterator[T]:
+        """``reduce`` of the values of each memory batch of ``rows`` ``dist`` draws."""
+        batch = lambda gen, m: reduce(_sample(gen, forms[dist], dist, m, False)[1])
+        return _batches(batch, rows, stream, workers, widths[dist])
+
+    if t_grid is None:
+        rows = min(samples, *map(_batch_rows, widths.values()))  # one batch of each law
+        pilot = [*draws(GAUSSIAN, rows, rng.child(2), np.asarray),
+                 *draws(BERNOULLI, rows, rng.child(3), np.asarray)]
+        cuts = np.quantile(np.concatenate(pilot), np.linspace(0.0, 1.0, _QUANTILE_GRID_POINTS))
+    else:
         grid = np.asarray(list(t_grid), dtype=np.float64)
         if grid.size == 0:
             raise InputError("threshold grid must be nonempty")
@@ -645,22 +652,12 @@ def invariance_gap(
             raise InputError(f"thresholds must be finite, got {grid.tolist()}")
         if np.any(np.diff(grid) < 0):
             raise InputError("threshold grid must be sorted")
-
-    def values(dist: str, stream: Rng) -> np.ndarray:
-        form = _sampled_form(p, dist)
-        value = lambda points, values, deriv: values
-        return np.concatenate([*_run_sampler(_batches, value, form, dist, samples, stream, workers)])
-
-    gaussian = values(GAUSSIAN, rng.child(0))
-    bernoulli = values(BERNOULLI, rng.child(1))
-    gaussian.sort()
-    bernoulli.sort()
     e = _exponent(p)  # the draws are of p times 2^-e
     with np.errstate(over="ignore"):  # a threshold beyond the float range at one scale is inf
-        cuts = _quantile_grid(gaussian, bernoulli) if t_grid is None else np.ldexp(grid, -e)
-        grid = np.ldexp(cuts, e) if t_grid is None else grid
-    cdf_x = np.searchsorted(gaussian, cuts, side="right") / samples
-    cdf_a = np.searchsorted(bernoulli, cuts, side="right") / samples
+        cuts, grid = (cuts, np.ldexp(cuts, e)) if t_grid is None else (np.ldexp(grid, -e), grid)
+    count = lambda values: np.searchsorted(np.sort(values), cuts, side="right")
+    cdf_x = sum(draws(GAUSSIAN, samples, rng.child(0), count)) / samples
+    cdf_a = sum(draws(BERNOULLI, samples, rng.child(1), count)) / samples
     per_t = np.abs(cdf_x - cdf_a)
     return InvarianceGap(
         gap=float(per_t.max()),
@@ -693,7 +690,7 @@ def abs_comparison_gap(
 
     def share(dist: str, stream: Rng) -> EstimatorResult:
         below = lambda points, values, deriv: np.abs(values) <= np.abs(qc.eval_many(points.T))
-        return _run_sampler(_estimate, below, pc, dist, samples, stream, workers)[0]
+        return _run_sampler(below, pc, dist, samples, stream, workers)[0]
 
     bern, gauss = share(BERNOULLI, rng.child(0)), share(GAUSSIAN, rng.child(1))
     return EstimatorResult(

@@ -1,7 +1,7 @@
 """The names the benchmark harness in ``perfbench/`` reaches into must exist.
 
 ``perfbench/tracing.py`` wraps library functions and methods by name, and
-``perfbench/workloads.py`` calls ``run_suite`` positionally; a rename or
+``perfbench/workloads.py`` calls ``run_suite`` and ``invariance_gap``; a rename or
 deletion in the library would otherwise break the benchmark silently.
 The harness module is loaded by path and only read.
 """
@@ -13,7 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from ptflab import MultilinearPolynomial, Rng, estimate_alpha, estimate_beta, random_polynomial
+from ptflab import (
+    MultilinearPolynomial,
+    Rng,
+    estimate_alpha,
+    estimate_beta,
+    invariance_gap,
+    random_polynomial,
+)
 from ptflab.cli import SUITE_NAMES, _analyze_report, run_suite
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -48,6 +55,12 @@ def test_suite_sections_match(tracing):
 def test_run_suite_binds_the_positional_call():
     # perfbench/workloads.py: run_suite(section, seed, samples, 0.1, 0.05, 0.05, 1.0, 3, 1)
     inspect.signature(run_suite).bind("gl", 7, 1000, 0.1, 0.05, 0.05, 1.0, 3, 1)
+
+
+def test_invariance_gap_binds_the_mc_wide_call():
+    # perfbench/workloads.py: invariance_gap(p, None, samples, rng, workers=1)
+    p = MultilinearPolynomial(1, {1: 1.0})
+    inspect.signature(invariance_gap).bind(p, None, 1000, Rng(1), workers=1)
 
 
 def test_smoke_preconditions_reach_the_counted_layers(monkeypatch):

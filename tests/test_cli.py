@@ -428,12 +428,16 @@ def test_analyze_overflowing_coefficient_squares_exit_2_in_every_format(
 @st.composite
 def wire_polynomials(draw):
     """Wire-format polynomials: n in 0..10, at most 8 terms of degree <= 3, any finite
-    float64 coefficient (hypothesis draws +-1e308-sized values and subnormals too)."""
+    float64 coefficient (hypothesis draws +-1e308-sized values and subnormals too) or any
+    integer, also one beyond the float range."""
     n = draw(st.integers(0, 10))
     subsets = st.lists(st.integers(0, max(n - 1, 0)), max_size=min(3, n), unique=True).map(sorted)
     variables = draw(st.lists(subsets, max_size=8, unique_by=tuple))
-    coeffs = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
-        [1e308, -1e308, 5e-324, -2.2e-308]
+    coeffs = (
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.sampled_from([1e308, -1e308, 5e-324, -2.2e-308])
+        | st.integers()
+        | st.sampled_from([10**400, -(10**400)])
     )
     return {"n": n, "terms": [{"vars": v, "coeff": draw(coeffs)} for v in variables]}
 
@@ -453,9 +457,14 @@ def _wire_sum(n, pairs, coeff):
 @example(data=_wire_sum(40, [(i,) for i in range(40)], 1.0), samples=0)
 # the squared gradient at (1, ..., 1) overflows although |p|_2 is finite
 @example(data=_wire_sum(12, [(0, i) for i in range(1, 12)], 2.0**512 / math.sqrt(50)), samples=17)
+# an integer of 401 digits, beyond the float range
+@example(data=_wire_sum(1, [(0,)], 10**400), samples=0)
+# an integer literal of 5000 digits, past json's 4300-digit limit (given as wire text,
+# since json.dumps refuses to write it)
+@example(data='{"n": 1, "terms": [{"vars": [0], "coeff": 1' + "0" * 4999 + "}]}", samples=0)
 def test_analyze_input_contract(runner, tmp_path, data, samples):
     path = tmp_path / "p.json"
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     args = ["analyze", "--input", str(path), "--seed", "1", "--samples", str(samples)]
     result = runner.invoke(main, args)
     assert result.exit_code in (0, 2, 3), result.output
@@ -497,6 +506,53 @@ def test_suite_runs_when_the_influence_threshold_underflows(runner, option):
     result = runner.invoke(main, ["suite", "--suite", "decompose", "--seed", "7", *option])
     assert result.exit_code == 0
     assert json.loads(result.stdout)["summary"]["failed"] == 0
+
+
+# each suite option's values in its range, and out of it; --samples stays <= 200, since the
+# default would take seconds
+_SUITE_OPTIONS = {
+    "--samples": (["1", "17", "200"], ["-5", "0"]),
+    "--tau": (["5e-324", "0.05", "0.1", "0.5", "3"], ["-1", "0", "inf", "nan"]),
+    "--eps": (["0.01", "0.05", "0.2"], ["-0.1", "0", "0.25", "1", "nan"]),
+    "--delta": (["1e-300", "0.05", "0.2"], ["-0.1", "0", "0.25", "1", "nan"]),
+    "--bigM": (["1", "90", "1e300"], ["-1", "0", "inf", "nan"]),
+    "--blocks": (["1", "3", "12", "50"], ["-3", "0"]),
+    "--workers": (["1", "2"], ["-1", "0"]),
+}
+# how an exit-2 message may name each option: the flag, or the parameter it sets
+_OPTION_NAMES = ("samples", "tau", "eps", "delta", "bigM", "big_m", "blocks", "workers")
+
+
+# a decompose run takes about 0.3 s: 15 examples keep the test under 2 s
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(
+    section=st.sampled_from(["gl", "decompose"]),
+    # None leaves an option out; --samples is always given
+    options=st.fixed_dictionaries(
+        {
+            flag: st.sampled_from(good if flag == "--samples" else [None, *good])
+            for flag, (good, _) in _SUITE_OPTIONS.items()
+        }
+    ),
+    # at most one option out of its range
+    bad=st.none()
+    | st.sampled_from([(flag, v) for flag, (_, bad) in _SUITE_OPTIONS.items() for v in bad]),
+)
+# click's own range check: "Invalid value for '--workers'"
+@example(section="gl", options={flag: None for flag in _SUITE_OPTIONS} | {"--samples": "17"},
+         bad=("--workers", "0"))
+def test_suite_option_contract(section, options, bad):
+    if bad is not None:
+        options = {**options, bad[0]: bad[1]}
+    args = ["suite", "--suite", section, "--seed", "3"]
+    for flag, value in options.items():
+        if value is not None:
+            args += [flag, value]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 1, 2, 3, 4), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    if result.exit_code == 2:
+        assert any(name in result.stderr for name in _OPTION_NAMES), result.stderr
 
 
 @pytest.mark.parametrize(

@@ -509,6 +509,7 @@ def test_json_term_order_is_deterministic():
         {"n": -1, "terms": []},
         {"n": 2, "terms": {"vars": []}},
         [1, 2, 3],
+        {"n": 2, "terms": [{"vars": [0], "coeff": 10**400}]},  # beyond the float range
     ],
 )
 def test_json_loader_rejections(payload):
@@ -519,6 +520,21 @@ def test_json_loader_rejections(payload):
 def test_json_loader_rejects_bad_text():
     with pytest.raises(InputError):
         MultilinearPolynomial.from_json("{not json")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda big: MultilinearPolynomial(1, {1: big}),
+        lambda big: MultilinearPolynomial.from_vars(2, {(0, 1): big}),
+        lambda big: MultilinearPolynomial(1, {1: 1.0}).scale(big),
+    ],
+    ids=["constructor", "from_vars", "scale"],
+)
+def test_integers_beyond_the_float_range_are_refused(build):
+    for big in (10**400, -(10**400)):
+        with pytest.raises(InputError, match="beyond the float range"):
+            build(big)
 
 
 def test_json_empty_vars_is_constant_term():

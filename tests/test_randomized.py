@@ -282,10 +282,17 @@ def _tail_curve_terms(p, m, workers=1):
     ]
 
 
+def _gap_terms(p, m, t_grid=None, workers=1):
+    gap = invariance_gap(p, t_grid, m, Rng(8, 9), workers=workers)
+    return [EstimatorResult(d, 0.0, gap.samples, gap.seed, gap.stream) for d in gap.per_t.tolist()]
+
+
 # a few hundred rows of 1024 variables, several batches
 _ROWS_1024 = 3 * (_BATCH_ELEMENTS // (2 * 1024)) + 100
 # 20,000 rows of 4096 columns: 625 batches, whose column sums must not be kept
 _NARROW = random_polynomial(8, 3, 8, Rng(1))
+# 600,000 values of each law: a whole sample alone is 4.8 MB
+_GAP_ROWS = 600_000
 
 
 @pytest.mark.parametrize(
@@ -304,11 +311,15 @@ _NARROW = random_polynomial(8, 3, 8, Rng(1))
         (_SPARSE_1024, _ROWS_1024, _tail_curve_terms),
         (_NARROW, 20_000, _tail_curve_terms),
         (_NARROW, 20_000, lambda p, m: _tail_curve_terms(p, m, workers=2)),
+        (_NARROW, _GAP_ROWS, _gap_terms),
+        (_NARROW, _GAP_ROWS, lambda p, m: _gap_terms(p, m, workers=2)),
+        (_NARROW, _GAP_ROWS, lambda p, m: _gap_terms(p, m, np.linspace(-2.0, 2.0, 41))),
     ],
     ids=[
         "beta", "strong", "block_alpha_sum", "alpha", "weak_anticoncentration", "carbery_wright",
         "abs_comparison_gap", "tail_curve_4096_thresholds", "tail_curve_20000_rows_workers_1",
-        "tail_curve_20000_rows_workers_2",
+        "tail_curve_20000_rows_workers_2", "invariance_gap_workers_1", "invariance_gap_workers_2",
+        "invariance_gap_fixed_grid",
     ],
 )
 def test_estimator_memory_is_bounded_by_the_batch_budget(p, samples, estimate):
@@ -821,15 +832,17 @@ def test_invariance_gap_shrinks_with_regularity():
     assert large.gap <= small.gap
 
 
-def test_quantile_grid_equals_the_pooled_quantiles():
-    rng = np.random.default_rng(30)
-    gaussian = rng.standard_normal(10_001)
-    bernoulli = rng.integers(-3, 4, size=10_001) / 3.0  # many ties, some shared with the other half
-    bernoulli[:50] = gaussian[:50]
-    expected = np.quantile(np.concatenate([gaussian, bernoulli]), np.linspace(0.0, 1.0, 201))
-    gaussian.sort()
-    bernoulli.sort()
-    assert np.array_equal(randomized._quantile_grid(gaussian, bernoulli), expected)
+@pytest.mark.parametrize(
+    "p", [scaled_sum(25), random_polynomial(10, 3, 12, Rng(30))], ids=["scaled_sum", "random"]
+)
+def test_default_gap_grid_is_the_fixed_grid_path_at_the_pilot_quantiles(p):
+    # the pilot draws on streams of its own, so counting at its grid is the fixed-grid path
+    default = invariance_gap(p, None, 50_001, Rng(31, 2))
+    fixed = invariance_gap(p, default.thresholds, 50_001, Rng(31, 2))
+    assert default.thresholds.size == 201
+    assert (*_gap_fields(default), default.seed, default.stream) == (
+        *_gap_fields(fixed), fixed.seed, fixed.stream
+    )
 
 
 def test_invariance_gap_grid_validation():
