@@ -48,6 +48,7 @@ from .hypercube import (
     noise_sensitivity_exact,
     theorem_bound,
     theorem_log_bound,
+    truth_table,
 )
 from .polynomial import ENUMERATION_BUDGET, MultilinearPolynomial, check_enumeration
 from .randomized import (
@@ -617,9 +618,14 @@ def _suite_decompose(
         tree = build_regularity_tree(p, config)
         if tree.success:
             successes += 1
+        cube = truth_table(SignFunction(p)).reshape((2,) * p.n)  # axis n-1-i holds coordinate i
         for leaf in tree.leaves:
             if leaf.label.kind is LeafKind.NEAR_CONSTANT and leaf.label.exact_verified:
-                worst = max(worst, leaf.label.mismatch)
+                subcube = [slice(None)] * p.n
+                for i, value in leaf.path:
+                    subcube[p.n - 1 - i] = (1 - value) // 2  # bit i set means x_i = -1
+                signs = cube[tuple(subcube)]
+                worst = max(worst, int(np.count_nonzero(signs != leaf.label.sign)) / signs.size)
     rows.append(
         _row(
             "regularity_success_rate",

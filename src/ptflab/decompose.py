@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InputError
 from .hypercube import SignFunction, average_sensitivity_exact, evaluate_on_hypercube, truth_table
 from .hypercube import _table_average_sensitivity
-from .polynomial import MultilinearPolynomial, sign_pm1
+from .polynomial import MultilinearPolynomial, _unit, sign_pm1
 from .randomized import EstimatorResult, Rng, _block_ratios, estimate_alpha, exact_alpha
 
 _FORMULA_DOMAIN_CAP = 0.2499999999
@@ -86,12 +86,9 @@ class LeafKind(Enum):
 
 @dataclass(frozen=True)
 class LeafClass:
-    """``mismatch``: the enumerated share of points off ``sign`` when ``exact_verified``."""
-
     kind: LeafKind
     sign: int | None = None
     exact_verified: bool = False
-    mismatch: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind is LeafKind.NEAR_CONSTANT:
@@ -183,16 +180,19 @@ def default_threshold(tau: float, eps: float, d: int, big_m: float) -> float:
 def classify_leaf(p: MultilinearPolynomial, tau: float, eps: float) -> LeafClass:
     """Label a restricted polynomial Regular, NearConstant(sign) or Bad.
 
-    Checked in that order.  The sign test enumerates the support variables
-    when there are at most 12 of them (a per-leaf cost policy, far inside
-    the enumeration budget); otherwise it falls back to the variance
-    criterion var <= (4 ln(1/eps))^(-d/2) * mean^2.  ``tau`` must be
-    positive and finite and ``eps`` lie in (0, 1), for constants too.
+    Checked in that order, on the unit form of p (:func:`_unit`), so the
+    label is the same at any finite scale of p and no square overflows.
+    The sign test enumerates the support variables when there are at most
+    12 of them (a per-leaf cost policy, far inside the enumeration budget);
+    otherwise it falls back to the variance criterion
+    var <= (4 ln(1/eps))^(-d/2) * mean^2.  ``tau`` must be positive and
+    finite and ``eps`` lie in (0, 1), for constants too.
     """
     if not 0 < tau < math.inf:
         raise InputError(f"tau must be positive and finite, got {tau}")
     if not 0 < eps < 1:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
+    p = _unit(p)
     mom = p.moments()
     if mom.variance > 0 and p.is_regular(tau):
         return LeafClass(LeafKind.REGULAR)
@@ -201,7 +201,7 @@ def classify_leaf(p: MultilinearPolynomial, tau: float, eps: float) -> LeafClass
     if compressed.n <= _EXACT_LEAF_SUPPORT:
         mismatch = float(np.mean((evaluate_on_hypercube(compressed) >= 0.0) != (sign > 0)))
         if mismatch <= eps:
-            return LeafClass(LeafKind.NEAR_CONSTANT, sign, exact_verified=True, mismatch=mismatch)
+            return LeafClass(LeafKind.NEAR_CONSTANT, sign, exact_verified=True)
         return LeafClass(LeafKind.BAD)
     criterion = (4.0 * math.log(1.0 / eps)) ** (-p.degree / 2.0) * mom.mean**2
     if mom.variance <= criterion:
@@ -223,9 +223,11 @@ def _expansion_threshold(poly: MultilinearPolynomial, config: RegularityConfig) 
 
 
 def _expansion_order(poly: MultilinearPolynomial, config: RegularityConfig) -> list[int]:
-    # influential coordinates (else the most influential one of the support,
-    # which is free even when every influence underflows to 0), by decreasing
-    # influence with ties to the lower index, at most _EXPAND_BUDGET of them
+    # on the unit form, so the order is the same at any finite scale: the
+    # influential coordinates (else the most influential free one of the
+    # support), by decreasing influence with ties to the lower index, at
+    # most _EXPAND_BUDGET of them
+    poly = _unit(poly)
     coords = influential_set(poly, _expansion_threshold(poly, config))
     infl = poly.influences()
     order = sorted(coords or poly.support, key=lambda i: (-infl[i], i))
@@ -242,6 +244,8 @@ def build_regularity_tree(p: MultilinearPolynomial, config: RegularityConfig) ->
     descending only into branches that are still bad.  Every child is
     ``p.restrict(dict(path))``, one exact restriction from the root.  An
     expansion fixes only free coordinates, so no path is longer than n.
+    Labels and expansion orders are read from each node's unit form, so the
+    tree is the same at any finite scale of p.
     The rounds budget of ``config`` and the cap of 2^16 leaves bound the
     expansion; if the mass target is missed the returned tree carries
     ``success=False`` plus diagnostics rather than failing.
@@ -535,8 +539,6 @@ def recursion_trace(
         active_vars = 0
         for index, (weight, poly) in enumerate(selected):
             compressed, _ = poly.compress_support()
-            if compressed.n == 0:
-                continue
             active_vars = max(active_vars, compressed.n)
             partition = block_partition(compressed.n, min(b, compressed.n))
             *block_results, total = _block_ratios(

@@ -7,7 +7,10 @@ regime (hundreds of variables); only the full-enumeration paths are limited,
 all by the one element budget ``ENUMERATION_BUDGET``.  Canonical form drops
 a term only when its coefficient is exactly zero, so every result depends on
 the polynomial only up to scale; all operations return new canonical
-polynomials, so instances are safe to share between workers.
+polynomials, so instances are safe to share between workers.  This module
+owns the scale rule: a scale-free quantity is computed on the unit form
+(:func:`_unit`), exactly p times the power of two that puts its largest
+|coefficient| in [1, 2), so it is the same at any finite scale of p.
 
 Points are plain numpy vectors: a ``RealPoint`` is any finite length-n float
 vector, a ``HypercubePoint`` additionally has every entry equal to +-1.
@@ -82,6 +85,29 @@ def _as_point(x, n: int) -> np.ndarray:
     if arr.ndim != 1 or arr.shape[0] != n:
         raise InputError(f"point must be a length-{n} vector, got shape {arr.shape}")
     return arr
+
+
+# ----------------------------------------------------------------------
+# the scale rule
+
+
+def _exponent(p: "MultilinearPolynomial") -> int:
+    """The e with 2^e <= max |coefficient of p| < 2^(e+1); 0 for the zero polynomial."""
+    return math.frexp(max(map(abs, p.terms.values()), default=1.0))[1] - 1
+
+
+def _ldexp(p: "MultilinearPolynomial", e: int) -> "MultilinearPolynomial":
+    """p times 2^e, exactly while no coefficient leaves the normal range; p itself when e is 0."""
+    if e == 0:
+        return p
+    return MultilinearPolynomial(p.n, {m: math.ldexp(c, e) for m, c in p.terms.items()})
+
+
+def _unit(p: "MultilinearPolynomial") -> "MultilinearPolynomial":
+    """The unit form of p: p times 2^-e (:func:`_exponent`), exactly, so its largest
+    |coefficient| lies in [1, 2).  A coefficient more than about 2^1074 below the
+    largest underflows and drops: no +-1 value of p resolves it."""
+    return _ldexp(p, -_exponent(p))
 
 
 @dataclass(frozen=True)
@@ -380,28 +406,30 @@ class MultilinearPolynomial:
         return float(self.influences().sum())
 
     def max_influence(self) -> tuple[int, float]:
-        """Most influential coordinate, lowest index winning ties."""
+        """Most influential coordinate, lowest index winning ties, and its influence.
+
+        The coordinate is chosen on the unit form (:func:`_unit`), so it is the
+        same at any finite scale of p; the influence is in p's units.
+        """
         if self.n == 0:
             raise InputError("polynomial has no coordinates")
-        infl = self.influences()
-        idx = int(np.argmax(infl))
-        return idx, float(infl[idx])
+        idx = int(np.argmax(_unit(self).influences()))
+        return idx, self.influence(idx)
 
     def is_regular(self, tau: float) -> bool:
         """True iff every influence is at most tau times the variance.
 
-        Undefined for constant polynomials (zero variance): callers must
-        handle constants separately.
+        Compared on the unit form (:func:`_unit`), so the answer is the same
+        at any finite scale of p.  Undefined for constant polynomials (zero
+        variance): callers must handle constants separately.
         """
         if tau <= 0:
             raise InputError(f"tau must be positive, got {tau}")
-        mom = self.moments()
-        if mom.variance == 0.0:
+        unit = _unit(self)
+        variance = unit.moments().variance
+        if variance == 0.0:
             raise InputError("regularity is undefined for a constant polynomial (zero variance)")
-        if self.n == 0:
-            return True
-        _, top = self.max_influence()
-        return top <= tau * mom.variance
+        return float(unit.influences().max()) <= tau * variance
 
     # ------------------------------------------------------------------
     # algebra

@@ -6,12 +6,14 @@ threads and nothing else.  Every estimator first compresses the
 polynomial onto its k support variables
 (:meth:`MultilinearPolynomial.compress_support`, exact for every
 distributional quantity since the other coordinates occur in no term) and
-draws only those k coordinates.  Every statistic of one polynomial here
-but the hypercontractivity check is scale-free and runs on the unit form
-(:func:`_unit`), exactly p times a power of two: each result is bit for
-bit that of p, no square it reads overflows, and any finite coefficients
-are accepted.  ``hypercontractivity_check`` reports in p's units and
-refuses |p|_2 = inf (:meth:`MultilinearPolynomial.moments`).
+draws only those k coordinates.  Every statistic here runs on the unit
+form (:func:`ptflab.polynomial._unit`), exactly p times a power of two,
+and ``abs_comparison_gap`` on p and q times one common power of two: each
+scale-free result is bit for bit that of p at any finite scale, no square
+it reads overflows, and any finite coefficients are accepted.
+``hypercontractivity_check`` and the thresholds of ``invariance_gap`` are
+scaled back exactly to p's units; the check refuses |p|_2 = inf
+(:meth:`MultilinearPolynomial.moments`).
 
 Gaussian draws of one polynomial run on its Gaussian form
 (:func:`_gaussian_form`), whose linear-only coordinates are merged into
@@ -78,6 +80,9 @@ from .polynomial import (
     _BATCH_ELEMENTS,
     KERNEL_ROWS,
     MultilinearPolynomial,
+    _exponent,
+    _ldexp,
+    _unit,
     check_enumeration,
     mask_from_indices,
 )
@@ -260,19 +265,6 @@ def _gaussian_form(p: MultilinearPolynomial) -> MultilinearPolynomial:
     first, *rest = linear
     terms[1 << first] = math.hypot(terms[1 << first], *(terms.pop(1 << i) for i in rest))
     return MultilinearPolynomial(p.n, terms).compress_support()[0]
-
-
-def _exponent(p: MultilinearPolynomial) -> int:
-    """The e with 2^e <= max |coefficient of p| < 2^(e+1); 0 for the zero polynomial."""
-    return math.frexp(max(map(abs, p.terms.values()), default=1.0))[1] - 1
-
-
-def _unit(p: MultilinearPolynomial) -> MultilinearPolynomial:
-    """The unit form of p: p times 2^-e (:func:`_exponent`), exactly, so its largest
-    |coefficient| lies in [1, 2).  A coefficient more than about 2^1074 below the
-    largest underflows and drops: no +-1 value of p resolves it."""
-    e = _exponent(p)
-    return MultilinearPolynomial(p.n, {m: math.ldexp(c, -e) for m, c in p.terms.items()})
 
 
 def _sampled_form(p: MultilinearPolynomial, dist: str) -> MultilinearPolynomial:
@@ -681,12 +673,15 @@ def abs_comparison_gap(
 
     The reported ``std_error`` is that of the signed difference of the two
     independent proportion estimates.  Both polynomials are compressed onto
-    the union of their supports.
+    the union of their supports and scaled by one common power of two, which
+    puts the largest |coefficient| of the pair in [1, 2) and leaves every
+    comparison as it is, so the result is the same at any finite common scale.
     """
     if p.n != q.n:
         raise InputError(f"dimension mismatch: n={p.n} vs n={q.n}")
     support = tuple(sorted(set(p.support) | set(q.support)))
-    pc, qc = p.compress_support(support)[0], q.compress_support(support)[0]
+    e = max(_exponent(p), _exponent(q))
+    pc, qc = (_ldexp(r.compress_support(support)[0], -e) for r in (p, q))
 
     def share(dist: str, stream: Rng) -> EstimatorResult:
         below = lambda points, values, deriv: np.abs(values) <= np.abs(qc.eval_many(points.T))
@@ -720,17 +715,23 @@ def hypercontractivity_check(p: MultilinearPolynomial, t: int) -> Hypercontracti
 
     The left side is the enumerated t-th moment (even t only), the right
     side comes from coefficient arithmetic.  The moment is taken of
-    p / |p|_2, so no power overflows, and the 1e-9 slack is relative to
-    |p|_2.
+    u / |u|_2 for the unit form u of p (:func:`_unit`), so no power
+    overflows or underflows, and the 1e-9 slack is relative to |p|_2.  Both
+    sides are reported in p's units, so |p|_2 = inf is refused
+    (:meth:`MultilinearPolynomial.moments`).
     """
     if not isinstance(t, int) or t % 2 != 0 or t < 2:
         raise InputError(f"the exact path needs an even moment order >= 2, got {t!r}")
-    norm = p.moments().l2_norm
+    p.moments()  # refuses |p|_2 = inf
+    e = _exponent(p)
+    unit = _ldexp(p, -e)
+    norm = unit.moments().l2_norm
     scale = norm or 1.0  # the zero polynomial has zero values
-    ratio = float(np.mean(np.abs(evaluate_on_hypercube(p) / scale) ** t) ** (1.0 / t))
+    ratio = float(np.mean(np.abs(evaluate_on_hypercube(unit) / scale) ** t) ** (1.0 / t))
     factor = math.sqrt(t - 1.0) ** p.degree
+    l2 = math.ldexp(norm, e)  # |p|_2
     return HypercontractivityCheck(
-        t=t, lhs=ratio * scale, rhs=factor * norm, holds=ratio <= factor + 1e-9, degree=p.degree
+        t=t, lhs=ratio * l2, rhs=factor * l2, holds=ratio <= factor + 1e-9, degree=p.degree
     )
 
 

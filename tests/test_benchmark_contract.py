@@ -14,8 +14,10 @@ from pathlib import Path
 import pytest
 
 from ptflab import (
+    GAUSSIAN,
     MultilinearPolynomial,
     Rng,
+    block_partition,
     estimate_alpha,
     estimate_beta,
     invariance_gap,
@@ -107,3 +109,34 @@ def test_analyze_calls_the_hypercube_names_smoke_counts(tracing, monkeypatch):
                 monkeypatch.setattr(module, name, counting)
     _analyze_report(random_polynomial(8, 3, 12, Rng(7)), 0, 7, 1.0, 1.0, 1, "random")
     assert all(calls.values()), calls
+
+
+# one tiny call of each Monte Carlo entry point the benchmark counts, by
+# (module, name), with the number of samples its result reports per request:
+# block_alpha_sum reports one result of the requested samples per block
+_P = MultilinearPolynomial(3, {1: 1.0, 0b110: 0.5, 0b100: -0.3})
+_BLOCKS = 3
+MC_CALLS = {
+    ("randomized", "tail_curve"): (lambda f, m: f(_P, GAUSSIAN, [1.0], m, Rng(1)), 1),
+    ("randomized", "weak_anticoncentration_estimate"): (lambda f, m: f(_P, GAUSSIAN, m, Rng(1)), 1),
+    ("randomized", "carbery_wright_estimate"): (lambda f, m: f(_P, 0.1, m, Rng(1)), 1),
+    ("randomized", "strong_anticoncentration_estimate"): (lambda f, m: f(_P, 0.1, m, Rng(1)), 1),
+    ("randomized", "estimate_alpha"): (lambda f, m: f(_P, m, Rng(1)), 1),
+    ("randomized", "estimate_beta"): (lambda f, m: f(_P, m, Rng(1)), 1),
+    ("randomized", "invariance_gap"): (lambda f, m: f(_P, None, m, Rng(1)), 1),
+    ("randomized", "abs_comparison_gap"): (lambda f, m: f(_P, -_P, m, Rng(1)), 1),
+    ("decompose", "block_alpha_sum"): (
+        lambda f, m: f(_P, block_partition(_P.n, _BLOCKS), m, Rng(1)), _BLOCKS
+    ),
+}
+
+
+def test_requested_samples_reads_every_monte_carlo_result(tracing):
+    # samples_per_s divides tracing._requested_samples(result) by the wall time;
+    # a result that lost its sample count would silently count 0
+    traced = {(module, name) for module, names in tracing.MC_FUNCTIONS.items() for name in names}
+    assert set(MC_CALLS) == traced
+    samples = 300
+    for (module, name), (call, per_request) in MC_CALLS.items():
+        result = call(getattr(importlib.import_module(f"ptflab.{module}"), name), samples)
+        assert tracing._requested_samples(result) == per_request * samples, name

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -7,8 +8,9 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ptflab import MultilinearPolynomial, Rng, middle_layers_witness, random_polynomial
-from ptflab.cli import SuiteRow, _bundle_exit_code, main
+from ptflab import LeafKind, MultilinearPolynomial, Rng, middle_layers_witness, random_polynomial
+from ptflab import decompose
+from ptflab.cli import SuiteRow, _bundle_exit_code, main, run_suite
 
 
 @pytest.fixture()
@@ -345,6 +347,22 @@ def test_suite_has_no_unused_constant_options(runner):
     for option in ("--c1", "--c2", "--clog", "--cexp"):
         result = runner.invoke(main, ["suite", "--suite", "gl", "--seed", "1", option, "2"])
         assert result.exit_code == 2, option
+
+
+def test_leaf_soundness_fails_on_wrong_enumerated_labels(monkeypatch):
+    # the row reads f's truth table on each leaf's subcube, not the classifier's own count
+    classify = decompose.classify_leaf
+
+    def flipped(p, tau, eps):
+        label = classify(p, tau, eps)
+        if label.kind is LeafKind.NEAR_CONSTANT and label.exact_verified:
+            return dataclasses.replace(label, sign=-label.sign)
+        return label
+
+    monkeypatch.setattr(decompose, "classify_leaf", flipped)
+    rows = run_suite("decompose", 7, 1_000, 0.1, 0.05, 0.05, 1.0, 3, 1)
+    (row,) = [row for row in rows if row.check == "leaf_soundness"]
+    assert row.status == "fail"
 
 
 # ---------------------------------------------------------------------------

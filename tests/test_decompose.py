@@ -5,7 +5,6 @@ import pytest
 from ptflab import (
     CapExceededError,
     InputError,
-    LeafClass,
     LeafKind,
     MultilinearPolynomial,
     RegularityConfig,
@@ -108,15 +107,6 @@ def test_classify_constant_is_near_constant():
     assert label.kind is LeafKind.NEAR_CONSTANT
     assert label.sign == 1
     assert label.exact_verified
-
-
-def test_classify_records_the_enumerated_mismatch():
-    p = poly(4, {(): 1.0, (0, 1): 0.3, (2,): 0.9})  # negative only where x2 = -1, x0 x1 = -1
-    label = classify_leaf(p, 1e-9, 0.3)
-    assert label.kind is LeafKind.NEAR_CONSTANT and label.exact_verified
-    assert label.mismatch == 0.25
-    assert label == LeafClass(LeafKind.NEAR_CONSTANT, sign=1, exact_verified=True)
-    assert classify_leaf(MultilinearPolynomial.coordinate_sum(10), 0.1, 0.05).mismatch is None
 
 
 def test_classify_zero_polynomial():

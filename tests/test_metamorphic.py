@@ -6,9 +6,10 @@ negated (away from its zeros).  Scaling by a power of two is exact in
 floating point, so every seeded estimate, every exact quantity and the
 restriction tree must come out bit-identical, not merely close.  The one
 exception is exact alpha under padding, whose sum over the 4^n pairs of
-points grows and is rounded differently.  The scale-free statistics run
-on the unit form of p, so they stay bit-identical even at scales where
-the squares of the coefficients overflow or underflow.
+points grows and is rounded differently.  The scale-free results (the
+statistics, regularity, leaf labels and the restriction tree) are
+computed on the unit form of p, so they stay bit-identical even at scales
+where the squares of the coefficients overflow or underflow.
 
 Relabelling the variables permutes the truth table and the spectrum bit
 for bit (a +-1 table transforms exactly) and leaves every quantity built
@@ -26,12 +27,14 @@ from ptflab import (
     RegularityConfig,
     Rng,
     SignFunction,
+    abs_comparison_gap,
     average_sensitivity_exact,
     average_sensitivity_fourier,
     block_alpha_sum,
     block_partition,
     build_regularity_tree,
     carbery_wright_estimate,
+    classify_leaf,
     estimate_alpha,
     estimate_beta,
     exact_alpha,
@@ -56,9 +59,8 @@ SAMPLES = 2000
 INSTANCES = [random_polynomial(7, 3, 16, Rng(100 + s)) for s in range(3)]
 
 
-def outputs(p, scale=1.0):
-    """Every checked result of p, with the tree and terms divided by the ``scale`` of p."""
-    rng = Rng(11)
+def tree_outputs(p, scale):
+    """The restriction tree of p, with its leaf terms divided by the ``scale`` of p."""
     tree = build_regularity_tree(p, CONFIG)
     sign = 1 if scale > 0 else -1
     leaves = [
@@ -68,10 +70,15 @@ def outputs(p, scale=1.0):
             leaf.label.kind,
             None if leaf.label.sign is None else sign * leaf.label.sign,
             leaf.label.exact_verified,
-            leaf.label.mismatch,
         )
         for leaf in tree.leaves
     ]
+    return leaves, tree.success, tree.diagnostics
+
+
+def outputs(p, scale=1.0):
+    """Every checked result of p, with the tree and terms divided by the ``scale`` of p."""
+    rng = Rng(11)
     return {
         "terms": {m: c / scale for m, c in p.terms.items()},
         "alpha": estimate_alpha(p, SAMPLES, rng.child(0)),
@@ -81,9 +88,7 @@ def outputs(p, scale=1.0):
         "exact_alpha": exact_alpha(p),
         "as": average_sensitivity_exact(SignFunction(p)),
         "hypercontractivity": hypercontractivity_check(p, 4).lhs / abs(scale),
-        "leaves": leaves,
-        "success": tree.success,
-        "diagnostics": tree.diagnostics,
+        "tree": tree_outputs(p, scale),
     }
 
 
@@ -116,11 +121,13 @@ def scale_free_outputs(p, e=0):
     """Every scale-free result of p, whose scale is 2^e, at unit scale.
 
     The invariance gap's quantile thresholds are compared scaled back by
-    2^-e, and its given thresholds are the fixed ones times 2^e.
+    2^-e, and its given thresholds are the fixed ones times 2^e.  The
+    comparison gap pairs p with the coordinate sum at the same scale.
     """
     rng = Rng(12)
     gap = invariance_gap(p, None, SAMPLES, rng.child(7))
     fixed = invariance_gap(p, np.ldexp(GAP_THRESHOLDS, e), SAMPLES, rng.child(8))
+    q = MultilinearPolynomial.coordinate_sum(p.n).scale(2.0**e)
     return {
         "alpha": estimate_alpha(p, SAMPLES, rng.child(0)),
         "beta": estimate_beta(p, SAMPLES, rng.child(1)),
@@ -134,6 +141,11 @@ def scale_free_outputs(p, e=0):
         "exact_alpha": exact_alpha(p),
         "gap": (gap.gap, np.ldexp(gap.thresholds, -e).tolist(), gap.per_t.tolist()),
         "fixed_gap": (fixed.gap, np.ldexp(fixed.thresholds, -e).tolist(), fixed.per_t.tolist()),
+        "comparison_gap": abs_comparison_gap(p, q, SAMPLES, rng.child(10)),
+        "tree": tree_outputs(p, 2.0**e),
+        "label": classify_leaf(p, CONFIG.tau, CONFIG.eps),
+        "regular": p.is_regular(CONFIG.tau),
+        "most_influential": p.max_influence()[0],
     }
 
 
@@ -142,6 +154,17 @@ def test_scale_free_statistics_are_bit_identical_at_any_finite_scale(p):
     reference = scale_free_outputs(p)
     for e in EXTREME_EXPONENTS:
         assert scale_free_outputs(p.scale(2.0**e), e) == reference, e
+
+
+@pytest.mark.parametrize("p", INSTANCES)
+def test_hypercontractivity_is_reported_in_p_units_at_tiny_scales(p):
+    # above 2^512 the squares of |p|_2 overflow and the check refuses p
+    reference = hypercontractivity_check(p, 4)
+    for e in (-600, -1000):
+        check = hypercontractivity_check(p.scale(2.0**e), 4)
+        assert (check.lhs / 2.0**e, check.rhs / 2.0**e, check.holds) == (
+            reference.lhs, reference.rhs, reference.holds
+        ), e
 
 
 def _relabel(mask, perm):

@@ -700,18 +700,22 @@ def test_gaussian_form_leaves_classes_of_fewer_than_two_unchanged(p):
 HUGE = poly(2, {(0,): 1e200, (1,): 1e200})
 
 
+def _tree_shape(p):
+    """The paths and labels of the restriction tree of p, with its outcome."""
+    tree = build_regularity_tree(p, RegularityConfig(tau=0.1, eps=0.05, delta=0.05))
+    return [(leaf.path, leaf.label) for leaf in tree.leaves], tree.success, tree.diagnostics
+
+
 @pytest.mark.parametrize(
     "call",
     [
         lambda: hypercontractivity_check(HUGE, 4),
-        lambda: classify_leaf(HUGE, 0.1, 0.05),
-        lambda: build_regularity_tree(HUGE, RegularityConfig(tau=0.1, eps=0.05, delta=0.05)),
         lambda: MultilinearPolynomial(3, {0: 1e308, 1: 1e308, 2: 1e308, 4: 1e308}).restrict(
             {0: 1, 1: 1, 2: 1}
         ),
         lambda: MultilinearPolynomial(1, {0: 1e308, 1: 1e308}).restrict({0: 1}),
     ],
-    ids=["hypercontractivity", "classify_leaf", "regularity_tree", "restrict_fsum", "restrict_pair"],
+    ids=["hypercontractivity", "restrict_fsum", "restrict_pair"],
 )
 def test_overflowing_coefficient_squares_are_refused(call):
     # these report in p's units (or build p's restrictions), so |p|_2 = inf has no answer
@@ -730,14 +734,16 @@ def test_overflowing_coefficient_squares_are_refused(call):
         lambda p: estimate_beta(p, 1_000, Rng(1)),
         lambda p: strong_anticoncentration_estimate(p, 0.1, 1_000, Rng(1)),
         lambda p: block_alpha_sum(p, block_partition(2, 2), 1_000, Rng(1)),
+        lambda p: classify_leaf(p, 0.1, 0.05),
+        _tree_shape,
     ],
     ids=[
         "weak_exact", "weak_estimate", "carbery_wright", "tail_curve", "alpha", "beta", "strong",
-        "block_alpha_sum",
+        "block_alpha_sum", "classify_leaf", "regularity_tree",
     ],
 )
 def test_overflowing_squares_give_the_unit_scale_results(call):
-    # scale-free statistics run on the unit form of p, whose squares are finite
+    # scale-free results are computed on the unit form of p, whose squares are finite
     assert call(HUGE) == call(poly(2, {(0,): 1.0, (1,): 1.0}))
 
 
@@ -900,6 +906,15 @@ def test_abs_comparison_gap_decays_with_dimension():
 def test_abs_comparison_gap_dimension_mismatch():
     with pytest.raises(InputError):
         abs_comparison_gap(scaled_sum(3), scaled_sum(4), 100, Rng(1))
+
+
+@pytest.mark.filterwarnings("error")
+def test_abs_comparison_gap_does_not_overflow_at_a_large_common_scale():
+    # at 1e308 the values of p overflow; the pair runs at one common unit scale
+    # (test_metamorphic compares common scales 2^+-600 and 2^+-1000)
+    p, q = MultilinearPolynomial.coordinate_sum(3), poly(3, {(0,): 1.0, (1,): 1.0})
+    gap = lambda c: abs_comparison_gap(p.scale(c), q.scale(c), 20_000, Rng(1))
+    assert gap(1e308) == gap(1e308 * 2.0**-1023)
 
 
 # ---------------------------------------------------------------------------
