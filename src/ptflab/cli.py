@@ -48,8 +48,8 @@ from .hypercube import (
     noise_sensitivity_exact,
     theorem_bound,
     theorem_log_bound,
-    truth_table,
 )
+from .hypercube import _subcube_table
 from .polynomial import ENUMERATION_BUDGET, MultilinearPolynomial, check_enumeration
 from .randomized import (
     Rng,
@@ -185,6 +185,8 @@ class SuiteRow:
 
 
 def _row(check, instance, kind, passed, value=None, reference=None, detail="", extra=None) -> SuiteRow:
+    # a numpy scalar becomes its Python scalar, so both bundles print it as a number
+    value, reference = (v.item() if isinstance(v, np.generic) else v for v in (value, reference))
     if kind == "info":
         status = "info"
     else:
@@ -618,13 +620,10 @@ def _suite_decompose(
         tree = build_regularity_tree(p, config)
         if tree.success:
             successes += 1
-        cube = truth_table(SignFunction(p)).reshape((2,) * p.n)  # axis n-1-i holds coordinate i
+        f = SignFunction(p)
         for leaf in tree.leaves:
             if leaf.label.kind is LeafKind.NEAR_CONSTANT and leaf.label.exact_verified:
-                subcube = [slice(None)] * p.n
-                for i, value in leaf.path:
-                    subcube[p.n - 1 - i] = (1 - value) // 2  # bit i set means x_i = -1
-                signs = cube[tuple(subcube)]
+                signs = _subcube_table(f, leaf.path)
                 worst = max(worst, int(np.count_nonzero(signs != leaf.label.sign)) / signs.size)
     rows.append(
         _row(

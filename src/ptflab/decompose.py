@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .hypercube import SignFunction, average_sensitivity_exact, evaluate_on_hypercube, truth_table
-from .hypercube import _table_average_sensitivity
+from .hypercube import SignFunction, average_sensitivity_exact, truth_table
+from .hypercube import _block_tables, _subcube_table, _table_average_sensitivity
 from .polynomial import MultilinearPolynomial, _unit, sign_pm1
 from .randomized import EstimatorResult, Rng, _block_ratios, estimate_alpha, exact_alpha
 
@@ -199,7 +199,7 @@ def classify_leaf(p: MultilinearPolynomial, tau: float, eps: float) -> LeafClass
     sign = sign_pm1(mom.mean)
     compressed, _ = p.compress_support()
     if compressed.n <= _EXACT_LEAF_SUPPORT:
-        mismatch = float(np.mean((evaluate_on_hypercube(compressed) >= 0.0) != (sign > 0)))
+        mismatch = float(np.mean(truth_table(SignFunction(compressed)) != sign))
         if mismatch <= eps:
             return LeafClass(LeafKind.NEAR_CONSTANT, sign, exact_verified=True)
         return LeafClass(LeafKind.BAD)
@@ -320,17 +320,20 @@ class TreeSensitivityCheck:
     holds: bool
 
 
-def _leaf_average_sensitivity(poly: MultilinearPolynomial) -> float:
-    return average_sensitivity_exact(SignFunction(poly.compress_support()[0]))
-
-
 def tree_sensitivity_check(f: SignFunction, tree: DecisionTree) -> TreeSensitivityCheck:
-    """Exactly compare as(f) with tree depth plus the expected leaf sensitivity."""
+    """Exactly compare as(f) with tree depth plus the expected leaf sensitivity.
+
+    The inequality as(f) <= depth + E_leaf as(f restricted to the leaf)
+    holds for any tree over f's n coordinates, not only one grown from f's
+    polynomial: each leaf term is f on the leaf's subcube, read off f's
+    table, and the leaf polynomials are not read.
+    """
     if tree.n != f.n:
         raise InputError(f"tree is for n={tree.n}, function has n={f.n}")
     as_exact = average_sensitivity_exact(f)
     leaf_expectation = sum(
-        leaf.probability * _leaf_average_sensitivity(leaf.polynomial) for leaf in tree.leaves
+        leaf.probability * _table_average_sensitivity(_subcube_table(f, leaf.path), f.n - leaf.depth)
+        for leaf in tree.leaves
     )
     depth = tree.depth
     return TreeSensitivityCheck(
@@ -391,18 +394,10 @@ def block_sensitivity_identity_check(f: SignFunction, partition: BlockPartition)
     sides agree identically, so any gap beyond rounding is a bug.  Both
     sides read the cached truth table of f.
     """
-    n = f.n
-    if partition.n != n:
-        raise InputError(f"partition is for n={partition.n}, function has n={n}")
-    cube = truth_table(f).reshape((2,) * n)  # axis n-1-i holds coordinate i
+    if partition.n != f.n:
+        raise InputError(f"partition is for n={partition.n}, function has n={f.n}")
     lhs = average_sensitivity_exact(f)
-    rhs = 0.0
-    for block in partition.blocks:
-        outside = [i for i in range(n) if i not in block]
-        axes = [n - 1 - i for i in reversed(outside)] + [n - 1 - i for i in reversed(block)]
-        # row: one assignment of the outside coordinates; column: the block's sub-cube
-        sub = cube.transpose(axes).reshape(-1, 1 << len(block))
-        rhs += _table_average_sensitivity(sub, len(block))
+    rhs = sum(_table_average_sensitivity(_block_tables(f, b), len(b)) for b in partition.blocks)
     return BlockIdentityCheck(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs))
 
 

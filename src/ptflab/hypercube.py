@@ -6,13 +6,20 @@ all-ones point).  Under this convention the vector of evaluations of a
 multilinear polynomial over the whole cube is the Walsh-Hadamard transform
 of its coefficient vector, and the transform of a truth table divided by
 2^n gives the correlation coefficients E[f(A) * prod_{i in S} A_i].
+Reshaped to ``(2,) * n``, a table holds coordinate i on axis n-1-i, so
+index 1 on that axis is x_i = -1; only this module uses that layout.
 
 Every function here enumerates the cube within the element budget
 :data:`ptflab.polynomial.ENUMERATION_BUDGET`.  A :class:`SignFunction` is
 the one exact view of f = sgn p: its +-1 table, spectrum and level weights,
 each built once from p alone and cached read-only; every exact quantity of
-f reads them.  A quantity of p's own cube values (a moment, a share of
-large values) takes the polynomial and enumerates it itself.
+f reads them.  Its table is the one place that applies the sign rule
+sgn(0) = +1 to cube values.  Restrictions of f are read off that table,
+never re-enumerated: :func:`_subcube_table` is f on the subcube a
+restriction path fixes, and :func:`_block_tables` lays f out as one row of
+block sub-tables per assignment of the coordinates outside a block.  A
+quantity of p's own cube values (a moment, a share of large values) takes
+the polynomial and enumerates it itself.
 
 Both 2^n-point transforms, evaluation and spectrum, are one in-place kernel
 (:func:`fwht` runs it on a copy): a pass of 32 x 32 Hadamard matrix products
@@ -170,6 +177,31 @@ def fourier(f: SignFunction) -> np.ndarray:
     Satisfies Parseval: its squares sum to 1.
     """
     return f._spectrum
+
+
+def _subcube_table(f: SignFunction, path) -> np.ndarray:
+    """f's table on the subcube that ``path`` fixes, in mask order of the free coordinates.
+
+    ``path`` is a sequence of (coordinate, +-1 value) pairs fixing each
+    coordinate at most once; bit j of the returned mask is the j-th lowest
+    free coordinate.
+    """
+    index: list = [slice(None)] * f.n
+    for i, value in path:
+        index[f.n - 1 - i] = (1 - value) // 2  # axis n-1-i holds x_i; index 1 means x_i = -1
+    return truth_table(f).reshape((2,) * f.n)[tuple(index)].reshape(-1)
+
+
+def _block_tables(f: SignFunction, block) -> np.ndarray:
+    """f's sub-tables on ``block``, one row per assignment of the outside coordinates.
+
+    Rows come in mask order of the outside coordinates; bit j of a column
+    mask is coordinate ``block[j]``.
+    """
+    n = f.n
+    outside = [i for i in range(n) if i not in block]
+    axes = [n - 1 - i for i in reversed(outside)] + [n - 1 - i for i in reversed(block)]
+    return truth_table(f).reshape((2,) * n).transpose(axes).reshape(-1, 1 << len(block))
 
 
 def _table_average_sensitivity(values: np.ndarray, n: int) -> float:

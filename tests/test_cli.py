@@ -3,14 +3,15 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ptflab import LeafKind, MultilinearPolynomial, Rng, middle_layers_witness, random_polynomial
-from ptflab import decompose
-from ptflab.cli import SuiteRow, _bundle_exit_code, main, run_suite
+from ptflab import cli, decompose
+from ptflab.cli import SuiteRow, _bundle_exit_code, _row, main, run_suite
 
 
 @pytest.fixture()
@@ -363,6 +364,23 @@ def test_leaf_soundness_fails_on_wrong_enumerated_labels(monkeypatch):
     rows = run_suite("decompose", 7, 1_000, 0.1, 0.05, 0.05, 1.0, 3, 1)
     (row,) = [row for row in rows if row.check == "leaf_soundness"]
     assert row.status == "fail"
+
+
+def test_numpy_scalars_in_rows_print_as_their_python_values(runner, tmp_path, monkeypatch):
+    def suite_of(value, reference):
+        return lambda *args: [_row("c", "i", "hard", True, value, reference)]
+
+    bundles = []
+    for value, reference in ((np.float64(0.015625), np.int64(3)), (0.015625, 3)):
+        monkeypatch.setattr(cli, "run_suite", suite_of(value, reference))
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"{type(reference).__name__}.{fmt}"
+            args = ["suite", "--suite", "gl", "--seed", "1", "--format", fmt, "--out", str(out)]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            bundles.append(out.read_bytes())
+    assert bundles[:2] == bundles[2:]
+    assert b"0.015625,3," in bundles[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ptflab import (
@@ -23,8 +24,9 @@ from ptflab import (
     small_alpha_check,
     tree_sensitivity_check,
 )
-from ptflab import decompose
+from ptflab import decompose, truth_table
 from ptflab.decompose import BlockPartition
+from ptflab.hypercube import _block_tables, _subcube_table
 
 from conftest import poly, random_instances
 
@@ -299,6 +301,39 @@ def test_tree_sensitivity_random_sweep():
         assert tree_sensitivity_check(SignFunction(p), tree).holds
 
 
+def test_tree_sensitivity_holds_for_a_tree_of_another_polynomial():
+    # the inequality holds for any tree: the dictator's tree splits on x0 once,
+    # and parity restricted to either half has sensitivity 2
+    tree = build_regularity_tree(poly(3, {(0,): 1.0}), CONFIG)
+    assert [leaf.path for leaf in tree.leaves] == [((0, -1),), ((0, 1),)]
+    check = tree_sensitivity_check(SignFunction(poly(3, {(0, 1, 2): 1.0})), tree)
+    assert check.as_exact == 3.0
+    assert check.leaf_expectation == 2.0
+    assert check.holds
+
+
+def test_subcube_table_is_the_enumerated_leaf_restriction():
+    for _, p in random_instances(77, 12, n_range=(3, 9)):
+        f = SignFunction(p)
+        for leaf in build_regularity_tree(p, CONFIG).leaves:
+            fixed = {i for i, _ in leaf.path}
+            free = [i for i in range(p.n) if i not in fixed]
+            restricted, _ = p.restrict(dict(leaf.path)).compress_support(free)
+            expected = truth_table(SignFunction(restricted))
+            assert np.array_equal(_subcube_table(f, leaf.path), expected)
+
+
+def test_block_tables_rows_are_subcube_tables():
+    p = random_polynomial(6, 3, 12, Rng(78))
+    f = SignFunction(p)
+    block = (1, 3, 4)
+    outside = (0, 2, 5)
+    rows = _block_tables(f, block)
+    for mask, row in enumerate(rows):
+        path = [(i, -1 if mask >> j & 1 else 1) for j, i in enumerate(outside)]
+        assert np.array_equal(row, _subcube_table(f, path))
+
+
 # ---------------------------------------------------------------------------
 # block partitions and the sensitivity identity
 
@@ -348,6 +383,13 @@ def test_block_identity_sweep():
         for b in (1, 2, 3, p.n):
             check = block_sensitivity_identity_check(f, block_partition(p.n, b))
             assert check.gap <= 1e-9
+        # unsorted blocks, interleaved and listed in decreasing order
+        alternate = (tuple(range(p.n - 1, -1, -2)), tuple(range(p.n - 2, -1, -2)))
+        check = block_sensitivity_identity_check(f, BlockPartition(p.n, alternate))
+        assert check.gap <= 1e-9
+    f = SignFunction(random_polynomial(6, 3, 12, Rng(76)))
+    check = block_sensitivity_identity_check(f, BlockPartition(6, ((5, 0, 3), (2,), (4, 1))))
+    assert check.gap <= 1e-9
 
 
 def test_block_identity_cap():
