@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InputError
 from .hypercube import SignFunction, average_sensitivity_exact, truth_table
 from .hypercube import _block_tables, _subcube_table, _table_average_sensitivity
-from .polynomial import MultilinearPolynomial, _unit, sign_pm1
+from .polynomial import MultilinearPolynomial, _is_regular_unit, _unit, sign_pm1
 from .randomized import EstimatorResult, Rng, _block_ratios, estimate_alpha, exact_alpha
 
 _FORMULA_DOMAIN_CAP = 0.2499999999
@@ -159,8 +159,12 @@ def influential_set(p: MultilinearPolynomial, m: float) -> set[int]:
     """Coordinates whose influence exceeds ``m >= 0``; at most total_influence/m many if m > 0."""
     if not m >= 0:
         raise InputError(f"influence threshold must be non-negative, got {m}")
-    infl = p.influences()
-    return {i for i in range(p.n) if infl[i] > m}
+    return _above(p.influences(), m)
+
+
+def _above(infl: np.ndarray, m: float) -> set[int]:
+    """The coordinates whose influence in ``infl`` exceeds ``m``."""
+    return {i for i in range(infl.size) if infl[i] > m}
 
 
 def default_threshold(tau: float, eps: float, d: int, big_m: float) -> float:
@@ -194,7 +198,7 @@ def classify_leaf(p: MultilinearPolynomial, tau: float, eps: float) -> LeafClass
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     p = _unit(p)
     mom = p.moments()
-    if mom.variance > 0 and p.is_regular(tau):
+    if mom.variance > 0 and _is_regular_unit(p, mom.variance, tau):
         return LeafClass(LeafKind.REGULAR)
     sign = sign_pm1(mom.mean)
     compressed, _ = p.compress_support()
@@ -228,8 +232,8 @@ def _expansion_order(poly: MultilinearPolynomial, config: RegularityConfig) -> l
     # support), by decreasing influence with ties to the lower index, at
     # most _EXPAND_BUDGET of them
     poly = _unit(poly)
-    coords = influential_set(poly, _expansion_threshold(poly, config))
     infl = poly.influences()
+    coords = _above(infl, _expansion_threshold(poly, config))
     order = sorted(coords or poly.support, key=lambda i: (-infl[i], i))
     return order[:_EXPAND_BUDGET] if coords else order[:1]
 

@@ -110,6 +110,11 @@ def _unit(p: "MultilinearPolynomial") -> "MultilinearPolynomial":
     return _ldexp(p, -_exponent(p))
 
 
+def _is_regular_unit(unit: "MultilinearPolynomial", variance: float, tau: float) -> bool:
+    """Regularity of a unit form of nonzero ``variance``: every influence at most tau * variance."""
+    return float(unit.influences().max()) <= tau * variance
+
+
 @dataclass(frozen=True)
 class Moments:
     """Mean, variance and L2 norm of a polynomial under uniform +-1 inputs.
@@ -429,7 +434,7 @@ class MultilinearPolynomial:
         variance = unit.moments().variance
         if variance == 0.0:
             raise InputError("regularity is undefined for a constant polynomial (zero variance)")
-        return float(unit.influences().max()) <= tau * variance
+        return _is_regular_unit(unit, variance, tau)
 
     # ------------------------------------------------------------------
     # algebra

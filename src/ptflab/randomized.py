@@ -15,11 +15,13 @@ it reads overflows, and any finite coefficients are accepted.
 scaled back exactly to p's units; the check refuses |p|_2 = inf
 (:meth:`MultilinearPolynomial.moments`).
 
-Gaussian draws of one polynomial run on its Gaussian form
-(:func:`_gaussian_form`), whose linear-only coordinates are merged into
-one with the same joint law of (p(X), |grad p(X)|^2): the linear form
-at n = 400 draws one value per row instead of 400.  ``abs_comparison_gap``
-draws two polynomials at one point and keeps every coordinate.  A +-1 draw
+Gaussian draws run on the Gaussian form (:func:`_gaussian_form`) of the
+polynomials drawn at one point, whose linear-only coordinates are merged
+into one per independent direction with the same joint law: one
+polynomial keeps the law of (p(X), |grad p(X)|^2) and the linear form at
+n = 400 draws one value per row instead of 400; the pair of
+``abs_comparison_gap`` keeps the joint law of (p(X), q(X)) on at most two
+merged coordinates.  A +-1 draw
 of ``rows * cols`` values takes ``ceil(rows * cols / 8)`` random bytes and
 unpacks their bits in C order, bit 1 to +1 and bit 0 to -1.
 
@@ -244,27 +246,60 @@ def _draw(gen: np.random.Generator, dist: str, rows: int, cols: int) -> np.ndarr
     return gen.standard_normal((rows, cols))
 
 
-def _gaussian_form(p: MultilinearPolynomial) -> MultilinearPolynomial:
-    """The Gaussian form of ``p``: its linear-only coordinates merged into one.
+def _gaussian_form(*polys: MultilinearPolynomial) -> tuple[MultilinearPolynomial, ...]:
+    """The Gaussian form of polynomials drawn at one point: their linear-only coordinates merged.
 
-    A coordinate that occurs only in its degree-1 term contributes a_i X_i
-    and nothing else, and the sum of such terms over the class L of those
-    coordinates is exactly N(0, |a_L|^2): one coordinate with coefficient
-    ``hypot(*a_L)`` has the same law, and (p(X), |grad p(X)|^2) has the law
-    of the merged pair.  When fewer than two coordinates are linear-only
-    ``p`` itself is returned.
+    A coordinate that occurs in no higher term of any of the n-variable
+    ``polys`` contributes a_i X_i to each and nothing else.  Over the class L
+    of those coordinates the sums a_L . X_L of the polynomials are jointly
+    exactly N(0, Gram of their vectors a_L), which Gram-Schmidt writes as
+    one coordinate per orthonormal direction: a vector equal to an earlier
+    one or to its negation takes that one's coefficients, or their
+    negations, and any other takes its dot products with the directions so
+    far and the hypot of its remainder, which opens a new direction unless
+    it is 0.  So the first polynomial gets ``hypot(*a_L)``, the values at one
+    point keep their joint law, and so does (p(X), |grad p(X)|^2) for each.
+    The forms share the lowest indices of L for the merged coordinates and
+    are compressed onto the union of their supports.  When fewer than two
+    coordinates are linear-only the polynomials are returned as given.
     """
-    higher = 0
-    for mask in p.terms:
-        if mask & (mask - 1):
-            higher |= mask
-    linear = [i for i in range(p.n) if 1 << i in p.terms and not higher >> i & 1]
+    higher = degree_one = 0
+    for p in polys:
+        for mask in p.terms:
+            if mask & (mask - 1):
+                higher |= mask
+            else:
+                degree_one |= mask
+    n = polys[0].n
+    linear_only = degree_one & ~higher
+    linear = [i for i in range(n) if linear_only >> i & 1]
     if len(linear) < 2:
-        return p
-    terms = dict(p.terms)
-    first, *rest = linear
-    terms[1 << first] = math.hypot(terms[1 << first], *(terms.pop(1 << i) for i in rest))
-    return MultilinearPolynomial(p.n, terms).compress_support()[0]
+        return polys
+    directions: list[list[float]] = []
+    written: dict[tuple[float, ...], list[float]] = {}  # each a_L so far, in the directions
+    merged = []
+    for p in polys:
+        a = tuple(p.terms.get(1 << i, 0.0) for i in linear)
+        negated = tuple(-x for x in a)
+        if a in written:
+            coeffs = written[a]
+        elif negated in written:
+            coeffs = [-c for c in written[negated]]
+        else:
+            coeffs = [math.fsum(x * y for x, y in zip(u, a)) for u in directions]
+            rest = list(a)
+            for c, u in zip(coeffs, directions):
+                rest = [x - c * y for x, y in zip(rest, u)]
+            norm = math.hypot(*rest)
+            if norm > 0.0:
+                directions.append([x / norm for x in rest])
+                coeffs.append(norm)
+            written[a] = coeffs
+        terms = {mask: c for mask, c in p.terms.items() if not mask & linear_only}
+        terms.update((1 << i, c) for i, c in zip(linear, coeffs))
+        merged.append(MultilinearPolynomial(n, terms))
+    support = sorted({i for form in merged for i in form.support})
+    return tuple(form.compress_support(support)[0] for form in merged)
 
 
 def _sampled_form(p: MultilinearPolynomial, dist: str) -> MultilinearPolynomial:
@@ -277,7 +312,7 @@ def _sampled_form(p: MultilinearPolynomial, dist: str) -> MultilinearPolynomial:
     if dist not in _DISTRIBUTIONS:
         raise InputError(f"distribution must be one of {_DISTRIBUTIONS}, got {dist!r}")
     unit = _unit(p.compress_support()[0])
-    return _gaussian_form(unit) if dist == GAUSSIAN else unit
+    return _gaussian_form(unit)[0] if dist == GAUSSIAN else unit
 
 
 def _check_eps(eps: float) -> None:
@@ -661,6 +696,19 @@ def invariance_gap(
     )
 
 
+def _below_share(
+    p: MultilinearPolynomial,
+    q: MultilinearPolynomial,
+    dist: str,
+    samples: int,
+    rng: Rng,
+    workers: int,
+) -> EstimatorResult:
+    """Pr(|p| <= |q|) under ``dist`` inputs, for p and q on one index space drawn at one point."""
+    below = lambda points, values, deriv: np.abs(values) <= np.abs(q.eval_many(points.T))
+    return _run_sampler(below, p, dist, samples, rng, workers)[0]
+
+
 def abs_comparison_gap(
     p: MultilinearPolynomial,
     q: MultilinearPolynomial,
@@ -676,6 +724,10 @@ def abs_comparison_gap(
     the union of their supports and scaled by one common power of two, which
     puts the largest |coefficient| of the pair in [1, 2) and leaves every
     comparison as it is, so the result is the same at any finite common scale.
+    The +-1 half draws every coordinate of that support; the Gaussian half
+    draws the merged pair (:func:`_gaussian_form`), whose joint law of
+    (p(X), q(X)) is exact, so the linear-only coordinates of the pair cost
+    at most two values per row.
     """
     if p.n != q.n:
         raise InputError(f"dimension mismatch: n={p.n} vs n={q.n}")
@@ -683,11 +735,8 @@ def abs_comparison_gap(
     e = max(_exponent(p), _exponent(q))
     pc, qc = (_ldexp(r.compress_support(support)[0], -e) for r in (p, q))
 
-    def share(dist: str, stream: Rng) -> EstimatorResult:
-        below = lambda points, values, deriv: np.abs(values) <= np.abs(qc.eval_many(points.T))
-        return _run_sampler(below, pc, dist, samples, stream, workers)[0]
-
-    bern, gauss = share(BERNOULLI, rng.child(0)), share(GAUSSIAN, rng.child(1))
+    bern = _below_share(pc, qc, BERNOULLI, samples, rng.child(0), workers)
+    gauss = _below_share(*_gaussian_form(pc, qc), GAUSSIAN, samples, rng.child(1), workers)
     return EstimatorResult(
         estimate=abs(bern.estimate - gauss.estimate),
         std_error=math.hypot(bern.std_error, gauss.std_error),

@@ -162,6 +162,54 @@ def test_classify_tau_domain(p, tau):
         classify_leaf(p, tau, 0.05)
 
 
+def _count_reads(monkeypatch):
+    """Counters of the ``moments`` and ``influences`` calls and of the unit forms built."""
+    from ptflab import polynomial
+
+    calls = {"moments": 0, "influences": 0, "unit_forms": 0}
+    for name in ("moments", "influences"):
+        original = getattr(MultilinearPolynomial, name)
+
+        def counting(self, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self)
+
+        monkeypatch.setattr(MultilinearPolynomial, name, counting)
+    ldexp = polynomial._ldexp
+
+    def scaling(p, e):
+        calls["unit_forms"] += e != 0
+        return ldexp(p, e)
+
+    monkeypatch.setattr(polynomial, "_ldexp", scaling)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "p, kind",
+    [
+        (MultilinearPolynomial.coordinate_sum(10).scale(3.0), LeafKind.REGULAR),
+        (poly(2, {(0,): 3.0, (1,): 0.01}), LeafKind.BAD),
+        (poly(4, {(): 5.0, (0,): 0.01, (1, 2): 0.02, (3,): 0.01}), LeafKind.NEAR_CONSTANT),
+    ],
+    ids=["regular", "bad", "near_constant"],
+)
+def test_classify_leaf_reads_each_node_once(p, kind, monkeypatch):
+    # one unit form, one moments and one influences call per node: the regularity
+    # test reads the moments classify_leaf already has
+    calls = _count_reads(monkeypatch)
+    assert classify_leaf(p, 0.1, 0.05).kind is kind
+    assert calls == {"moments": 1, "influences": 1, "unit_forms": 1}
+
+
+def test_expansion_order_reads_each_node_once(monkeypatch):
+    # the threshold reads the moments, and the influential set and the order read
+    # one influence vector
+    calls = _count_reads(monkeypatch)
+    assert decompose._expansion_order(poly(3, {(0,): 3.0, (1,): 0.5, (0, 2): 0.25}), CONFIG)[0] == 0
+    assert calls == {"moments": 1, "influences": 1, "unit_forms": 1}
+
+
 # ---------------------------------------------------------------------------
 # tree construction
 

@@ -212,11 +212,16 @@ def test_thread_pool_is_capped_at_cpu_count(monkeypatch):
 # derivative (_SPAN_Z); Gaussian points are drawn on the merged form, whose linear-only
 # coordinates are one.  The block pass holds more per row (a point, a direction, the
 # masked direction and b + 1 outputs), so _SPAN2 rows span more than three of its batches.
-_MERGED = _gaussian_form(WIDE).n
+# The abs-comparison pair draws its Gaussian half on the merged pair (_SPAN_PAIR), whose
+# batches hold more rows than the +-1 half's, so both halves span three batches or more.
+_MERGED = _gaussian_form(WIDE)[0].n
+_PAIR = _gaussian_form(WIDE, scaled_sum(256))[0].n
 _SPAN = 2 * _batch_rows(_width(WIDE.n, BERNOULLI, False)) + 1
 _SPAN2 = 2 * _batch_rows(_width(WIDE.n, BERNOULLI, True)) + 1
 _SPAN_G = 2 * _batch_rows(_width(_MERGED, GAUSSIAN, False)) + 1
 _SPAN_Z = 2 * _batch_rows(_width(_MERGED, GAUSSIAN, True)) + 1
+_SPAN_PAIR = 2 * _batch_rows(_width(_PAIR, GAUSSIAN, False)) + 1
+assert _SPAN_PAIR > _SPAN
 
 _ENTRY_POINTS = {
     "alpha": lambda w: estimate_alpha(WIDE, _SPAN2, Rng(12, 1), workers=w),
@@ -231,7 +236,7 @@ _ENTRY_POINTS = {
         invariance_gap(WIDE, None, _SPAN_G, Rng(12, 8), workers=w)
     ),
     "abs_comparison_gap": lambda w: abs_comparison_gap(
-        WIDE, scaled_sum(256), _SPAN, Rng(12, 9), workers=w
+        WIDE, scaled_sum(256), _SPAN_PAIR, Rng(12, 9), workers=w
     ),
     "block_alpha_sum": lambda w: block_alpha_sum(
         WIDE, block_partition(256, 2), _SPAN2, Rng(12, 10), tau=0.1, workers=w
@@ -670,8 +675,9 @@ def _merged_points(p, points):
 
 
 def test_gaussian_form_keeps_the_value_and_the_squared_gradient_norm():
-    merged = _gaussian_form(_MIXED)
+    (merged,) = _gaussian_form(_MIXED)
     assert merged.n == 3
+    assert merged.terms[1 << 2] == math.hypot(0.5, -0.4, 0.6, -0.5)
     expected, got = _MIXED.moments(), merged.moments()
     assert got.mean == expected.mean
     assert got.variance == pytest.approx(expected.variance, rel=1e-12)
@@ -692,7 +698,8 @@ def test_gaussian_form_keeps_the_value_and_the_squared_gradient_norm():
     ids=["none", "one"],
 )
 def test_gaussian_form_leaves_classes_of_fewer_than_two_unchanged(p):
-    assert _gaussian_form(p) is p
+    (form,) = _gaussian_form(p)
+    assert form is p
 
 
 # |p|_2 overflows although every coefficient is finite; at unit scale x0 + x1
@@ -763,7 +770,7 @@ def test_overflowing_squared_gradient_gives_the_unit_scale_results():
 
 def test_gaussian_form_does_not_overflow_on_huge_coefficients():
     p = poly(4, {(0,): 1e200, (1,): -1e200, (2, 3): 1.0})
-    merged = _gaussian_form(p)
+    (merged,) = _gaussian_form(p)
     assert merged.n == 3 and merged.terms[1] == pytest.approx(math.sqrt(2.0) * 1e200)
     gap = invariance_gap(p, [0.0], 10_000, Rng(72))
     assert math.isfinite(gap.gap)
@@ -811,6 +818,105 @@ def test_gaussian_half_of_the_gap_agrees_with_the_every_coordinate_oracle():
     for measured, reference in zip(gap.per_t, oracle):
         se = math.hypot(math.sqrt(measured * (1.0 - measured) / samples), reference.std_error)
         assert abs(measured - reference.estimate) <= 4 * se
+
+
+# ---------------------------------------------------------------------------
+# the merged pair of abs_comparison_gap
+
+
+def _linear(n, stream, higher=None):
+    """A linear form with N(0, 1) coefficients on n coordinates, plus ``higher`` terms."""
+    weights = Rng(81, stream).generator().standard_normal(n)
+    return MultilinearPolynomial(n, {**{1 << i: float(w) for i, w in enumerate(weights)},
+                                     **(higher or {})})
+
+
+def _pair_share(p, q, samples, rng, merge):
+    """The Gaussian share Pr(|p(X)| <= |q(X)|), on the merged pair or on every coordinate."""
+    forms = _gaussian_form(p, q) if merge else (p, q)
+    return randomized._below_share(*forms, GAUSSIAN, samples, rng, 1)
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+def test_pair_form_agrees_with_the_closed_form_of_a_linear_pair(n):
+    # |a.X| <= |b.X| iff (a-b).X and (a+b).X have opposite signs, and two centred
+    # Gaussians with correlation rho do so with probability arccos(rho) / pi; b leans
+    # on a, so a form that drew p and q independently would read about 0.48, not 0.45
+    p, c = _linear(n, 1), _linear(n, 2)
+    q = p.scale(0.9) + c.scale(0.3)
+    a = np.array([p.terms[1 << i] for i in range(n)])
+    b = np.array([q.terms[1 << i] for i in range(n)])
+    rho = np.dot(a - b, a + b) / (np.linalg.norm(a - b) * np.linalg.norm(a + b))
+    exact = math.acos(rho) / math.pi
+    assert [form.n for form in _gaussian_form(p, q)] == [2, 2]
+    measured = _pair_share(p, q, 400_000, Rng(82, n), merge=True)
+    assert abs(measured.estimate - exact) <= 4 * measured.std_error
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (_MIXED, poly(6, {(0,): 0.3, (2,): -0.2, (3,): 0.7, (4,): 0.25, (5,): 0.4})),
+        (poly(6, {(0,): 0.3, (2,): -0.2, (3,): 0.7, (4,): 0.25, (5,): 0.4}), _MIXED),
+        (_MIXED, poly(6, {(1,): 0.9, (4,): -0.8, (5,): 0.3})),
+    ],
+    ids=["mixed_first", "linear_first", "sparse_linear"],
+)
+def test_pair_form_agrees_with_the_every_coordinate_oracle(p, q):
+    new = _pair_share(p, q, 200_000, Rng(83, 1), merge=True)
+    old = _pair_share(p, q, 200_000, Rng(83, 2), merge=False)
+    assert abs(new.estimate - old.estimate) <= 4 * math.hypot(new.std_error, old.std_error)
+
+
+def test_pair_form_keeps_equal_and_opposite_vectors_exact():
+    p = _linear(5, 3, {0b11: 0.5})  # x0 and x1 occur in x0*x1: L is x2..x4
+    hypot = math.hypot(*(p.terms[1 << i] for i in (2, 3, 4)))
+    merged_p, merged_q = _gaussian_form(p, p)
+    assert merged_p == merged_q and merged_p.terms[1 << 2] == hypot and merged_p.n == 3
+    merged_p, merged_q = _gaussian_form(p, -p)
+    assert merged_q == -merged_p and merged_p.terms[1 << 2] == hypot
+    # a_L = 0: p keeps no merged coordinate and q its own hypot
+    q = _linear(5, 4)
+    merged_p, merged_q = _gaussian_form(MultilinearPolynomial(5, {0b11: 0.5}), q)
+    assert merged_p == poly(3, {(0, 1): 0.5})
+    assert merged_q.terms[1 << 2] == math.hypot(*(q.terms[1 << i] for i in (2, 3, 4)))
+
+
+@pytest.mark.parametrize("higher", [None, {0b11: 0.5, 0b1100: -0.3}], ids=["linear", "mixed"])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["q=p", "q=-p"])
+def test_abs_comparison_gap_of_a_polynomial_and_its_multiple_is_exactly_zero(higher, sign):
+    p = _linear(100, 5, higher)
+    r = abs_comparison_gap(p, p.scale(sign), 50_000, Rng(84))
+    assert r.estimate == 0.0 and r.std_error == 0.0
+
+
+@pytest.mark.parametrize(
+    "p, q, k, linear_only, rank",
+    [
+        (_MIXED, poly(6, {(0,): 0.3, (2,): -0.2, (3,): 0.7, (4,): 0.25, (5,): 0.4}), 6, 4, 2),
+        (_linear(100, 6), _linear(100, 7), 100, 100, 2),
+        (scaled_sum(9), scaled_sum(9), 9, 9, 1),
+        (scaled_sum(9), -scaled_sum(9), 9, 9, 1),
+        (poly(4, {(0, 1): 1.0}), poly(4, {(2,): 0.5, (3,): -1.0}), 4, 2, 1),
+        (poly(3, {(0, 1): 1.0, (2,): 0.5}), poly(3, {(0,): 0.4, (1,): 0.6}), 3, 1, 1),
+    ],
+    ids=["mixed", "linear_100", "equal", "opposite", "disjoint", "one_linear_only"],
+)
+def test_gaussian_half_draws_the_merged_pair(p, q, k, linear_only, rank, monkeypatch):
+    # per row the +-1 half draws the k coordinates of the union support, and the
+    # Gaussian half k - |L| + rank: one value per independent direction of L
+    # (|L| < 2 leaves the pair as it is)
+    rows = {BERNOULLI: set(), GAUSSIAN: set()}
+    draw = randomized._draw
+
+    def recording(gen, dist, r, cols):
+        rows[dist].add(r)
+        return draw(gen, dist, r, cols)
+
+    monkeypatch.setattr(randomized, "_draw", recording)
+    abs_comparison_gap(p, q, 1_000, Rng(85))
+    merged = k if linear_only < 2 else k - linear_only + rank
+    assert rows == {BERNOULLI: {k}, GAUSSIAN: {merged}}
 
 
 def test_strong_anticoncentration_rejects_constant():
