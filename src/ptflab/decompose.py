@@ -435,9 +435,10 @@ def block_alpha_sum(
 
     Every block term comes from one +-1 draw on stream ``rng``: each row
     draws one point A, which samples the outside assignment and the inner
-    point of every block jointly, and one direction B, and block j reads
-    the derivative along B zeroed off the block, so each block term is an
-    unbiased single-level expectation.  ``total`` is the mean of the
+    point of every block jointly, and one direction B; p(A) is evaluated
+    once per batch, and block j reads the derivative along B zeroed off the
+    block, the sum of B_i d_i p(A) over its own coordinates, so each block
+    term is an unbiased single-level expectation.  ``total`` is the mean of the
     per-row sums over the blocks; its standard error counts the
     correlation between the blocks, which share A and B.  ``alpha_hat``
     is :func:`estimate_alpha` on stream ``rng.child(b)``.  When ``tau``

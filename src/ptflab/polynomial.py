@@ -35,8 +35,9 @@ ENUMERATION_BUDGET = 1 << 24
 # kernels, whose elementwise passes are memory-bound, and the scratch panel
 # of the Walsh-Hadamard transform
 _BATCH_ELEMENTS = 1 << 18
-# float64 rows eval_many holds besides its inputs: value, derivative, one
-# term's running product and derivative, and a scratch row
+# float64 rows eval_many holds besides its inputs: p(x), D_v p(x), and the
+# value and running term product of the one partial being summed into the
+# derivative; the fifth is room for the integrand's temporaries
 KERNEL_ROWS = 5
 
 RealPoint = np.ndarray
@@ -137,13 +138,13 @@ class MultilinearPolynomial:
     terms: Mapping[int, float]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 0:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
             raise InputError(f"variable count must be a non-negative integer, got {self.n!r}")
         if self.n > MAX_VARIABLES:
             raise InputError(f"at most {MAX_VARIABLES} variables supported, got n={self.n}")
         checked: dict[int, float] = {}
         for mask, coeff in self.terms.items():
-            if not isinstance(mask, int) or mask < 0:
+            if not isinstance(mask, int) or isinstance(mask, bool) or mask < 0:
                 raise InputError(f"term key must be a non-negative bitmask, got {mask!r}")
             if mask >> self.n:
                 raise InputError(f"term {bin(mask)} references variables >= n={self.n}")
@@ -266,53 +267,46 @@ class MultilinearPolynomial:
         linear.flags.writeable = False
         return self.terms.get(0, 0.0), linear if linear.any() else None, tuple(higher)
 
+    @cached_property
+    def _partial_split(self) -> tuple[np.ndarray, tuple[tuple[int, "MultilinearPolynomial"], ...]]:
+        """What :meth:`_partial_sum` reads of :attr:`partials`: the constant
+        partials as one dense vector, 0 at the others, and the (index,
+        partial) pairs of the others."""
+        constants = np.array([0.0 if q.degree else q.terms.get(0, 0.0) for q in self.partials])
+        constants.flags.writeable = False
+        return constants, tuple((i, part) for i, part in enumerate(self.partials) if part.degree)
+
     def eval_many(
         self, points: np.ndarray, directions: np.ndarray | None = None
     ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """Evaluate on the rows of an ``(m, n)`` matrix of points.
 
-        With ``directions``, a matrix of the same shape, returns the pair
-        ``(p(x), D_v p(x))`` row by row from one forward-mode pass: along
-        each term the running product P and its derivative D advance as
-        ``D <- D x_j + P v_j`` and ``P <- P x_j``.  The linear part is one
-        matrix-vector product.  Columns are read one at a time, so the
-        ``.T`` view of a C-order ``(n, m)`` array reads contiguous memory.
+        The linear part is one matrix-vector product and each higher term
+        one running product.  Columns are read one at a time, so the ``.T``
+        view of a C-order ``(n, m)`` array reads contiguous memory.  With
+        ``directions``, a matrix of the same shape, returns the pair
+        ``(p(x), D_v p(x))`` row by row, D_v p(x) = sum_i v_i d_i p(x) read
+        from :attr:`partials` (:meth:`_partial_sum`).
         """
         pts = self._rows(points)
         constant, linear, higher = self._kernel
         values = np.zeros(pts.shape[0]) if linear is None else pts @ linear
         values += constant
+        for coeff, idx in higher:
+            prod = pts[:, idx[0]] * coeff
+            for j in idx[1:]:
+                prod *= pts[:, j]
+            values += prod
         if directions is None:
-            for coeff, idx in higher:
-                prod = pts[:, idx[0]] * coeff
-                for j in idx[1:]:
-                    prod *= pts[:, j]
-                values += prod
             return values
         dirs = np.asarray(directions, dtype=np.float64)
         if dirs.shape != pts.shape:
             raise InputError(f"directions of shape {dirs.shape} for points of shape {pts.shape}")
-        deriv = np.zeros(pts.shape[0]) if linear is None else dirs @ linear
-        scratch = np.empty(pts.shape[0])
-        for coeff, idx in higher:
-            prod = pts[:, idx[0]] * coeff
-            part = dirs[:, idx[0]] * coeff
-            for j in idx[1:]:
-                part *= pts[:, j]
-                part += np.multiply(prod, dirs[:, j], out=scratch)
-                prod *= pts[:, j]
-            values += prod
-            deriv += part
-        return values, deriv
+        return values, self._partial_sum(pts, None, dirs)
 
     @cached_property
     def partials(self) -> tuple["MultilinearPolynomial", ...]:
-        """The n partial derivatives, built once with :meth:`partial_derivative`.
-
-        Refused with ``InputError`` when the coefficient squares of p overflow
-        (:meth:`moments`), so no squared partial coefficient does.
-        """
-        self.moments()
+        """The n partial derivatives, built once with :meth:`partial_derivative`."""
         return tuple(self.partial_derivative(i) for i in range(self.n))
 
     def squared_gradient_norm(
@@ -320,24 +314,38 @@ class MultilinearPolynomial:
     ) -> np.ndarray:
         """|grad p(x)|^2 over ``coords`` (default all) on the rows of an ``(m, n)`` matrix.
 
-        Each non-constant partial in :attr:`partials` runs through
-        :meth:`eval_many`; the constant ones fold into one scalar, so the
-        linear part of p costs nothing per row.
+        Read from :attr:`partials` (:meth:`_partial_sum`).  Refused with
+        ``InputError`` when the coefficient squares of p overflow
+        (:meth:`moments`), so no squared partial coefficient does.
         """
-        pts = self._rows(points)
-        if coords is None:
-            parts = self.partials
-        else:
-            coords = list(coords)
-            for i in coords:
-                self._check_index(i)
-            parts = [self.partials[i] for i in coords]
-        folded = sum(part.terms.get(0, 0.0) ** 2 for part in parts if part.degree == 0)
-        out = np.full(pts.shape[0], float(folded))
-        for part in parts:
-            if part.degree:
-                values = part.eval_many(pts)
-                out += np.square(values, out=values)
+        coords = None if coords is None else list(coords)
+        for i in coords or ():
+            self._check_index(i)
+        self.moments()
+        return self._partial_sum(self._rows(points), coords)
+
+    def _partial_sum(
+        self, pts: np.ndarray, coords: list[int] | None, dirs: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The sum over ``coords`` (None: all) of v_i d_i p(x), v the rows of
+        ``dirs``, or of d_i p(x)^2 without ``dirs``, on the rows x of ``pts``.
+
+        The constant partials, those of the coordinates that occur only in
+        linear terms, fold into one scalar, or one matrix-vector product over
+        the whole direction matrix; each other partial runs through
+        :meth:`eval_many` once.
+        """
+        constants, varying = self._partial_split
+        if coords is not None:
+            keep = np.isin(np.arange(self.n), coords)
+            constants, varying = constants * keep, [(i, part) for i, part in varying if keep[i]]
+        if dirs is None:
+            out = np.full(pts.shape[0], float(constants @ constants))
+        else:  # no product of zeros: it would run BLAS threads for nothing
+            out = dirs @ constants if constants.any() else np.zeros(pts.shape[0])
+        for i, part in varying:
+            column = part.eval_many(pts)
+            out += np.multiply(column, column if dirs is None else dirs[:, i], out=column)
         return out
 
     # ------------------------------------------------------------------

@@ -32,24 +32,26 @@ mean, :func:`_estimate`, reduces each batch to its column sums;
 ``invariance_gap`` reduces each batch to its counts at the threshold grid
 instead.  No statistic holds a whole sample.  A point is a C-order
 ``(k, m)`` array whose ``.T`` view goes to ``eval_many``, so each column
-the kernel reads is contiguous.  Under +-1 inputs a direction is drawn
-after the point, for one fused value-and-derivative pass.  Under Gaussian
-inputs no direction is drawn:
-given X, D_Y p(X) = Y . grad p(X) is exactly N(0, |grad p(X)|^2), the law
-of |grad p(X)| Z for one scalar Z ~ N(0, 1).  So one C-order ``(k+1, m)``
-block holds the point in rows ``0..k-1`` and Z in row ``k``, and
-|grad p(X)|^2 comes from the cached partial derivatives
-(:meth:`MultilinearPolynomial.squared_gradient_norm`).  The per-block
-ratios of b disjoint blocks (:func:`_block_ratios`) keep their own
-layout: one +-1 point and direction and one fused pass per block, with
-the direction zeroed off the block.
+the kernel reads is contiguous.  Every derivative is read from the cached
+partial derivatives (:attr:`MultilinearPolynomial.partials`): the constant
+ones fold into one matrix-vector product or one scalar, and each other one
+is evaluated once per batch.  Under +-1 inputs a direction Y is drawn after
+the point and D_Y p(X) = sum_i Y_i d_i p(X).  Under Gaussian inputs no
+direction is drawn: given X, D_Y p(X) = Y . grad p(X) is exactly
+N(0, |grad p(X)|^2), the law of |grad p(X)| Z for one scalar Z ~ N(0, 1).
+So one C-order ``(k+1, m)`` block holds the point in rows ``0..k-1`` and Z
+in row ``k``, and |grad p(X)|^2 comes from
+:meth:`MultilinearPolynomial.squared_gradient_norm`.  The ratios of b
+disjoint blocks (:func:`_block_ratios`) share one +-1 point, one direction
+and one value pass per batch; each block sums only its own coordinates'
+partial columns.
 
 The memory batch is the one unit of the draws: it holds at most 2^18 float64
 elements, 2 MiB, about one core's L2 cache (``r = 2^18 // w`` rows when one
 row materialises ``w`` elements, :func:`_width`: the k, 2k or k + 1 values
 its layout draws plus the kernel's ``KERNEL_ROWS``, or twice the output
 column count if that is larger, since an estimate holds each output and its
-float64 copy; the block ratios take 3k + ``KERNEL_ROWS`` + b + 1), so no
+float64 copy; the block ratios take 2k + ``KERNEL_ROWS`` + b + 1), so no
 statistic's memory grows with n or the sample count.  Batch ``c`` covers rows
 ``[c*r, (c+1)*r)`` and draws from numpy's PCG64 seeded through
 ``SeedSequence(seed, spawn_key=(stream, c))``; batch results are merged in
@@ -338,9 +340,10 @@ def _sample(
     """``(points, p(X), D_Y p(X) or None)`` for ``m`` ``dist`` rows of ``form``.
 
     ``points`` is the coordinate-major ``(k, m)`` draw.  With
-    ``derivative`` a +-1 batch draws its directions after its points, for
-    one fused pass, and a Gaussian batch draws one ``(k+1, m)`` block whose
-    last row Z gives D_Y p(X) = |grad p(X)| Z.
+    ``derivative`` a +-1 batch draws its directions after its points and
+    :meth:`MultilinearPolynomial.eval_many` reads D_Y p(X) off the partials,
+    and a Gaussian batch draws one ``(k+1, m)`` block whose last row Z gives
+    D_Y p(X) = |grad p(X)| Z.
     """
     k = form.n
     if derivative and dist == GAUSSIAN:
@@ -393,11 +396,11 @@ def _clamped_ratio(
 
     ``points`` is the coordinate-major ``(k, m)`` draw and ``v`` is supported
     on ``coords`` (None: every coordinate); the squared gradient over
-    ``coords`` is evaluated only on the rows where p(x) = 0.
+    ``coords`` is evaluated only on the rows where p(x) = 0.  ``values`` is
+    read, not written, so one value column serves several derivatives.
     """
     zero = values == 0.0
-    values[zero] = 1.0
-    np.divide(deriv, values, out=deriv)
+    np.divide(deriv, values, out=deriv, where=~zero)
     np.square(deriv, out=deriv)
     np.minimum(deriv, 1.0, out=deriv)
     if zero.any():
@@ -428,13 +431,15 @@ def _block_ratios(
 ) -> list[EstimatorResult]:
     """Clamped ratios along each of the disjoint ``blocks``, from one +-1 draw per row.
 
-    Each row draws one point A and one direction B on the support of ``p``;
-    the column of block j is min(1, (D_{B_j} p(A) / p(A))^2), with B_j equal
-    to B on the block and 0 off it, from one fused pass per block, and the
+    Each row draws one point A and one direction B on the support of ``p``,
+    and each batch evaluates p(A) once.  The column of block j is
+    min(1, (D_{B_j} p(A) / p(A))^2), with B_j equal to B on the block and 0
+    off it: D_{B_j} p(A) sums B_i d_i p(A) over the block's own coordinates
+    only, so each partial is evaluated once per batch, and the
     zero-denominator rule reads the gradient over the block.  A last column
     holds each row's sum over the blocks, so its standard error counts the
-    correlation between blocks.  A row materialises A, B, the masked
-    direction, the kernel rows and the ``b + 1`` outputs.
+    correlation between blocks.  A row materialises A, B, the kernel rows
+    and the ``b + 1`` outputs.
     """
     form = _sampled_form(p, BERNOULLI)
     position = {old: new for new, old in enumerate(p.support)}
@@ -443,17 +448,15 @@ def _block_ratios(
     def batch(gen: np.random.Generator, m: int) -> np.ndarray:
         points = _draw(gen, BERNOULLI, form.n, m)
         directions = _draw(gen, BERNOULLI, form.n, m)
-        masked = np.zeros_like(directions)
+        values = form.eval_many(points.T)
         out = np.empty((m, len(local) + 1))
         for j, coords in enumerate(local):
-            masked[coords] = directions[coords]
-            values, deriv = form.eval_many(points.T, masked.T)
+            deriv = form._partial_sum(points.T, coords, directions.T)
             out[:, j] = _clamped_ratio(form, coords, points, values, deriv)
-            masked[coords] = 0.0
         out[:, -1] = out[:, :-1].sum(axis=1)
         return out
 
-    width = 3 * form.n + KERNEL_ROWS + len(local) + 1
+    width = 2 * form.n + KERNEL_ROWS + len(local) + 1
     return _estimate(batch, samples, rng, workers, width=width)
 
 
@@ -788,6 +791,21 @@ def hypercontractivity_check(p: MultilinearPolynomial, t: int) -> Hypercontracti
 # random instances
 
 
+def _subset_of_rank(n: int, rank: int) -> int:
+    """The mask of the subset of ``range(n)`` at ``rank`` in the order by size, then
+    lexicographic (that of ``itertools.combinations`` size by size)."""
+    size = 0
+    while rank >= (count := math.comb(n, size)):
+        rank, size = rank - count, size + 1
+    mask = i = 0
+    for left in range(size, 0, -1):
+        # the next element is i unless rank passes the C(n-i-1, left-1) subsets that take it
+        while rank >= (count := math.comb(n - i - 1, left - 1)):
+            rank, i = rank - count, i + 1
+        mask, i = mask | 1 << i, i + 1
+    return mask
+
+
 def random_polynomial(
     n: int, degree: int, terms: int, rng: Rng
 ) -> MultilinearPolynomial:
@@ -806,17 +824,9 @@ def random_polynomial(
     gen = rng.generator()
     chosen: dict[int, float] = {}
     if available <= (1 << 20):
-        import itertools
-
-        masks = [
-            mask_from_indices(combo)
-            for k in range(degree + 1)
-            for combo in itertools.combinations(range(n), k)
-        ]
-        picked = gen.choice(len(masks), size=terms, replace=False)
-        coeffs = gen.standard_normal(terms)
-        for idx, coeff in zip(picked, coeffs):
-            chosen[masks[int(idx)]] = float(coeff)
+        picked = gen.choice(available, size=terms, replace=False)
+        for rank, coeff in zip(picked, gen.standard_normal(terms)):
+            chosen[_subset_of_rank(n, int(rank))] = float(coeff)
     else:
         weights = np.array([math.comb(n, k) for k in range(degree + 1)], dtype=np.float64)
         weights /= weights.sum()

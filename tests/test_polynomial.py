@@ -111,7 +111,7 @@ def _gradient(p, x):
 
 
 def _directional_derivative(p, x, v):
-    """D_v p(x) from one row of :meth:`eval_many`'s fused pass."""
+    """D_v p(x) from one row of :meth:`eval_many`'s value-and-derivative pair."""
     return float(p.eval_many(np.array([x], dtype=float), np.array([v], dtype=float))[1][0])
 
 
@@ -199,6 +199,15 @@ def test_squared_gradient_norm_refuses_overflowing_coefficient_squares(mask):
     # (1e200)^2 overflows in the folded constant or in the evaluated partial
     with pytest.raises(InputError, match="overflow"):
         MultilinearPolynomial(2, {mask: 1e200}).squared_gradient_norm(np.ones((1, 2)))
+
+
+def test_eval_many_derivative_reads_partials_without_refusing_overflowing_squares():
+    # the derivative squares no coefficient, so only squared_gradient_norm refuses |p|_2 = inf
+    p = MultilinearPolynomial(2, {0b11: 1e200})
+    values, deriv = p.eval_many(np.ones((1, 2)), np.array([[1.0, 0.0]]))
+    assert (values.tolist(), deriv.tolist()) == ([1e200], [1e200])
+    with pytest.raises(InputError, match="overflow"):
+        p.squared_gradient_norm(np.ones((1, 2)))
 
 
 def test_eval_many_validates_shapes():
@@ -430,6 +439,17 @@ def test_constructor_validations():
         MultilinearPolynomial(-1, {})
     with pytest.raises(InputError):
         MultilinearPolynomial.from_vars(3, {(0, 0): 1.0})
+
+
+@pytest.mark.parametrize(
+    "n, terms",
+    [(True, {1: 2.0}), (False, {}), (2, {True: 1.0}), (2, {False: 1.0})],
+    ids=["n_true", "n_false", "key_true", "key_false"],
+)
+def test_constructor_refuses_bool_dimension_and_keys(n, terms):
+    # a bool n would be written as "n": true, which from_json refuses
+    with pytest.raises(InputError):
+        MultilinearPolynomial(n, terms)
 
 
 def test_add_and_sub_take_real_numbers_as_constants():

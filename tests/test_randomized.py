@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from ptflab import (
     exact_alpha,
     hypercontractivity_check,
     invariance_gap,
+    middle_layers_witness,
     random_polynomial,
     strong_anticoncentration_estimate,
     tail_curve,
@@ -37,10 +39,10 @@ from ptflab import (
     recursion_trace,
 )
 from ptflab.decompose import BlockPartition
-from ptflab.polynomial import KERNEL_ROWS
+from ptflab.polynomial import KERNEL_ROWS, mask_from_indices
 from ptflab.randomized import _BATCH_ELEMENTS, _batch_rows, _draw, _gaussian_form, _width
 
-from conftest import brute_alpha, poly, random_instances
+from conftest import brute_alpha, brute_gradient, poly, random_instances
 
 
 def normal_cdf(x):
@@ -210,8 +212,8 @@ def test_thread_pool_is_capped_at_cpu_count(monkeypatch):
 # three batches on WIDE: one row holds a point (_SPAN), a point and a direction (_SPAN2),
 # a Gaussian point (_SPAN_G), or a Gaussian point and one scalar for its directional
 # derivative (_SPAN_Z); Gaussian points are drawn on the merged form, whose linear-only
-# coordinates are one.  The block pass holds more per row (a point, a direction, the
-# masked direction and b + 1 outputs), so _SPAN2 rows span more than three of its batches.
+# coordinates are one.  The block pass holds b + 1 outputs more per row than alpha, so
+# _SPAN2 rows span three of its batches as well.
 # The abs-comparison pair draws its Gaussian half on the merged pair (_SPAN_PAIR), whose
 # batches hold more rows than the +-1 half's, so both halves span three batches or more.
 _MERGED = _gaussian_form(WIDE)[0].n
@@ -476,6 +478,66 @@ def test_estimate_alpha_within_ci_of_exact():
 
 
 # ---------------------------------------------------------------------------
+# block ratios
+
+# x0 (x1 + x2) + x3 - x4 is 0 on many +-1 points, on some of them with
+# d_0 p = x1 + x2 = 0 as well; x3 and x4 occur only in linear terms, so their
+# partials are constants, and x5 occurs in no term
+_ZEROS = poly(6, {(0, 1): 1.0, (0, 2): 1.0, (3,): 1.0, (4,): -1.0})
+
+
+@pytest.mark.parametrize(
+    "p, blocks",
+    [(_ZEROS, [[0], [1, 3], [2, 4], [5]]), (middle_layers_witness(6, 2), [[0, 1], [2, 3], [4, 5]])],
+    ids=["zeros", "witness"],
+)
+def test_block_ratio_columns_match_the_pointwise_gradient(monkeypatch, p, blocks):
+    calls = []
+    monkeypatch.setattr(randomized, "_estimate", lambda batch, *args, width: calls.append((batch, width)))
+    randomized._block_ratios(p, blocks, 1, Rng(1), 1)
+    (batch, width), = calls
+    form, support = p.compress_support()
+    assert width == 2 * form.n + KERNEL_ROWS + len(blocks) + 1
+    m = 512
+    out = batch(Rng(5).chunk_generator(0), m)
+    gen = Rng(5).chunk_generator(0)
+    points, directions = _draw(gen, BERNOULLI, form.n, m), _draw(gen, BERNOULLI, form.n, m)
+    local = [[support.index(i) for i in block if i in support] for block in blocks]
+    zero_rule = set()
+    for row, a, b in zip(out, points.T, directions.T):
+        value = form.eval(a)
+        grad = brute_gradient(form, a)
+        for got, coords in zip(row, local):
+            if value == 0.0:
+                expected = float(np.any(grad[coords] != 0.0))
+                zero_rule.add((len(coords), expected))
+                assert got == expected
+            else:
+                assert got == pytest.approx(min(1.0, (b[coords] @ grad[coords] / value) ** 2),
+                                            rel=1e-12, abs=1e-15)
+        assert row[-1] == pytest.approx(row[:-1].sum(), rel=1e-12)
+    if p is _ZEROS:  # the zero rule ran per block, with both outcomes and an empty block
+        assert {(1, 0.0), (1, 1.0), (2, 1.0), (0, 0.0)} <= zero_rule
+
+
+def test_block_ratios_evaluate_p_once_and_each_partial_once_per_batch(monkeypatch):
+    p = poly(5, {(): 3.5, (0, 1): 1.0, (1, 2, 3): 1.0, (4,): 0.5})  # |p| >= 1 on the cube
+    calls = []
+    original = MultilinearPolynomial.eval_many
+
+    def counting(self, points, directions=None):
+        calls.append((self, points.shape[0], directions is None))
+        return original(self, points, directions)
+
+    monkeypatch.setattr(MultilinearPolynomial, "eval_many", counting)
+    randomized._block_ratios(p, [[0, 4], [1], [2, 3]], 300, Rng(6), 1)
+    form = randomized._sampled_form(p, BERNOULLI)
+    # one value pass, then d_0, d_1, d_2 and d_3 block by block; d_4 is the constant 0.5
+    expected = [form] + [part for part in form.partials if part.degree]
+    assert calls == [(q, 300, True) for q in expected]
+
+
+# ---------------------------------------------------------------------------
 # beta
 
 
@@ -606,8 +668,8 @@ def test_strong_anticoncentration_halving_ratio():
 
 def _direction_estimate(p, samples, rng, statistic):
     """The k-direction oracle: each row draws a Gaussian point X and a whole
-    Gaussian direction Y and reads D_Y p(X) from the fused
-    value-and-derivative pass."""
+    Gaussian direction Y and reads D_Y p(X) from the
+    value-and-derivative pair of ``eval_many``."""
 
     def batch(gen, m):
         points = _draw(gen, GAUSSIAN, p.n, m)
@@ -1100,6 +1162,31 @@ def test_random_polynomial_sparse_path_keys_are_ints():
 def test_random_polynomial_exhaustive_request():
     p = random_polynomial(4, 1, 5, Rng(45))  # all subsets of size <= 1
     assert p.term_count == 5
+
+
+def _from_mask_list(n, degree, terms, rng):
+    """random_polynomial's small branch with the candidate list built: every subset
+    of size <= degree, by size and then as itertools.combinations lists it."""
+    masks = [
+        mask_from_indices(combo)
+        for k in range(degree + 1)
+        for combo in itertools.combinations(range(n), k)
+    ]
+    gen = rng.generator()
+    picked = gen.choice(len(masks), size=terms, replace=False)
+    coeffs = gen.standard_normal(terms)
+    return MultilinearPolynomial(n, {masks[int(i)]: float(c) for i, c in zip(picked, coeffs)})
+
+
+def test_random_polynomial_matches_the_mask_list_oracle():
+    for n in range(13):
+        for degree in range(n + 1):
+            available = sum(math.comb(n, k) for k in range(degree + 1))
+            for terms in sorted({0, 1, min(7, available), available}):
+                for seed in (3, 4):
+                    rng = Rng(seed, n)
+                    p = random_polynomial(n, degree, terms, rng)
+                    assert p.terms == _from_mask_list(n, degree, terms, rng).terms
 
 
 # ---------------------------------------------------------------------------
