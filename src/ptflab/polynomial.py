@@ -35,9 +35,10 @@ ENUMERATION_BUDGET = 1 << 24
 # kernels, whose elementwise passes are memory-bound, and the scratch panel
 # of the Walsh-Hadamard transform
 _BATCH_ELEMENTS = 1 << 18
-# float64 rows eval_many holds besides its inputs: p(x), D_v p(x), and the
-# value and running term product of the one partial being summed into the
-# derivative; the fifth is room for the integrand's temporaries
+# float64 rows an estimator's batch holds besides its draws: p(x) from
+# eval_many, the running sum of _partial_sum (D_v p(x) or |grad p(x)|^2), and
+# the value and running term product of the one partial being summed into
+# it; the fifth is room for the integrand's temporaries
 KERNEL_ROWS = 5
 
 RealPoint = np.ndarray
@@ -276,17 +277,13 @@ class MultilinearPolynomial:
         constants.flags.writeable = False
         return constants, tuple((i, part) for i, part in enumerate(self.partials) if part.degree)
 
-    def eval_many(
-        self, points: np.ndarray, directions: np.ndarray | None = None
-    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Evaluate on the rows of an ``(m, n)`` matrix of points.
 
         The linear part is one matrix-vector product and each higher term
         one running product.  Columns are read one at a time, so the ``.T``
-        view of a C-order ``(n, m)`` array reads contiguous memory.  With
-        ``directions``, a matrix of the same shape, returns the pair
-        ``(p(x), D_v p(x))`` row by row, D_v p(x) = sum_i v_i d_i p(x) read
-        from :attr:`partials` (:meth:`_partial_sum`).
+        view of a C-order ``(n, m)`` array reads contiguous memory.
+        Derivatives are read from :attr:`partials` (:meth:`_partial_sum`).
         """
         pts = self._rows(points)
         constant, linear, higher = self._kernel
@@ -297,12 +294,7 @@ class MultilinearPolynomial:
             for j in idx[1:]:
                 prod *= pts[:, j]
             values += prod
-        if directions is None:
-            return values
-        dirs = np.asarray(directions, dtype=np.float64)
-        if dirs.shape != pts.shape:
-            raise InputError(f"directions of shape {dirs.shape} for points of shape {pts.shape}")
-        return values, self._partial_sum(pts, None, dirs)
+        return values
 
     @cached_property
     def partials(self) -> tuple["MultilinearPolynomial", ...]:
@@ -337,7 +329,8 @@ class MultilinearPolynomial:
         """
         constants, varying = self._partial_split
         if coords is not None:
-            keep = np.isin(np.arange(self.n), coords)
+            keep = np.zeros(self.n, dtype=bool)
+            keep[coords] = True
             constants, varying = constants * keep, [(i, part) for i, part in varying if keep[i]]
         if dirs is None:
             out = np.full(pts.shape[0], float(constants @ constants))

@@ -25,33 +25,39 @@ merged coordinates.  A +-1 draw
 of ``rows * cols`` values takes ``ceil(rows * cols / 8)`` random bytes and
 unpacks their bits in C order, bit 1 to +1 and bit 0 to -1.
 
-Every estimator draws through one sampler, :func:`_sample`, and passes
-it an integrand of the points, p(X) and, for a derivative statistic,
-D_Y p(X).  One driver, :func:`_batches`, runs the memory batches, and one
-mean, :func:`_estimate`, reduces each batch to its column sums;
+Every estimator draws through one sampler, :func:`_sample`, in one of
+two layouts: values, a C-order ``(k, m)`` point and p(X), or the Gaussian
+derivative block, one C-order ``(k+1, m)`` array holding the point in rows
+``0..k-1`` and one N(0, 1) scalar Z in row ``k``.  An integrand takes the
+points, p(X) and, in the block layout, D_Y p(X).  One driver,
+:func:`_batches`, runs the memory batches, and one mean,
+:func:`_estimate`, reduces each batch to its column sums;
 ``invariance_gap`` reduces each batch to its counts at the threshold grid
-instead.  No statistic holds a whole sample.  A point is a C-order
-``(k, m)`` array whose ``.T`` view goes to ``eval_many``, so each column
-the kernel reads is contiguous.  Every derivative is read from the cached
-partial derivatives (:attr:`MultilinearPolynomial.partials`): the constant
-ones fold into one matrix-vector product or one scalar, and each other one
-is evaluated once per batch.  Under +-1 inputs a direction Y is drawn after
-the point and D_Y p(X) = sum_i Y_i d_i p(X).  Under Gaussian inputs no
-direction is drawn: given X, D_Y p(X) = Y . grad p(X) is exactly
-N(0, |grad p(X)|^2), the law of |grad p(X)| Z for one scalar Z ~ N(0, 1).
-So one C-order ``(k+1, m)`` block holds the point in rows ``0..k-1`` and Z
-in row ``k``, and |grad p(X)|^2 comes from
-:meth:`MultilinearPolynomial.squared_gradient_norm`.  The ratios of b
-disjoint blocks (:func:`_block_ratios`) share one +-1 point, one direction
-and one value pass per batch; each block sums only its own coordinates'
-partial columns.
+instead.  No statistic holds a whole sample.  Draws and batch outputs are
+coordinate-major: a point's ``.T`` view goes to ``eval_many``, so each
+column the kernel reads is contiguous, and an integrand returns an
+``(m,)`` vector or a ``(columns, m)`` array, so each column sum reads
+contiguous memory.
+
+Every derivative is read from the cached partial derivatives
+(:attr:`MultilinearPolynomial.partials`): the constant ones fold into one
+matrix-vector product or one scalar, and each other one is evaluated once
+per batch.  Under Gaussian inputs no direction is drawn: given X,
+D_Y p(X) = Y . grad p(X) is exactly N(0, |grad p(X)|^2), the law of
+|grad p(X)| Z, and |grad p(X)|^2 comes from
+:meth:`MultilinearPolynomial.squared_gradient_norm`.  Under +-1 inputs the
+ratios of b disjoint blocks (:func:`_block_ratios`) draw the point and
+p(X) in the values layout, then one direction Y, and block j sums
+Y_i d_i p(X) over its own coordinates' partial columns only; alpha is the
+ratio of the one block that holds every coordinate.
 
 The memory batch is the one unit of the draws: it holds at most 2^18 float64
 elements, 2 MiB, about one core's L2 cache (``r = 2^18 // w`` rows when one
-row materialises ``w`` elements, :func:`_width`: the k, 2k or k + 1 values
+row materialises ``w`` elements, :func:`_width`: the k or k + 1 values
 its layout draws plus the kernel's ``KERNEL_ROWS``, or twice the output
 column count if that is larger, since an estimate holds each output and its
-float64 copy; the block ratios take 2k + ``KERNEL_ROWS`` + b + 1), so no
+float64 copy; the block ratios take 2k + ``KERNEL_ROWS`` + b + 1, point,
+direction, kernel rows and the b block columns with their sum), so no
 statistic's memory grows with n or the sample count.  Batch ``c`` covers rows
 ``[c*r, (c+1)*r)`` and draws from numpy's PCG64 seeded through
 ``SeedSequence(seed, spawn_key=(stream, c))``; batch results are merged in
@@ -210,11 +216,15 @@ def _estimate(
     workers: int,
     width: int,
 ) -> list[EstimatorResult]:
-    """Sample means of ``batch_fn`` values, one :class:`EstimatorResult` per column."""
+    """Sample means of ``batch_fn`` values, one :class:`EstimatorResult` per output column.
+
+    ``batch_fn`` returns its ``m`` rows coordinate-major: an ``(m,)`` vector
+    or a ``(columns, m)`` array, so each column is summed over contiguous memory.
+    """
 
     def column_sums(gen: np.random.Generator, m: int) -> np.ndarray:
-        values = np.asarray(batch_fn(gen, m), dtype=np.float64).reshape(m, -1)
-        return np.array([values.sum(axis=0), np.square(values, out=values).sum(axis=0)])
+        values = np.asarray(batch_fn(gen, m), dtype=np.float64).reshape(-1, m)
+        return np.array([values.sum(axis=1), np.square(values, out=values).sum(axis=1)])
 
     total, total_sq = sum(_batches(column_sums, samples, rng, workers, width))
     out = []
@@ -322,16 +332,15 @@ def _check_eps(eps: float) -> None:
         raise InputError(f"eps must be positive and finite, got {eps}")
 
 
-def _width(k: int, dist: str, derivative: bool, columns: int = 1) -> int:
+def _width(k: int, derivative: bool, columns: int = 1) -> int:
     """float64 elements one row of a :func:`_sample` batch materialises.
 
-    The values its layout draws for ``k`` coordinates plus the kernel's
-    ``KERNEL_ROWS``, or twice the ``columns`` outputs if that is larger:
-    :func:`_estimate` holds each output column and its float64 copy, squared in place.
+    The values its layout draws for ``k`` coordinates (k, or k + 1 with
+    ``derivative``) plus the kernel's ``KERNEL_ROWS``, or twice the
+    ``columns`` outputs if that is larger: :func:`_estimate` holds each
+    output column and its float64 copy, squared in place.
     """
-    if derivative:
-        k = k + 1 if dist == GAUSSIAN else 2 * k
-    return max(k + KERNEL_ROWS, 2 * columns)
+    return max(k + derivative + KERNEL_ROWS, 2 * columns)
 
 
 def _sample(
@@ -339,23 +348,19 @@ def _sample(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """``(points, p(X), D_Y p(X) or None)`` for ``m`` ``dist`` rows of ``form``.
 
-    ``points`` is the coordinate-major ``(k, m)`` draw.  With
-    ``derivative`` a +-1 batch draws its directions after its points and
-    :meth:`MultilinearPolynomial.eval_many` reads D_Y p(X) off the partials,
-    and a Gaussian batch draws one ``(k+1, m)`` block whose last row Z gives
-    D_Y p(X) = |grad p(X)| Z.
+    ``points`` is the coordinate-major ``(k, m)`` draw.  With ``derivative``,
+    a Gaussian layout only, the batch draws one ``(k+1, m)`` block whose
+    last row Z gives D_Y p(X) = |grad p(X)| Z.
     """
     k = form.n
-    if derivative and dist == GAUSSIAN:
-        draws = _draw(gen, GAUSSIAN, k + 1, m)
-        points = draws[:k]
-        deriv = np.sqrt(form.squared_gradient_norm(points.T))
-        deriv *= draws[k]
-        return points, form.eval_many(points.T), deriv
-    points = _draw(gen, dist, k, m)
-    if derivative:
-        return points, *form.eval_many(points.T, _draw(gen, dist, k, m).T)
-    return points, form.eval_many(points.T), None
+    draws = _draw(gen, dist, k + derivative, m)
+    points = draws[:k]
+    values = form.eval_many(points.T)
+    if not derivative:
+        return points, values, None
+    deriv = np.sqrt(form.squared_gradient_norm(points.T))
+    deriv *= draws[k]
+    return points, values, deriv
 
 
 def _run_sampler(
@@ -378,7 +383,7 @@ def _run_sampler(
     def batch(gen: np.random.Generator, m: int) -> np.ndarray:
         return integrand(*_sample(gen, form, dist, m, derivative))
 
-    return _estimate(batch, samples, rng, workers, _width(form.n, dist, derivative, columns))
+    return _estimate(batch, samples, rng, workers, _width(form.n, derivative, columns))
 
 
 # ---------------------------------------------------------------------------
@@ -408,20 +413,6 @@ def _clamped_ratio(
     return deriv
 
 
-def ratio_estimate(
-    p: MultilinearPolynomial, dist: str, samples: int, rng: Rng, *, workers: int = 1
-) -> EstimatorResult:
-    """Expected clamped squared derivative-to-value ratio under ``dist`` inputs.
-
-    Each draw uses an independent point A and direction B from ``dist``;
-    under Gaussian inputs D_B p(A) is drawn as |grad p(A)| Z, which has the
-    same joint law with A (see :func:`_sample`).
-    """
-    form = _sampled_form(p, dist)
-    ratio = functools.partial(_clamped_ratio, form, None)
-    return _run_sampler(ratio, form, dist, samples, rng, workers, derivative=True)[0]
-
-
 def _block_ratios(
     p: MultilinearPolynomial,
     blocks: Sequence[Sequence[int]],
@@ -431,8 +422,8 @@ def _block_ratios(
 ) -> list[EstimatorResult]:
     """Clamped ratios along each of the disjoint ``blocks``, from one +-1 draw per row.
 
-    Each row draws one point A and one direction B on the support of ``p``,
-    and each batch evaluates p(A) once.  The column of block j is
+    Each row draws one point A and its value p(A) through :func:`_sample`,
+    then one direction B, on the support of ``p``.  The column of block j is
     min(1, (D_{B_j} p(A) / p(A))^2), with B_j equal to B on the block and 0
     off it: D_{B_j} p(A) sums B_i d_i p(A) over the block's own coordinates
     only, so each partial is evaluated once per batch, and the
@@ -446,14 +437,13 @@ def _block_ratios(
     local = [[position[i] for i in block if i in position] for block in blocks]
 
     def batch(gen: np.random.Generator, m: int) -> np.ndarray:
-        points = _draw(gen, BERNOULLI, form.n, m)
+        points, values, _ = _sample(gen, form, BERNOULLI, m, False)
         directions = _draw(gen, BERNOULLI, form.n, m)
-        values = form.eval_many(points.T)
-        out = np.empty((m, len(local) + 1))
+        out = np.empty((len(local) + 1, m))
         for j, coords in enumerate(local):
             deriv = form._partial_sum(points.T, coords, directions.T)
-            out[:, j] = _clamped_ratio(form, coords, points, values, deriv)
-        out[:, -1] = out[:, :-1].sum(axis=1)
+            out[j] = _clamped_ratio(form, coords, points, values, deriv)
+        out[-1] = out[:-1].sum(axis=0)
         return out
 
     width = 2 * form.n + KERNEL_ROWS + len(local) + 1
@@ -466,9 +456,10 @@ def estimate_alpha(
     """Expected clamped squared derivative-to-value ratio under +-1 inputs.
 
     Each draw uses an independent point A and direction B; the statistic is
-    scale invariant and always lies in [0, 1].
+    scale invariant and always lies in [0, 1].  It is the block ratio
+    (:func:`_block_ratios`) of the one block that holds every support coordinate.
     """
-    return ratio_estimate(p, BERNOULLI, samples, rng, workers=workers)
+    return _block_ratios(p, [p.support], samples, rng, workers)[0]
 
 
 def estimate_beta(
@@ -476,10 +467,12 @@ def estimate_beta(
 ) -> EstimatorResult:
     """Gaussian analogue of :func:`estimate_alpha`: E min(1, (D_Y p(X) / p(X))^2).
 
-    Draws D_Y p(X) as |grad p(X)| Z with one N(0, 1) scalar Z per row
-    (see :func:`ratio_estimate`).
+    Draws D_Y p(X) as |grad p(X)| Z with one N(0, 1) scalar Z per row, which
+    has the same joint law with X (see :func:`_sample`).
     """
-    return ratio_estimate(p, GAUSSIAN, samples, rng, workers=workers)
+    form = _sampled_form(p, GAUSSIAN)
+    ratio = functools.partial(_clamped_ratio, form, None)
+    return _run_sampler(ratio, form, GAUSSIAN, samples, rng, workers, derivative=True)[0]
 
 
 def exact_alpha(p: MultilinearPolynomial) -> float:
@@ -556,7 +549,7 @@ def tail_curve(
     if not levels or not all(0.0 < t < math.inf for t in levels):
         raise InputError(f"thresholds must be positive and finite, got {levels}")
     cuts = np.array(levels) * l2
-    above = lambda points, values, deriv: np.abs(values)[:, None] > cuts[None, :]
+    above = lambda points, values, deriv: np.abs(values) > cuts[:, None]
     form = _sampled_form(unit, dist)
     results = _run_sampler(above, form, dist, samples, rng, workers, columns=cuts.size)
     d_eff = max(1, p.degree)
@@ -662,7 +655,7 @@ def invariance_gap(
     distributions put mass and is not read from the draws it is counted on.
     """
     forms = {dist: _sampled_form(p, dist) for dist in (GAUSSIAN, BERNOULLI)}
-    widths = {dist: _width(form.n, dist, False) for dist, form in forms.items()}
+    widths = {dist: _width(form.n, False) for dist, form in forms.items()}
 
     def draws(dist: str, rows: int, stream: Rng, reduce: Callable[[np.ndarray], T]) -> Iterator[T]:
         """``reduce`` of the values of each memory batch of ``rows`` ``dist`` draws."""

@@ -67,8 +67,9 @@ def test_invariance_gap_binds_the_mc_wide_call():
 
 def test_smoke_preconditions_reach_the_counted_layers(monkeypatch):
     # perfbench/smoke.py requires polynomial.partial_derivative.calls > 0 on
-    # mc_wide (beta in n = 512) and eval_many term rows on mc_ratio (alpha)
-    calls = {"partial_derivative": 0, "eval_many_with_directions": 0}
+    # mc_wide (beta in n = 512) and eval_many term rows on mc_ratio (alpha);
+    # perfbench/tracing.py counts the rows of every eval_many call
+    calls = {"partial_derivative": 0, "eval_many_rows": 0}
     partial_derivative, eval_many = (
         MultilinearPolynomial.partial_derivative, MultilinearPolynomial.eval_many
     )
@@ -77,17 +78,18 @@ def test_smoke_preconditions_reach_the_counted_layers(monkeypatch):
         calls["partial_derivative"] += 1
         return partial_derivative(self, i)
 
-    def counting_eval_many(self, points, directions=None):
-        calls["eval_many_with_directions"] += directions is not None
-        return eval_many(self, points, directions)
+    def counting_eval_many(self, points):
+        calls["eval_many_rows"] += len(points)
+        return eval_many(self, points)
 
     monkeypatch.setattr(MultilinearPolynomial, "partial_derivative", counting_partial_derivative)
     monkeypatch.setattr(MultilinearPolynomial, "eval_many", counting_eval_many)
     wide = MultilinearPolynomial(512, {(1 << 3) | (1 << 200): 1.0, 1 << 511: 0.5, 1 << 64: -0.3})
     estimate_beta(wide, 1_000, Rng(1))
     assert calls["partial_derivative"] > 0
+    calls["eval_many_rows"] = 0
     estimate_alpha(wide, 1_000, Rng(2))
-    assert calls["eval_many_with_directions"] > 0
+    assert calls["eval_many_rows"] > 0
 
 
 def test_analyze_calls_the_hypercube_names_smoke_counts(tracing, monkeypatch):

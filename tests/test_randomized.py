@@ -58,6 +58,9 @@ X0 = poly(1, {(0,): 1.0})
 WIDE = MultilinearPolynomial(
     256, {**{1 << i: 1.0 / 16.0 for i in range(256)}, 0b111: 0.1, (1 << 7) | (1 << 255): -0.1}
 )
+# alpha is the block ratio of one block: a row holds a point, a direction, the kernel
+# rows, the block column and its sum
+_ALPHA_WIDTH = 2 * WIDE.n + KERNEL_ROWS + 2
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +202,7 @@ def test_thread_pool_is_capped_at_cpu_count(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(randomized, "ThreadPoolExecutor", RecordingPool)
-    samples = 3 * _batch_rows(_width(WIDE.n, BERNOULLI, True)) + 1  # four batches
+    samples = 3 * _batch_rows(_ALPHA_WIDTH) + 1  # four batches
     monkeypatch.setattr(randomized.os, "cpu_count", lambda: 4)
     pooled = estimate_alpha(WIDE, samples, Rng(6, 3), workers=64)
     assert sizes == [4]
@@ -209,20 +212,20 @@ def test_thread_pool_is_capped_at_cpu_count(monkeypatch):
     assert pooled == serial
 
 
-# three batches on WIDE: one row holds a point (_SPAN), a point and a direction (_SPAN2),
-# a Gaussian point (_SPAN_G), or a Gaussian point and one scalar for its directional
-# derivative (_SPAN_Z); Gaussian points are drawn on the merged form, whose linear-only
-# coordinates are one.  The block pass holds b + 1 outputs more per row than alpha, so
-# _SPAN2 rows span three of its batches as well.
+# three batches on WIDE: one row holds a point (_SPAN), a point, a direction and the
+# one-block ratio with its sum (_SPAN2, alpha), a Gaussian point (_SPAN_G), or a Gaussian
+# point and one scalar for its directional derivative (_SPAN_Z); Gaussian points are drawn
+# on the merged form, whose linear-only coordinates are one.  The block pass holds more
+# outputs per row than alpha when b > 1, so _SPAN2 rows span three of its batches as well.
 # The abs-comparison pair draws its Gaussian half on the merged pair (_SPAN_PAIR), whose
 # batches hold more rows than the +-1 half's, so both halves span three batches or more.
 _MERGED = _gaussian_form(WIDE)[0].n
 _PAIR = _gaussian_form(WIDE, scaled_sum(256))[0].n
-_SPAN = 2 * _batch_rows(_width(WIDE.n, BERNOULLI, False)) + 1
-_SPAN2 = 2 * _batch_rows(_width(WIDE.n, BERNOULLI, True)) + 1
-_SPAN_G = 2 * _batch_rows(_width(_MERGED, GAUSSIAN, False)) + 1
-_SPAN_Z = 2 * _batch_rows(_width(_MERGED, GAUSSIAN, True)) + 1
-_SPAN_PAIR = 2 * _batch_rows(_width(_PAIR, GAUSSIAN, False)) + 1
+_SPAN = 2 * _batch_rows(_width(WIDE.n, False)) + 1
+_SPAN2 = 2 * _batch_rows(_ALPHA_WIDTH) + 1
+_SPAN_G = 2 * _batch_rows(_width(_MERGED, False)) + 1
+_SPAN_Z = 2 * _batch_rows(_width(_MERGED, True)) + 1
+_SPAN_PAIR = 2 * _batch_rows(_width(_PAIR, False)) + 1
 assert _SPAN_PAIR > _SPAN
 
 _ENTRY_POINTS = {
@@ -504,7 +507,7 @@ def test_block_ratio_columns_match_the_pointwise_gradient(monkeypatch, p, blocks
     points, directions = _draw(gen, BERNOULLI, form.n, m), _draw(gen, BERNOULLI, form.n, m)
     local = [[support.index(i) for i in block if i in support] for block in blocks]
     zero_rule = set()
-    for row, a, b in zip(out, points.T, directions.T):
+    for row, a, b in zip(out.T, points.T, directions.T):
         value = form.eval(a)
         grad = brute_gradient(form, a)
         for got, coords in zip(row, local):
@@ -525,16 +528,47 @@ def test_block_ratios_evaluate_p_once_and_each_partial_once_per_batch(monkeypatc
     calls = []
     original = MultilinearPolynomial.eval_many
 
-    def counting(self, points, directions=None):
-        calls.append((self, points.shape[0], directions is None))
-        return original(self, points, directions)
+    def counting(self, points):
+        calls.append((self, points.shape[0]))
+        return original(self, points)
 
     monkeypatch.setattr(MultilinearPolynomial, "eval_many", counting)
     randomized._block_ratios(p, [[0, 4], [1], [2, 3]], 300, Rng(6), 1)
     form = randomized._sampled_form(p, BERNOULLI)
     # one value pass, then d_0, d_1, d_2 and d_3 block by block; d_4 is the constant 0.5
     expected = [form] + [part for part in form.partials if part.degree]
-    assert calls == [(q, 300, True) for q in expected]
+    assert calls == [(q, 300) for q in expected]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "p", [_ZEROS, middle_layers_witness(6, 2), _SPARSE_1024], ids=["zeros", "witness", "sparse"]
+)
+def test_alpha_is_the_block_ratio_of_the_whole_support(p, workers):
+    # 40,001 rows span three batches of alpha's width on each of these supports
+    one_block = randomized._block_ratios(p, [p.support], 40_001, Rng(7, 2), workers)
+    assert estimate_alpha(p, 40_001, Rng(7, 2), workers=workers) == one_block[0]
+
+
+@pytest.mark.parametrize(
+    "p, blocks",
+    [(_ZEROS, [[0], [1, 3], [2, 4], [5]]), (_BASE, [[0, 1, 2], [3, 4], [5, 6, 7]])],
+    ids=["zeros", "generic"],
+)
+def test_each_column_of_a_batch_estimate_is_its_one_column_estimate(monkeypatch, p, blocks):
+    # a batch output is coordinate-major, so each column is summed over contiguous memory
+    # alike whether it is one of several or alone
+    calls = []
+    monkeypatch.setattr(randomized, "_estimate", lambda batch, *args, width: calls.append((batch, width)))
+    randomized._block_ratios(p, blocks, 1, Rng(1), 1)
+    monkeypatch.undo()
+    (batch, width), = calls
+    samples = 3 * _batch_rows(width) + 1
+    together = randomized._estimate(batch, samples, Rng(7, 3), 1, width)
+    assert len(together) == len(blocks) + 1
+    for j, result in enumerate(together):
+        column = lambda gen, m: batch(gen, m)[j]
+        assert randomized._estimate(column, samples, Rng(7, 3), 1, width) == [result]
 
 
 # ---------------------------------------------------------------------------
@@ -668,13 +702,13 @@ def test_strong_anticoncentration_halving_ratio():
 
 def _direction_estimate(p, samples, rng, statistic):
     """The k-direction oracle: each row draws a Gaussian point X and a whole
-    Gaussian direction Y and reads D_Y p(X) from the
-    value-and-derivative pair of ``eval_many``."""
+    Gaussian direction Y and reads D_Y p(X) = sum_i Y_i d_i p(X) from the
+    partial columns (``_partial_sum``)."""
 
     def batch(gen, m):
         points = _draw(gen, GAUSSIAN, p.n, m)
         directions = _draw(gen, GAUSSIAN, p.n, m)
-        return statistic(*p.eval_many(points.T, directions.T))
+        return statistic(p.eval_many(points.T), p._partial_sum(points.T, None, directions.T))
 
     return randomized._estimate(batch, samples, rng, 1, width=2 * p.n + KERNEL_ROWS)[0]
 
@@ -876,7 +910,7 @@ def test_gaussian_half_of_the_gap_agrees_with_the_every_coordinate_oracle():
     samples = 200_000
     gap = invariance_gap(_MIXED, [-edge, edge], samples, Rng(79, 1))
     oracle = _value_estimate(_MIXED, samples, Rng(79, 2),
-                             lambda v: np.column_stack([v <= -edge, v > edge]))
+                             lambda v: np.array([v <= -edge, v > edge]))
     for measured, reference in zip(gap.per_t, oracle):
         se = math.hypot(math.sqrt(measured * (1.0 - measured) / samples), reference.std_error)
         assert abs(measured - reference.estimate) <= 4 * se
