@@ -270,12 +270,17 @@ class MultilinearPolynomial:
 
     @cached_property
     def _partial_split(self) -> tuple[np.ndarray, tuple[tuple[int, "MultilinearPolynomial"], ...]]:
-        """What :meth:`_partial_sum` reads of :attr:`partials`: the constant
-        partials as one dense vector, 0 at the others, and the (index,
-        partial) pairs of the others."""
-        constants = np.array([0.0 if q.degree else q.terms.get(0, 0.0) for q in self.partials])
+        """What :meth:`_partial_sum` reads, from the one term scan of
+        :attr:`_kernel`: the constant partials as one dense vector, the
+        linear coefficients with 0 at every coordinate of a higher term, and
+        the (index, :meth:`partial_derivative`) pairs of those coordinates
+        in increasing index order."""
+        _, linear, higher = self._kernel
+        varying = sorted({i for _, idx in higher for i in idx})
+        constants = np.zeros(self.n) if linear is None else linear.copy()
+        constants[varying] = 0.0
         constants.flags.writeable = False
-        return constants, tuple((i, part) for i, part in enumerate(self.partials) if part.degree)
+        return constants, tuple((i, self.partial_derivative(i)) for i in varying)
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Evaluate on the rows of an ``(m, n)`` matrix of points.
@@ -283,7 +288,8 @@ class MultilinearPolynomial:
         The linear part is one matrix-vector product and each higher term
         one running product.  Columns are read one at a time, so the ``.T``
         view of a C-order ``(n, m)`` array reads contiguous memory.
-        Derivatives are read from :attr:`partials` (:meth:`_partial_sum`).
+        Derivatives come from :meth:`_partial_sum`, whose split of the
+        partials reads this same kernel.
         """
         pts = self._rows(points)
         constant, linear, higher = self._kernel
@@ -296,17 +302,12 @@ class MultilinearPolynomial:
             values += prod
         return values
 
-    @cached_property
-    def partials(self) -> tuple["MultilinearPolynomial", ...]:
-        """The n partial derivatives, built once with :meth:`partial_derivative`."""
-        return tuple(self.partial_derivative(i) for i in range(self.n))
-
     def squared_gradient_norm(
         self, points: np.ndarray, coords: Iterable[int] | None = None
     ) -> np.ndarray:
         """|grad p(x)|^2 over ``coords`` (default all) on the rows of an ``(m, n)`` matrix.
 
-        Read from :attr:`partials` (:meth:`_partial_sum`).  Refused with
+        Summed by :meth:`_partial_sum`.  Refused with
         ``InputError`` when the coefficient squares of p overflow
         (:meth:`moments`), so no squared partial coefficient does.
         """
@@ -322,10 +323,12 @@ class MultilinearPolynomial:
         """The sum over ``coords`` (None: all) of v_i d_i p(x), v the rows of
         ``dirs``, or of d_i p(x)^2 without ``dirs``, on the rows x of ``pts``.
 
-        The constant partials, those of the coordinates that occur only in
-        linear terms, fold into one scalar, or one matrix-vector product over
-        the whole direction matrix; each other partial runs through
-        :meth:`eval_many` once.
+        The split (:attr:`_partial_split`) comes from the kernel's one term
+        scan.  The constant partials, the linear coefficients of the
+        coordinates that occur in no higher term, fold into one scalar, or
+        one matrix-vector product over the whole direction matrix; the
+        partial of each coordinate of a higher term, built once per
+        polynomial, runs through :meth:`eval_many` once.
         """
         constants, varying = self._partial_split
         if coords is not None:

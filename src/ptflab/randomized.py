@@ -39,10 +39,12 @@ column the kernel reads is contiguous, and an integrand returns an
 ``(m,)`` vector or a ``(columns, m)`` array, so each column sum reads
 contiguous memory.
 
-Every derivative is read from the cached partial derivatives
-(:attr:`MultilinearPolynomial.partials`): the constant ones fold into one
-matrix-vector product or one scalar, and each other one is evaluated once
-per batch.  Under Gaussian inputs no direction is drawn: given X,
+Every derivative is summed by :meth:`MultilinearPolynomial._partial_sum`
+from a split read off the evaluation kernel's one term scan: the constant
+partials, those of the coordinates in no higher term, fold into one
+matrix-vector product or one scalar, and the partial of each coordinate
+of a higher term is built once per polynomial and evaluated once per
+batch.  Under Gaussian inputs no direction is drawn: given X,
 D_Y p(X) = Y . grad p(X) is exactly N(0, |grad p(X)|^2), the law of
 |grad p(X)| Z, and |grad p(X)|^2 comes from
 :meth:`MultilinearPolynomial.squared_gradient_norm`.  Under +-1 inputs the
@@ -486,7 +488,7 @@ def exact_alpha(p: MultilinearPolynomial) -> float:
     p = _unit(p)
     size = 1 << n
     values = evaluate_on_hypercube(p)
-    grads = np.array([evaluate_on_hypercube(part) for part in p.partials])
+    grads = np.array([evaluate_on_hypercube(p.partial_derivative(i)) for i in range(n)])
     grads = grads.reshape(n, size)
     grad_sq = (grads**2).sum(axis=0)
     zero = values == 0.0
@@ -821,8 +823,8 @@ def random_polynomial(
         for rank, coeff in zip(picked, gen.standard_normal(terms)):
             chosen[_subset_of_rank(n, int(rank))] = float(coeff)
     else:
-        weights = np.array([math.comb(n, k) for k in range(degree + 1)], dtype=np.float64)
-        weights /= weights.sum()
+        # exact integer ratios: C(n, k) itself can be beyond the float range
+        weights = np.array([math.comb(n, k) / available for k in range(degree + 1)])
         while len(chosen) < terms:
             k = int(gen.choice(degree + 1, p=weights))
             indices = gen.choice(n, size=k, replace=False) if k else ()

@@ -10,6 +10,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 
 from ptflab import MultilinearPolynomial, Rng, random_polynomial, sign_pm1
 
@@ -103,3 +104,17 @@ def random_instances(seed, count, n_range=(2, 10), d_max=3, terms_range=(2, 12))
 def poly(n, mapping):
     """Shorthand: poly(2, {(0, 1): 1.0, (0,): 1.0}) builds x0*x1 + x0."""
     return MultilinearPolynomial.from_vars(n, mapping)
+
+
+@pytest.fixture()
+def partial_derivative_calls(monkeypatch):
+    """The coordinate of every ``MultilinearPolynomial.partial_derivative`` call, in call order."""
+    calls = []
+    original = MultilinearPolynomial.partial_derivative
+
+    def counting(self, i):
+        calls.append(i)
+        return original(self, i)
+
+    monkeypatch.setattr(MultilinearPolynomial, "partial_derivative", counting)
+    return calls

@@ -3,12 +3,13 @@
 ``perfbench/tracing.py`` wraps library functions and methods by name, and
 ``perfbench/workloads.py`` calls ``run_suite`` and ``invariance_gap``; a rename or
 deletion in the library would otherwise break the benchmark silently.
-The harness module is loaded by path and only read.
+The harness modules are loaded by path and only read.
 """
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,15 +26,26 @@ from ptflab import (
 )
 from ptflab.cli import SUITE_NAMES, _analyze_report, run_suite
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # registered before it runs: its dataclasses look their own module up
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
 
 
 def test_traced_functions_resolve(tracing):
@@ -90,6 +102,15 @@ def test_smoke_preconditions_reach_the_counted_layers(monkeypatch):
     calls["eval_many_rows"] = 0
     estimate_alpha(wide, 1_000, Rng(2))
     assert calls["eval_many_rows"] > 0
+
+
+@pytest.mark.parametrize("size", ["full", "tiny"])
+@pytest.mark.parametrize("seed", [9007, 9008])
+def test_mc_wide_beta_builds_partials(workloads, partial_derivative_calls, seed, size):
+    # the same precondition on the polynomial mc_wide itself draws: its beta
+    # builds the partial of each coordinate that occurs in a higher term
+    estimate_beta(workloads.make("mc_wide", seed, size).wide, 1_000, Rng(1))
+    assert partial_derivative_calls
 
 
 def test_analyze_calls_the_hypercube_names_smoke_counts(tracing, monkeypatch):

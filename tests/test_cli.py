@@ -236,6 +236,17 @@ def test_random_sparse_path_exits_0(runner):
     assert MultilinearPolynomial.from_json(result.stdout).term_count == 5
 
 
+@pytest.mark.parametrize("command", ["random", "analyze"])
+def test_generated_instance_beyond_the_float_range_of_the_subset_counts_exits_0(runner, command):
+    # C(1100, 550) is beyond the float range; the size weights are exact integer ratios
+    args = [command, "--n", "1100", "--d", "600", "--terms", "2", "--seed", "1"]
+    result = runner.invoke(main, args + (["--samples", "100"] if command == "analyze" else []))
+    assert result.exit_code == 0, result.output
+    data = json.loads(result.stdout)
+    terms = len(data["terms"]) if command == "random" else data["polynomial"]["terms"]
+    assert terms == 2
+
+
 def test_random_unsatisfiable_sparsity_exits_3(runner):
     result = runner.invoke(main, ["random", "--n", "4", "--d", "1", "--terms", "99", "--seed", "1"])
     assert result.exit_code == 3

@@ -186,11 +186,68 @@ def test_squared_gradient_norm_edge_cases():
     assert linear.squared_gradient_norm(rows).tolist() == [25.0, 25.0]
     assert linear.squared_gradient_norm(rows, [2]).tolist() == [16.0, 16.0]
     assert linear.squared_gradient_norm(rows, []).tolist() == [0.0, 0.0]
-    assert linear.partials is linear.partials
+    assert linear._partial_split is linear._partial_split
     with pytest.raises(InputError):
         linear.squared_gradient_norm(rows, [3])
     with pytest.raises(InputError):
         linear.squared_gradient_norm(rows[:, :2])
+
+
+def _split_of_every_partial(p):
+    """The split as built from all n partials, one partial_derivative(i) per coordinate."""
+    partials = [p.partial_derivative(i) for i in range(p.n)]
+    constants = np.array([0.0 if q.degree else q.terms.get(0, 0.0) for q in partials])
+    return constants, tuple((i, q) for i, q in enumerate(partials) if q.degree)
+
+
+def _assert_split_of_every_partial(p):
+    constants, varying = p._partial_split
+    expected_constants, expected_varying = _split_of_every_partial(p)
+    assert constants.dtype == np.float64 and constants.shape == (p.n,)
+    assert not constants.flags.writeable
+    assert constants.tobytes() == expected_constants.tobytes()  # bit for bit, signs of 0 too
+    assert varying == expected_varying
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        MultilinearPolynomial.zero(3),
+        MultilinearPolynomial.zero(0),
+        MultilinearPolynomial.constant(0, 1.5),
+        MultilinearPolynomial.constant(4, -2.0),
+        MultilinearPolynomial.coordinate_sum(6),
+        poly(5, {(0,): 3.0, (3,): -0.25, (): 1.0}),  # x1, x2 and x4 occur in no term
+        poly(6, {(0, 1): 1.0, (2,): 1.0, (3,): -1.0}),  # x4 and x5 occur in no term
+        # x1 occurs in a linear and in a higher term, x0 in none
+        poly(6, {(1, 4): 0.5, (1,): 2.0, (5,): -1.0, (2, 3, 4): 1e-300, (): 7.0}),
+    ],
+    ids=["zero", "zero_n0", "constant_n0", "constant", "coordinate_sum", "linear", "mixed",
+         "linear_and_higher"],
+)
+def test_partial_split_is_the_split_of_every_partial(p):
+    _assert_split_of_every_partial(p)
+
+
+@given(kernel_cases())
+@settings(max_examples=150, deadline=None)
+def test_partial_split_is_the_split_of_every_partial_on_drawn_polynomials(case):
+    _assert_split_of_every_partial(case[0])
+
+
+@pytest.mark.parametrize(
+    "p, built",
+    [
+        (MultilinearPolynomial.coordinate_sum(400), []),
+        (poly(4, {(0, 1): 1.0, (2,): 1.0, (3,): 1.0}), [0, 1]),
+    ],
+    ids=["coordinate_sum", "one_product"],
+)
+def test_partial_split_builds_the_partials_of_higher_term_coordinates_only(
+    partial_derivative_calls, p, built
+):
+    p._partial_split
+    assert partial_derivative_calls == built
 
 
 @pytest.mark.parametrize("mask", [0b01, 0b11], ids=["constant_partial", "linear_partial"])

@@ -460,6 +460,14 @@ def test_exact_alpha_scale_invariant():
     assert exact_alpha(p.scale(-3.7)) == pytest.approx(exact_alpha(p), rel=1e-12)
 
 
+def test_exact_alpha_builds_its_own_partials(partial_derivative_calls):
+    # the oracle shares no derivative cache with estimate_alpha, the estimator it checks
+    p = poly(4, {(0, 1): 1.0, (2,): 0.5})  # already a unit form
+    exact_alpha(p)
+    assert partial_derivative_calls == [0, 1, 2, 3]
+    assert set(vars(p)) == {"n", "terms"}  # no derivative cache left on p
+
+
 def test_exact_alpha_cap():
     with pytest.raises(CapExceededError):
         exact_alpha(MultilinearPolynomial.coordinate_sum(13))
@@ -536,7 +544,7 @@ def test_block_ratios_evaluate_p_once_and_each_partial_once_per_batch(monkeypatc
     randomized._block_ratios(p, [[0, 4], [1], [2, 3]], 300, Rng(6), 1)
     form = randomized._sampled_form(p, BERNOULLI)
     # one value pass, then d_0, d_1, d_2 and d_3 block by block; d_4 is the constant 0.5
-    expected = [form] + [part for part in form.partials if part.degree]
+    expected = [form] + [form.partial_derivative(i) for i in range(4)]
     assert calls == [(q, 300) for q in expected]
 
 
@@ -1196,6 +1204,38 @@ def test_random_polynomial_sparse_path_keys_are_ints():
 def test_random_polynomial_exhaustive_request():
     p = random_polynomial(4, 1, 5, Rng(45))  # all subsets of size <= 1
     assert p.term_count == 5
+
+
+def _from_float_weights(n, degree, terms, rng):
+    """random_polynomial's large branch with the size weights C(n, k) taken to
+    float64 and normalised by their float sum, where none of them overflows."""
+    weights = np.array([math.comb(n, k) for k in range(degree + 1)], dtype=np.float64)
+    weights /= weights.sum()
+    gen = rng.generator()
+    chosen = {}
+    while len(chosen) < terms:
+        k = int(gen.choice(degree + 1, p=weights))
+        mask = mask_from_indices(int(i) for i in (gen.choice(n, size=k, replace=False) if k else ()))
+        if mask not in chosen:
+            chosen[mask] = float(gen.standard_normal())
+    return MultilinearPolynomial(n, chosen)
+
+
+@pytest.mark.parametrize("n, degree, terms", [(200, 3, 30), (1000, 600, 5), (300, 5, 50),
+                                              (2000, 2, 40), (1030, 4, 20)])
+def test_random_polynomial_matches_the_float_weights_oracle(n, degree, terms):
+    assert sum(math.comb(n, k) for k in range(degree + 1)) > 1 << 20  # the large branch
+    for seed in range(20):
+        p = random_polynomial(n, degree, terms, Rng(seed))
+        assert p.terms == _from_float_weights(n, degree, terms, Rng(seed)).terms
+
+
+@pytest.mark.parametrize("n, degree", [(1100, 600), (4096, 4096)])
+def test_random_polynomial_beyond_the_float_range_of_the_subset_counts(n, degree):
+    with pytest.raises(OverflowError):  # so float size weights could not be built
+        float(math.comb(n, n // 2))
+    p = random_polynomial(n, degree, 3, Rng(1))
+    assert p.term_count == 3 and p.degree <= degree
 
 
 def _from_mask_list(n, degree, terms, rng):
