@@ -50,7 +50,7 @@ from .hypercube import (
     theorem_log_bound,
 )
 from .hypercube import _subcube_table
-from .polynomial import ENUMERATION_BUDGET, MultilinearPolynomial, check_enumeration
+from .polynomial import ENUMERATION_BUDGET, MultilinearPolynomial, _integer, check_enumeration
 from .randomized import (
     Rng,
     abs_comparison_gap,
@@ -726,8 +726,7 @@ def run_suite(
     """
     if name != "all" and name not in _SECTIONS:
         raise InputError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    if samples < 1:
-        raise InputError(f"samples must be positive, got {samples}")
+    samples = _integer(samples, "samples", 1)
     config = RegularityConfig(tau=tau, eps=eps, delta=delta, big_m=big_m)
     rng = Rng(seed)
     rows = []
@@ -761,8 +760,7 @@ def main() -> None:
 @_guarded
 def cmd_analyze(input_path, n, d, terms, seed, samples, clog, cexp, fmt, out, workers):
     """Report sensitivity, spectra and ratio statistics for one polynomial."""
-    if samples < 0:
-        raise InputError("--samples must be non-negative")
+    samples = _integer(samples, "--samples", 0)
     seed = _resolve_seed(seed)
     if input_path is not None:
         poly = _load_polynomial(input_path)

@@ -14,6 +14,7 @@ sensitivity, and the per-block ratio statistics.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -24,7 +25,8 @@ import numpy as np
 from .errors import InputError
 from .hypercube import SignFunction, average_sensitivity_exact, truth_table
 from .hypercube import _block_tables, _subcube_table, _table_average_sensitivity
-from .polynomial import MultilinearPolynomial, _is_regular_unit, _unit, sign_pm1
+from .polynomial import MAX_VARIABLES, MultilinearPolynomial, _is_regular_unit, _unit, sign_pm1
+from .polynomial import _integer, _real
 from .randomized import EstimatorResult, Rng, _block_ratios, estimate_alpha, exact_alpha
 
 _FORMULA_DOMAIN_CAP = 0.2499999999
@@ -39,10 +41,6 @@ _MAX_LEAVES = 1 << 16
 # random outside assignments drawn per block
 _RECURSION_POOL = 6
 _RESTRICTIONS_PER_BLOCK = 2
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -65,14 +63,8 @@ class RegularityConfig:
     big_m: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.tau < math.inf:
-            raise InputError(f"tau must be positive and finite, got {self.tau}")
-        if not 0 < self.eps < 0.25:
-            raise InputError(f"eps must lie in (0, 1/4), got {self.eps}")
-        if not 0 < self.delta < 0.25:
-            raise InputError(f"delta must lie in (0, 1/4), got {self.delta}")
-        if not 0 < self.big_m < math.inf:
-            raise InputError(f"big_m must be positive and finite, got {self.big_m}")
+        for name, high in (("tau", math.inf), ("eps", 0.25), ("delta", 0.25), ("big_m", math.inf)):
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0, high))
 
     def rounds_budget(self, degree: int) -> int:
         return 8 * (1 << max(1, degree)) * max(1, math.ceil(-math.log(self.delta)))
@@ -157,9 +149,7 @@ class DecisionTree:
 
 def influential_set(p: MultilinearPolynomial, m: float) -> set[int]:
     """Coordinates whose influence exceeds ``m >= 0``; at most total_influence/m many if m > 0."""
-    if not m >= 0:
-        raise InputError(f"influence threshold must be non-negative, got {m}")
-    return _above(p.influences(), m)
+    return _above(p.influences(), _real(m, "influence threshold", 0, math.inf, "[]"))
 
 
 def _above(infl: np.ndarray, m: float) -> set[int]:
@@ -169,14 +159,9 @@ def _above(infl: np.ndarray, m: float) -> set[int]:
 
 def default_threshold(tau: float, eps: float, d: int, big_m: float) -> float:
     """Influence cutoff tau * (d ln(1/tau) ln(1/eps))^(-big_m d), for |p|_2 = 1."""
-    if not 0 < tau < 0.25:
-        raise InputError(f"tau must lie in (0, 1/4), got {tau}")
-    if not 0 < eps < 0.25:
-        raise InputError(f"eps must lie in (0, 1/4), got {eps}")
-    if not isinstance(d, int) or d < 1:
-        raise InputError(f"degree must be a positive integer, got {d!r}")
-    if not big_m >= 0:
-        raise InputError(f"big_m must be non-negative, got {big_m}")
+    tau, eps = _real(tau, "tau", 0, 0.25), _real(eps, "eps", 0, 0.25)
+    d = _integer(d, "degree", 1, sys.float_info.max)
+    big_m = _real(big_m, "big_m", 0, math.inf, "[]")
     base = d * math.log(1.0 / tau) * math.log(1.0 / eps)
     return tau * base ** (-big_m * d)
 
@@ -192,10 +177,7 @@ def classify_leaf(p: MultilinearPolynomial, tau: float, eps: float) -> LeafClass
     var <= (4 ln(1/eps))^(-d/2) * mean^2.  ``tau`` must be positive and
     finite and ``eps`` lie in (0, 1), for constants too.
     """
-    if not 0 < tau < math.inf:
-        raise InputError(f"tau must be positive and finite, got {tau}")
-    if not 0 < eps < 1:
-        raise InputError(f"eps must lie in (0, 1), got {eps}")
+    tau, eps = _real(tau, "tau", 0), _real(eps, "eps", 0, 1)
     p = _unit(p)
     mom = p.moments()
     if mom.variance > 0 and _is_regular_unit(p, mom.variance, tau):
@@ -371,9 +353,12 @@ class BlockPartition:
 
 
 def block_partition(n: int, b: int) -> BlockPartition:
-    """Split {0..n-1} into b contiguous blocks whose sizes differ by at most 1."""
-    if not (_is_int(n) and _is_int(b) and 1 <= b <= n):
-        raise InputError(f"need integers 1 <= b <= n, got b={b!r}, n={n!r}")
+    """Split {0..n-1} into b contiguous blocks whose sizes differ by at most 1.
+
+    n is at most MAX_VARIABLES, the variables a polynomial holds.
+    """
+    n = _integer(n, "coordinate count", 1, MAX_VARIABLES)
+    b = _integer(b, "block count", 1, n)
     big = n % b
     small_size, cursor, blocks = n // b, 0, []
     for j in range(b):
@@ -448,8 +433,8 @@ def block_alpha_sum(
     """
     if partition.n != p.n:
         raise InputError(f"partition is for n={partition.n}, polynomial has n={p.n}")
-    if tau is not None and not 0 < tau < math.inf:
-        raise InputError(f"tau must be positive and finite, got {tau}")
+    if tau is not None:
+        tau = _real(tau, "tau", 0)
     *per_block, total = _block_ratios(p, partition.blocks, samples, rng, workers)
     alpha_hat = estimate_alpha(p, samples, rng.child(partition.b), workers=workers)
     reference = None
@@ -509,11 +494,9 @@ def recursion_trace(
     heaviest of their support-compressed random block restrictions (2 per
     block).
     """
-    levels_b = tuple(blocks_per_level)
+    levels_b = tuple(_integer(b, "block count", 1) for b in blocks_per_level)
     if not 1 <= len(levels_b) <= 3:
         raise InputError("desk-scale schedules run between 1 and 3 levels")
-    if not all(_is_int(b) and b >= 1 for b in levels_b):
-        raise InputError(f"block counts must be positive integers, got {levels_b!r}")
     pool: list[tuple[float, MultilinearPolynomial]] = [(1.0, p)]
     levels = []
     tree_failures = 0

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -38,7 +39,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError
-from .polynomial import _BATCH_ELEMENTS, MultilinearPolynomial, check_enumeration
+from .polynomial import _BATCH_ELEMENTS, MAX_VARIABLES, MultilinearPolynomial, check_enumeration
+from .polynomial import _integer, _real
 
 
 @dataclass(frozen=True)
@@ -230,8 +232,7 @@ def noise_sensitivity_exact(f: SignFunction, delta: float) -> float:
     Computed through the spectrum: 1/2 - 1/2 * sum_k W_k (1-2 delta)^k, with
     W_k the spectral weight at level k.
     """
-    if not 0.0 <= delta <= 0.5:
-        raise InputError(f"noise rate must lie in [0, 1/2], got {delta}")
+    delta = _real(delta, "noise rate", 0, 0.5, "[]")
     weights = f.level_weights
     rho = 1.0 - 2.0 * delta
     return float(0.5 - 0.5 * np.dot(weights, rho ** np.arange(f.n + 1, dtype=np.float64)))
@@ -243,13 +244,11 @@ def gl_bound(n: int, d: int) -> float:
     2^{-n+1} * sum_{k=0}^{d-1} C(n, floor((n-k)/2)) * (n - floor((n-k)/2)),
     evaluated in exact rational arithmetic and returned as a float.  The
     formula is reproduced as printed; no parity correction is attempted.
+    It is stated for 1 < n <= MAX_VARIABLES, the variables a polynomial
+    holds, and 1 <= d <= n.
     """
-    if not isinstance(n, int) or not isinstance(d, int):
-        raise InputError("gl_bound expects integer arguments")
-    if n <= 1:
-        raise InputError(f"the bound is stated for n > 1, got n={n}")
-    if d < 1:
-        raise InputError(f"degree must be at least 1, got d={d}")
+    n = _integer(n, "n", 2, MAX_VARIABLES)
+    d = _integer(d, "degree", 1, n)
     total = 0
     for k in range(d):
         half = (n - k) // 2
@@ -266,10 +265,8 @@ def middle_layers_witness(n: int, d: int) -> MultilinearPolynomial:
     expanded with x_i^2 = 1, so the result is the canonical multilinear
     representative, equal to the real product on every hypercube point.
     """
-    if not isinstance(n, int) or not isinstance(d, int) or n < 1 or d < 1:
-        raise InputError("middle_layers_witness expects positive integers")
-    if d > n:
-        raise InputError(f"need d <= n, got d={d} > n={n}")
+    n = _integer(n, "n", 1, MAX_VARIABLES)
+    d = _integer(d, "degree", 1, n)
     sigma = 0 if (n + d) % 2 == 0 else 1
     linear = MultilinearPolynomial.coordinate_sum(n)
     out = MultilinearPolynomial.constant(n, 1.0)
@@ -301,14 +298,13 @@ def gl_report_row(n: int, d: int) -> dict:
 def theorem_log_bound(n: float, d: int, c_log: float = 1.0, c_exp: float = 1.0) -> float:
     """Natural log of :func:`theorem_bound`, finite where the bound overflows.
 
-    The constants must be finite and non-negative.
+    n lies in (1, inf], d is an integer a float holds, and the constants
+    are finite and non-negative.
     """
-    if not n > 1:
-        raise InputError(f"need n > 1, got n={n}")
-    if not isinstance(d, int) or d < 1:
-        raise InputError(f"degree must be a positive integer, got d={d}")
-    if not (0 <= c_log < math.inf and 0 <= c_exp < math.inf):
-        raise InputError(f"constants must be non-negative and finite, got {c_log}, {c_exp}")
+    n = _real(n, "n", 1, math.inf, "(]")
+    d = _integer(d, "degree", 1, sys.float_info.max)
+    c_log = _real(c_log, "c_log", 0, math.inf, "[)")
+    c_exp = _real(c_exp, "c_exp", 0, math.inf, "[)")
     log_d, ln_n = max(1.0, math.log(d)), math.log(n)
     return 0.5 * ln_n + d * log_d * (c_log * math.log(ln_n) + c_exp * d * math.log(2.0))
 

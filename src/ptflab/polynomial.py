@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -66,6 +67,39 @@ def _as_float(value, what: str) -> float:
         raise InputError(f"{what} is beyond the float range") from None
 
 
+# The rule for a numeric parameter: every check of one goes through these two
+# helpers, and a refusal is an InputError.
+
+
+def _real(value, what: str, low: float = -math.inf, high: float = math.inf, brackets: str = "()") -> float:
+    """``value`` as a float between ``low`` and ``high``, refused with ``InputError`` otherwise.
+
+    ``brackets`` closes an end of the interval with "[" or "]" and leaves it
+    open with "(" or ")".  A bool, a non-number, NaN and a value beyond the
+    float range are refused.
+    """
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    x = _as_float(value, what) if real else math.nan
+    if not low <= x <= high or (x == low and brackets[0] == "(") or (x == high and brackets[1] == ")"):
+        interval = f"{brackets[0]}{low}, {high}{brackets[1]}"
+        raise InputError(f"{what} must be a real number in {interval}, got {value!r}")
+    return x
+
+
+def _integer(value, what: str, low: float = -math.inf, high: float = math.inf) -> int:
+    """``value`` as a Python int in [``low``, ``high``], refused with ``InputError`` otherwise.
+
+    Accepts what :func:`operator.index` accepts (ints, numpy integers) except bools.
+    """
+    try:
+        index = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or not low <= index <= high:
+        raise InputError(f"{what} must be an integer in [{low}, {high}], got {value!r}")
+    return index
+
+
 def mask_from_indices(indices: Iterable[int]) -> int:
     mask = 0
     for i in indices:
@@ -82,10 +116,15 @@ def check_enumeration(operation: str, cost: int) -> None:
         )
 
 
-def _as_point(x, n: int) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] != n:
-        raise InputError(f"point must be a length-{n} vector, got shape {arr.shape}")
+def _as_array(x, n: int, ndim: int) -> np.ndarray:
+    """``x`` as a float64 point (``ndim`` 1, length n) or matrix of points as rows (``ndim`` 2)."""
+    try:
+        arr = np.asarray(x, dtype=np.float64)
+    except (OverflowError, TypeError, ValueError) as e:  # beyond the float range, not a number, ragged
+        raise InputError(f"points must be numbers in a regular array: {e}") from None
+    if arr.ndim != ndim or arr.shape[-1] != n:
+        expected = f"a length-{n} vector" if ndim == 1 else f"an (m, {n}) matrix"
+        raise InputError(f"expected {expected}, got shape {arr.shape}")
     return arr
 
 
@@ -139,8 +178,7 @@ class MultilinearPolynomial:
     terms: Mapping[int, float]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
-            raise InputError(f"variable count must be a non-negative integer, got {self.n!r}")
+        object.__setattr__(self, "n", _integer(self.n, "variable count", 0))
         if self.n > MAX_VARIABLES:
             raise InputError(f"at most {MAX_VARIABLES} variables supported, got n={self.n}")
         checked: dict[int, float] = {}
@@ -177,10 +215,7 @@ class MultilinearPolynomial:
         for indices, coeff in terms.items():
             if len(set(indices)) != len(indices):
                 raise InputError(f"repeated variable in term {indices}")
-            for i in indices:
-                if isinstance(i, bool) or not 0 <= i < n:
-                    raise InputError(f"variable index {i} out of range for n={n}")
-            mask = mask_from_indices(indices)
+            mask = mask_from_indices(_integer(i, "variable index", 0, n - 1) for i in indices)
             if mask in out:
                 raise InputError(f"duplicate term {tuple(sorted(indices))}")
             out[mask] = coeff
@@ -189,6 +224,7 @@ class MultilinearPolynomial:
     @classmethod
     def coordinate_sum(cls, n: int) -> "MultilinearPolynomial":
         """The linear form x_0 + x_1 + ... + x_{n-1}."""
+        n = cls.zero(n).n  # the constructor's checks of n, before the n terms are built
         return cls(n, {1 << i: 1.0 for i in range(n)})
 
     # ------------------------------------------------------------------
@@ -243,7 +279,7 @@ class MultilinearPolynomial:
 
     def eval(self, x: RealPoint) -> float:
         """Evaluate at a real point: sum over terms of coeff * prod of coords."""
-        arr = _as_point(x, self.n)
+        arr = _as_array(x, self.n, 1)
         total = 0.0
         for mask, coeff in self.terms.items():
             prod = coeff
@@ -291,7 +327,7 @@ class MultilinearPolynomial:
         Derivatives come from :meth:`_partial_sum`, whose split of the
         partials reads this same kernel.
         """
-        pts = self._rows(points)
+        pts = _as_array(points, self.n, 2)
         constant, linear, higher = self._kernel
         values = np.zeros(pts.shape[0]) if linear is None else pts @ linear
         values += constant
@@ -315,7 +351,7 @@ class MultilinearPolynomial:
         for i in coords or ():
             self._check_index(i)
         self.moments()
-        return self._partial_sum(self._rows(points), coords)
+        return self._partial_sum(_as_array(points, self.n, 2), coords)
 
     def _partial_sum(
         self, pts: np.ndarray, coords: list[int] | None, dirs: np.ndarray | None = None
@@ -432,8 +468,7 @@ class MultilinearPolynomial:
         at any finite scale of p.  Undefined for constant polynomials (zero
         variance): callers must handle constants separately.
         """
-        if tau <= 0:
-            raise InputError(f"tau must be positive, got {tau}")
+        tau = _real(tau, "tau", 0)
         unit = _unit(self)
         variance = unit.moments().variance
         if variance == 0.0:
@@ -531,9 +566,7 @@ class MultilinearPolynomial:
         """
         if not isinstance(data, dict):
             raise InputError("polynomial JSON must be an object")
-        n = data.get("n")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise InputError(f"polynomial JSON field 'n' must be a non-negative integer, got {n!r}")
+        n = _integer(data.get("n"), "polynomial JSON field 'n'", 0)
         raw_terms = data.get("terms")
         if not isinstance(raw_terms, list):
             raise InputError("polynomial JSON field 'terms' must be a list")
@@ -573,12 +606,6 @@ class MultilinearPolynomial:
         return cls.from_json_dict(data)
 
     # ------------------------------------------------------------------
-
-    def _rows(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != self.n:
-            raise InputError(f"expected an (m, {self.n}) matrix, got shape {pts.shape}")
-        return pts
 
     def _check_index(self, i: int) -> None:
         if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < self.n:

@@ -60,11 +60,14 @@ its layout draws plus the kernel's ``KERNEL_ROWS``, or twice the output
 column count if that is larger, since an estimate holds each output and its
 float64 copy; the block ratios take 2k + ``KERNEL_ROWS`` + b + 1, point,
 direction, kernel rows and the b block columns with their sum), so no
-statistic's memory grows with n or the sample count.  Batch ``c`` covers rows
-``[c*r, (c+1)*r)`` and draws from numpy's PCG64 seeded through
-``SeedSequence(seed, spawn_key=(stream, c))``; batch results are merged in
-batch order as they arrive, and the batches run on ``min(workers, batches,
-os.cpu_count())`` threads, one batch per thread ahead of the merge.  Seeded
+statistic's memory grows with n or the sample count.  There are
+``ceil(samples / r)`` batches; batch ``c`` covers rows ``[c*r, (c+1)*r)``,
+the last one cut at ``samples``, and draws from numpy's PCG64 seeded through
+``SeedSequence(seed, spawn_key=(stream, c))``.  The driver computes each
+batch's size and generator as the batch is started, so it holds nothing for
+the batches still to come; batch results are merged in batch order as they
+arrive, and the batches run on ``min(workers, batches, os.cpu_count())``
+threads, one batch per thread ahead of the merge.  Seeded
 values depend on that batch rule and draw layout, never on the worker count.
 Gaussian draws use numpy's ziggurat, fixed within one build.
 
@@ -93,7 +96,9 @@ from .polynomial import (
     KERNEL_ROWS,
     MultilinearPolynomial,
     _exponent,
+    _integer,
     _ldexp,
+    _real,
     _unit,
     check_enumeration,
     mask_from_indices,
@@ -124,6 +129,10 @@ class Rng:
 
     seed: int
     stream: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "stream", _integer(self.stream, "stream"))
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(
@@ -191,14 +200,13 @@ def _batches(
     width: int,
 ) -> Iterator[T]:
     """Yield ``batch_fn(rng.chunk_generator(c), m)`` for each batch ``c`` of ``m`` rows, in order."""
-    if samples < 1:
-        raise InputError(f"need at least one sample, got {samples}")
-    if workers < 1:
-        raise InputError(f"worker count must be positive, got {workers}")
+    samples = _integer(samples, "sample count", 1)
+    workers = _integer(workers, "worker count", 1)
     rows = _batch_rows(width)
-    sizes = [min(rows, samples - start) for start in range(0, samples, rows)]
-    generators = map(rng.chunk_generator, range(len(sizes)))
-    threads = min(workers, len(sizes), os.cpu_count() or 1)
+    count = -(-samples // rows)
+    sizes = (min(rows, samples - start) for start in range(0, samples, rows))
+    generators = map(rng.chunk_generator, range(count))
+    threads = min(workers, count, os.cpu_count() or 1)
     if threads == 1:
         yield from map(batch_fn, generators, sizes)
         return
@@ -327,11 +335,6 @@ def _sampled_form(p: MultilinearPolynomial, dist: str) -> MultilinearPolynomial:
         raise InputError(f"distribution must be one of {_DISTRIBUTIONS}, got {dist!r}")
     unit = _unit(p.compress_support()[0])
     return _gaussian_form(unit)[0] if dist == GAUSSIAN else unit
-
-
-def _check_eps(eps: float) -> None:
-    if not 0.0 < eps < math.inf:
-        raise InputError(f"eps must be positive and finite, got {eps}")
 
 
 def _width(k: int, derivative: bool, columns: int = 1) -> int:
@@ -547,9 +550,9 @@ def tail_curve(
 ) -> TailCurve:
     """Estimate Pr(|p| > N |p|_2) on a grid of thresholds N."""
     unit, l2 = _unit_l2(p)
-    levels = sorted(float(t) for t in thresholds)
-    if not levels or not all(0.0 < t < math.inf for t in levels):
-        raise InputError(f"thresholds must be positive and finite, got {levels}")
+    levels = sorted(_real(t, "threshold", 0) for t in thresholds)
+    if not levels:
+        raise InputError("thresholds must be nonempty")
     cuts = np.array(levels) * l2
     above = lambda points, values, deriv: np.abs(values) > cuts[:, None]
     form = _sampled_form(unit, dist)
@@ -595,7 +598,7 @@ def carbery_wright_estimate(
     workers: int = 1,
 ) -> EstimatorResult:
     """Estimate Pr(|p(X)| <= eps |p|_2) under Gaussian input."""
-    _check_eps(eps)
+    eps = _real(eps, "eps", 0)
     unit, l2 = _unit_l2(p)
     small = lambda points, values, deriv: np.abs(values) <= eps * l2
     form = _sampled_form(unit, GAUSSIAN)
@@ -616,7 +619,7 @@ def strong_anticoncentration_estimate(
     |grad p(X)| Z, which has the same joint law with X, so no direction
     vector is drawn (see :func:`_sample`).
     """
-    _check_eps(eps)
+    eps = _real(eps, "eps", 0)
     if p.degree < 1:
         raise InputError("degenerate for constant polynomials: the event has probability 0")
     small = lambda points, values, deriv: np.abs(values) <= eps * np.abs(deriv)
@@ -670,11 +673,9 @@ def invariance_gap(
                  *draws(BERNOULLI, rows, rng.child(3), np.asarray)]
         cuts = np.quantile(np.concatenate(pilot), np.linspace(0.0, 1.0, _QUANTILE_GRID_POINTS))
     else:
-        grid = np.asarray(list(t_grid), dtype=np.float64)
+        grid = np.array([_real(t, "threshold") for t in t_grid])
         if grid.size == 0:
             raise InputError("threshold grid must be nonempty")
-        if not np.all(np.isfinite(grid)):
-            raise InputError(f"thresholds must be finite, got {grid.tolist()}")
         if np.any(np.diff(grid) < 0):
             raise InputError("threshold grid must be sorted")
     e = _exponent(p)  # the draws are of p times 2^-e
@@ -760,25 +761,32 @@ class HypercontractivityCheck:
 def hypercontractivity_check(p: MultilinearPolynomial, t: int) -> HypercontractivityCheck:
     """Exact check of |p|_t <= sqrt(t-1)^degree * |p|_2 under +-1 inputs.
 
-    The left side is the enumerated t-th moment (even t only), the right
-    side comes from coefficient arithmetic.  The moment is taken of
-    u / |u|_2 for the unit form u of p (:func:`_unit`), so no power
-    overflows or underflows, and the 1e-9 slack is relative to |p|_2.  Both
-    sides are reported in p's units, so |p|_2 = inf is refused
-    (:meth:`MultilinearPolynomial.moments`).
+    The left side is the enumerated t-th moment, the right side comes from
+    coefficient arithmetic.  t is an even integer of at most 2^53, so a
+    float holds t - 1 exactly and sqrt(t-1)^degree stays finite within the
+    enumeration budget.  The moment is taken of u / max|u| for the unit
+    form u of p (:func:`_unit`), so no power overflows, the largest term is
+    exactly 1 and the left side lies between |p|_2 and max|p| at every t;
+    the 1e-9 slack is relative to |p|_2.  Both sides are reported in p's
+    units, so |p|_2 = inf is refused (:meth:`MultilinearPolynomial.moments`).
     """
-    if not isinstance(t, int) or t % 2 != 0 or t < 2:
-        raise InputError(f"the exact path needs an even moment order >= 2, got {t!r}")
+    t = _integer(t, "moment order", 2, 1 << 53)
+    if t % 2:
+        raise InputError(f"the exact path needs an even moment order, got {t}")
     p.moments()  # refuses |p|_2 = inf
     e = _exponent(p)
     unit = _ldexp(p, -e)
     norm = unit.moments().l2_norm
-    scale = norm or 1.0  # the zero polynomial has zero values
-    ratio = float(np.mean(np.abs(evaluate_on_hypercube(unit) / scale) ** t) ** (1.0 / t))
+    values = np.abs(evaluate_on_hypercube(unit))
+    top = float(values.max()) or 1.0  # the zero polynomial has zero values
+    moment = top * float(np.mean((values / top) ** t) ** (1.0 / t))  # |u|_t
     factor = math.sqrt(t - 1.0) ** p.degree
-    l2 = math.ldexp(norm, e)  # |p|_2
     return HypercontractivityCheck(
-        t=t, lhs=ratio * l2, rhs=factor * l2, holds=ratio <= factor + 1e-9, degree=p.degree
+        t=t,
+        lhs=math.ldexp(moment, e),
+        rhs=factor * math.ldexp(norm, e),
+        holds=moment <= (factor + 1e-9) * norm,
+        degree=p.degree,
     )
 
 
@@ -806,11 +814,8 @@ def random_polynomial(
 ) -> MultilinearPolynomial:
     """Random multilinear polynomial: distinct uniform subsets of size <= degree,
     standard normal coefficients, deterministic per (seed, stream)."""
-    MultilinearPolynomial.zero(n)  # the constructor's checks of n, before any draw
-    if degree < 0 or degree > n:
-        raise InputError(f"need 0 <= degree <= n, got degree={degree}")
-    if terms < 0:
-        raise InputError(f"term count must be non-negative, got {terms}")
+    n = MultilinearPolynomial.zero(n).n  # the constructor's checks of n, before any draw
+    degree, terms = _integer(degree, "degree", 0, n), _integer(terms, "term count", 0)
     available = sum(math.comb(n, k) for k in range(degree + 1))
     if terms > available:
         raise CapExceededError(

@@ -1,9 +1,10 @@
-"""Unused-name guards over the package sources, standard library only.
+"""Source guards over the package, standard library only.
 
 Every name a module of ``ptflab`` imports must be referenced in that
-module; the package's ``__init__`` imports exactly its ``__all__``; and
-every private function, method, class or module constant the package
-defines must be referenced somewhere in the package.
+module; the package's ``__init__`` imports exactly its ``__all__``; every
+private function, method, class or module constant the package defines
+must be referenced somewhere in the package; and only ``polynomial.py``,
+which owns the numeric parameter rule, spells out its checks.
 """
 
 import ast
@@ -78,3 +79,27 @@ PACKAGE_TREES = {path.name: ast.parse(path.read_text()) for path in sorted(SOURC
 def test_every_private_definition_is_referenced_in_the_package(name):
     loaded = set().union(*map(loaded_names, PACKAGE_TREES.values()))
     assert sorted(private_definitions(PACKAGE_TREES[name]) - loaded) == []
+
+
+def inline_number_checks(tree):
+    """Lines that compare against an ``inf`` attribute (``math.inf``) or call
+    ``isinstance(..., bool)``: the checks of the numeric parameter rule."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(o, ast.Attribute) and o.attr == "inf" for o in operands):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            kinds = node.args[1:]
+            if kinds and isinstance(kinds[0], ast.Tuple):
+                kinds = kinds[0].elts
+            if any(isinstance(kind, ast.Name) and kind.id == "bool" for kind in kinds):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("name", sorted(set(PACKAGE_TREES) - {"polynomial.py"}))
+def test_only_the_polynomial_module_spells_out_numeric_checks(name):
+    # every other module checks a number through polynomial._real or polynomial._integer
+    assert inline_number_checks(PACKAGE_TREES[name]) == []

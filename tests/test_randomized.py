@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,7 +41,8 @@ from ptflab import (
 )
 from ptflab.decompose import BlockPartition
 from ptflab.polynomial import KERNEL_ROWS, mask_from_indices
-from ptflab.randomized import _BATCH_ELEMENTS, _batch_rows, _draw, _gaussian_form, _width
+from ptflab.hypercube import evaluate_on_hypercube
+from ptflab.randomized import _BATCH_ELEMENTS, _batch_rows, _batches, _draw, _gaussian_form, _width
 
 from conftest import brute_alpha, brute_gradient, poly, random_instances
 
@@ -191,6 +193,22 @@ def test_driver_rejects_nonpositive_workers(workers):
         invariance_gap(X0, None, 1_000, Rng(1), workers=workers)
     with pytest.raises(InputError):
         strong_anticoncentration_estimate(X0, 0.1, 1_000, Rng(1), workers=workers)
+
+
+def test_batch_sizes_are_generated_as_the_batches_run():
+    # the driver holds nothing per batch ahead of the one it runs, so taking the
+    # first of 10^6 one-column batches peaks where taking the only one does
+    def first_batch_peak(batches):
+        tracemalloc.start()
+        try:
+            first = next(_batches(lambda gen, m: m, batches * _BATCH_ELEMENTS, Rng(1), 1, 1))
+            return first, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (one, single), (first, many) = first_batch_peak(1), first_batch_peak(10**6)
+    assert one == first == _BATCH_ELEMENTS
+    assert many <= single + 2**20
 
 
 def test_thread_pool_is_capped_at_cpu_count(monkeypatch):
@@ -1150,6 +1168,16 @@ def test_hypercontractivity_at_large_scale():
     zero = hypercontractivity_check(MultilinearPolynomial.zero(2), 4)
     assert zero.lhs == zero.rhs == 0.0
     assert zero.holds
+
+
+@pytest.mark.parametrize("t", [4, 5000, 10**6])
+def test_hypercontractivity_holds_at_every_moment_order(t):
+    # the moment is taken of u / max|u|, so no power overflows: |p|_t lies
+    # between |p|_2 and max|p| at any order, and the inequality holds
+    p = poly(3, {(): 0.1, (0,): 1.0, (1, 2): 0.5})
+    check = hypercontractivity_check(p, t)
+    assert p.moments().l2_norm <= check.lhs <= np.abs(evaluate_on_hypercube(p)).max()
+    assert check.holds
 
 
 def test_hypercontractivity_sweep():
