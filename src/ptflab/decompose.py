@@ -84,7 +84,8 @@ class LeafClass:
 
     def __post_init__(self) -> None:
         if self.kind is LeafKind.NEAR_CONSTANT:
-            if self.sign not in (-1, 1):
+            object.__setattr__(self, "sign", _integer(self.sign, "near-constant sign label", -1, 1))
+            if not self.sign:
                 raise InputError("near-constant leaves carry a +-1 sign label")
         elif self.sign is not None:
             raise InputError(f"{self.kind.value} leaves carry no sign label")
@@ -338,14 +339,11 @@ class BlockPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for block in self.blocks:
-            for i in block:
-                if i in seen or not 0 <= i < self.n:
-                    raise InputError("blocks must be disjoint subsets of {0..n-1}")
-                seen.add(i)
-        if len(seen) != self.n:
-            raise InputError("blocks must cover every coordinate")
+        object.__setattr__(self, "n", _integer(self.n, "coordinate count", 0, MAX_VARIABLES))
+        blocks = tuple(tuple(_integer(i, "block coordinate", 0, self.n - 1) for i in b) for b in self.blocks)
+        object.__setattr__(self, "blocks", blocks)
+        if sorted(i for block in blocks for i in block) != list(range(self.n)):
+            raise InputError("blocks must be disjoint subsets covering {0..n-1}")
 
     @property
     def b(self) -> int:

@@ -18,6 +18,7 @@ vector, a ``HypercubePoint`` additionally has every entry equal to +-1.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -60,7 +61,10 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 def _as_float(value, what: str) -> float:
-    """``float(value)``, with an integer beyond the float range refused as bad input."""
+    """``float(value)`` of a real number, refused as bad input when ``value`` is a bool,
+    a non-number (a numeric string too) or an integer beyond the float range."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise InputError(f"{what} must be a real number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
@@ -149,6 +153,11 @@ def _unit(p: "MultilinearPolynomial") -> "MultilinearPolynomial":
     |coefficient| lies in [1, 2).  A coefficient more than about 2^1074 below the
     largest underflows and drops: no +-1 value of p resolves it."""
     return _ldexp(p, -_exponent(p))
+
+
+def _square_sum(terms: Sequence[tuple[int, float]]) -> float:
+    """The sum of the coefficient squares of (mask, coefficient) ``terms``, in their order."""
+    return sum((c * c for _, c in terms), 0.0)
 
 
 def _is_regular_unit(unit: "MultilinearPolynomial", variance: float, tau: float) -> bool:
@@ -240,16 +249,28 @@ class MultilinearPolynomial:
         return len(self.terms)
 
     @property
-    def support_mask(self) -> int:
-        out = 0
-        for mask in self.terms:
-            out |= mask
-        return out
+    def _terms_of(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """The coordinate index of the terms: for each coordinate i, the
+        (mask, coefficient) of every term that contains x_i, in mask order,
+        built in one pass that files each term under its coordinates.  Every
+        per-coordinate question reads it: :meth:`partial_derivative`,
+        :meth:`influences`, :attr:`support` and the linear class of the
+        Gaussian form."""
+        # cached by hand: before Python 3.12 functools.cached_property takes a
+        # lock on every first access, about 1.6 us, and a restriction tree
+        # builds an index for each node's unit form
+        if "_index" not in self.__dict__:
+            out: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
+            for term in self.terms.items():
+                for i in iter_bits(term[0]):
+                    out[i].append(term)
+            self.__dict__["_index"] = tuple(map(tuple, out))
+        return self.__dict__["_index"]
 
     @property
     def support(self) -> tuple[int, ...]:
-        """Indices of variables that actually occur in some term."""
-        return tuple(iter_bits(self.support_mask))
+        """Indices of the variables that occur in some term: those the index files a term under."""
+        return tuple(itertools.compress(range(self.n), self._terms_of))
 
     def compress_support(
         self, support: Sequence[int] | None = None
@@ -264,9 +285,12 @@ class MultilinearPolynomial:
         indices covering :attr:`support`) re-indexes onto those variables
         instead, so that several polynomials share one index space.
         """
-        support = self.support if support is None else tuple(support)
+        own = self.support
+        support = own if support is None else tuple(
+            _integer(i, "support index", 0, self.n - 1) for i in support
+        )
         position = {old: new for new, old in enumerate(support)}
-        if len(position) != len(support) or self.support_mask & ~mask_from_indices(support):
+        if len(position) != len(support) or not position.keys() >= set(own):
             raise InputError(f"{support} are not distinct indices covering {self.support}")
         new_terms = {
             mask_from_indices(position[i] for i in iter_bits(mask)): coeff
@@ -306,11 +330,12 @@ class MultilinearPolynomial:
 
     @cached_property
     def _partial_split(self) -> tuple[np.ndarray, tuple[tuple[int, "MultilinearPolynomial"], ...]]:
-        """What :meth:`_partial_sum` reads, from the one term scan of
-        :attr:`_kernel`: the constant partials as one dense vector, the
-        linear coefficients with 0 at every coordinate of a higher term, and
-        the (index, :meth:`partial_derivative`) pairs of those coordinates
-        in increasing index order."""
+        """What :meth:`_partial_sum` reads: the constant partials as one
+        dense vector, the linear coefficients of :attr:`_kernel` with 0 at
+        every coordinate of a higher term, and the (index,
+        :meth:`partial_derivative`) pairs of those coordinates in increasing
+        index order, each partial read off the coordinate index
+        (:attr:`_terms_of`) of that coordinate's terms alone."""
         _, linear, higher = self._kernel
         varying = sorted({i for _, idx in higher for i in idx})
         constants = np.zeros(self.n) if linear is None else linear.copy()
@@ -359,12 +384,12 @@ class MultilinearPolynomial:
         """The sum over ``coords`` (None: all) of v_i d_i p(x), v the rows of
         ``dirs``, or of d_i p(x)^2 without ``dirs``, on the rows x of ``pts``.
 
-        The split (:attr:`_partial_split`) comes from the kernel's one term
-        scan.  The constant partials, the linear coefficients of the
-        coordinates that occur in no higher term, fold into one scalar, or
-        one matrix-vector product over the whole direction matrix; the
-        partial of each coordinate of a higher term, built once per
-        polynomial, runs through :meth:`eval_many` once.
+        It reads the split (:attr:`_partial_split`).  The constant partials,
+        the linear coefficients of the coordinates that occur in no higher
+        term, fold into one scalar, or one matrix-vector product over the
+        whole direction matrix; the partial of each coordinate of a higher
+        term, built once per polynomial off the coordinate index, runs
+        through :meth:`eval_many` once.
         """
         constants, varying = self._partial_split
         if coords is not None:
@@ -384,11 +409,11 @@ class MultilinearPolynomial:
     # calculus and restriction
 
     def partial_derivative(self, i: int) -> "MultilinearPolynomial":
+        """d_i p: the terms that the coordinate index (:attr:`_terms_of`) files
+        under x_i, each with x_i taken out."""
         self._check_index(i)
         bit = 1 << i
-        return MultilinearPolynomial(
-            self.n, {mask ^ bit: coeff for mask, coeff in self.terms.items() if mask & bit}
-        )
+        return MultilinearPolynomial(self.n, {mask ^ bit: coeff for mask, coeff in self._terms_of[i]})
 
     def restrict(self, assignment: Mapping[int, int]) -> "MultilinearPolynomial":
         """Fix each coordinate ``i`` of ``assignment`` to its value in {-1, +1}.
@@ -434,18 +459,14 @@ class MultilinearPolynomial:
         return Moments(mean=mean, variance=variance, l2_norm=l2_norm)
 
     def influence(self, i: int) -> float:
-        """Squared L2 norm of the i-th partial derivative."""
+        """Squared L2 norm of the i-th partial derivative: :meth:`influences` at i, bit for bit."""
         self._check_index(i)
-        bit = 1 << i
-        return sum(c * c for mask, c in self.terms.items() if mask & bit)
+        return _square_sum(self._terms_of[i])
 
     def influences(self) -> np.ndarray:
-        out = np.zeros(self.n)
-        for mask, coeff in self.terms.items():
-            sq = coeff * coeff
-            for i in iter_bits(mask):
-                out[i] += sq
-        return out
+        """Every influence: the coefficient squares of each coordinate's
+        terms in the index (:attr:`_terms_of`), summed in mask order."""
+        return np.array([_square_sum(terms) if terms else 0.0 for terms in self._terms_of])
 
     def total_influence(self) -> float:
         return float(self.influences().sum())
@@ -585,12 +606,9 @@ class MultilinearPolynomial:
                 raise InputError(f"term {k}: repeated variable index in {variables}")
             if variables and (variables[0] < 0 or variables[-1] >= n):
                 raise InputError(f"term {k}: variable index out of range for n={n}: {variables}")
-            coeff = item["coeff"]
-            if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
-                raise InputError(f"term {k}: coefficient must be a number, got {coeff!r}")
-            value = _as_float(coeff, f"term {k}: coefficient")
+            value = _as_float(item["coeff"], f"term {k}: coefficient")
             if not math.isfinite(value):
-                raise InputError(f"term {k}: coefficient must be finite, got {coeff!r}")
+                raise InputError(f"term {k}: coefficient must be finite, got {value!r}")
             mask = mask_from_indices(variables)
             if mask in seen:
                 raise InputError(f"term {k}: duplicate subset {variables}")

@@ -16,8 +16,9 @@ scaled back exactly to p's units; the check refuses |p|_2 = inf
 (:meth:`MultilinearPolynomial.moments`).
 
 Gaussian draws run on the Gaussian form (:func:`_gaussian_form`) of the
-polynomials drawn at one point, whose linear-only coordinates are merged
-into one per independent direction with the same joint law: one
+polynomials drawn at one point, whose linear-only coordinates (those whose
+only term in the coordinate index of every polynomial is x_i itself) are
+merged into one per independent direction with the same joint law: one
 polynomial keeps the law of (p(X), |grad p(X)|^2) and the linear form at
 n = 400 draws one value per row instead of 400; the pair of
 ``abs_comparison_gap`` keeps the joint law of (p(X), q(X)) on at most two
@@ -40,11 +41,13 @@ column the kernel reads is contiguous, and an integrand returns an
 contiguous memory.
 
 Every derivative is summed by :meth:`MultilinearPolynomial._partial_sum`
-from a split read off the evaluation kernel's one term scan: the constant
-partials, those of the coordinates in no higher term, fold into one
-matrix-vector product or one scalar, and the partial of each coordinate
-of a higher term is built once per polynomial and evaluated once per
-batch.  Under Gaussian inputs no direction is drawn: given X,
+from one split of the partials: the constant partials, those of the
+coordinates in no higher term, fold into one matrix-vector product or one
+scalar, and the partial of each coordinate of a higher term is read off
+the polynomial's coordinate index of the terms once per polynomial and
+evaluated once per batch.  The exact oracle :func:`exact_alpha` shares
+none of it: it takes its partials' tables off the dense coefficients.
+Under Gaussian inputs no direction is drawn: given X,
 D_Y p(X) = Y . grad p(X) is exactly N(0, |grad p(X)|^2), the law of
 |grad p(X)| Z, and |grad p(X)|^2 comes from
 :meth:`MultilinearPolynomial.squared_gradient_norm`.  Under +-1 inputs the
@@ -90,7 +93,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from .errors import CapExceededError, InputError
-from .hypercube import all_points, evaluate_on_hypercube
+from .hypercube import _transform, all_points, evaluate_on_hypercube
 from .polynomial import (
     _BATCH_ELEMENTS,
     KERNEL_ROWS,
@@ -285,18 +288,12 @@ def _gaussian_form(*polys: MultilinearPolynomial) -> tuple[MultilinearPolynomial
     are compressed onto the union of their supports.  When fewer than two
     coordinates are linear-only the polynomials are returned as given.
     """
-    higher = degree_one = 0
-    for p in polys:
-        for mask in p.terms:
-            if mask & (mask - 1):
-                higher |= mask
-            else:
-                degree_one |= mask
     n = polys[0].n
-    linear_only = degree_one & ~higher
-    linear = [i for i in range(n) if linear_only >> i & 1]
+    # L: the coordinates whose only term in any of the polys is x_i itself
+    linear = [i for i in range(n) if {m for p in polys for m, _ in p._terms_of[i]} == {1 << i}]
     if len(linear) < 2:
         return polys
+    linear_only = mask_from_indices(linear)
     directions: list[list[float]] = []
     written: dict[tuple[float, ...], list[float]] = {}  # each a_L so far, in the directions
     merged = []
@@ -480,6 +477,23 @@ def estimate_beta(
     return _run_sampler(ratio, form, GAUSSIAN, samples, rng, workers, derivative=True)[0]
 
 
+def _partial_tables(p: MultilinearPolynomial) -> np.ndarray:
+    """The ``(n, 2^n)`` values of every partial d_i p on the cube, in mask order.
+
+    Taken off p's dense coefficients alone, so the oracle shares no
+    derivative with the estimators it checks: row i gets the coefficient at
+    each S with i in S moved to S minus i (the middle axis of a
+    ``(2^(n-1-i), 2, 2^i)`` view of the masks is bit i), then one in-place
+    transform turns the row into values.
+    """
+    dense = p.dense_coefficients()
+    tables = np.zeros((p.n, dense.size))
+    for i, row in enumerate(tables):
+        row.reshape(-1, 2, 1 << i)[:, 0] = dense.reshape(-1, 2, 1 << i)[:, 1]
+        _transform(row)
+    return tables
+
+
 def exact_alpha(p: MultilinearPolynomial) -> float:
     """Exact expectation of the alpha integrand over all 2^{2n} (A, B) pairs.
 
@@ -491,8 +505,7 @@ def exact_alpha(p: MultilinearPolynomial) -> float:
     p = _unit(p)
     size = 1 << n
     values = evaluate_on_hypercube(p)
-    grads = np.array([evaluate_on_hypercube(p.partial_derivative(i)) for i in range(n)])
-    grads = grads.reshape(n, size)
+    grads = _partial_tables(p)
     grad_sq = (grads**2).sum(axis=0)
     zero = values == 0.0
     safe = np.where(zero, 1.0, values)

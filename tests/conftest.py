@@ -41,6 +41,11 @@ def brute_gradient(p, point):
     return np.array(grad)
 
 
+def brute_partial(p, i):
+    """d_i p by its definition: every term that contains x_i, with x_i taken out."""
+    return MultilinearPolynomial(p.n, {m ^ (1 << i): c for m, c in p.terms.items() if m & 1 << i})
+
+
 def brute_influence(p, i):
     """Quarter of the mean squared change when coordinate i is negated."""
     total = 0.0

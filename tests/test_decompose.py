@@ -6,6 +6,7 @@ import pytest
 from ptflab import (
     CapExceededError,
     InputError,
+    LeafClass,
     LeafKind,
     MultilinearPolynomial,
     RegularityConfig,
@@ -409,6 +410,37 @@ def test_block_partition_validation():
         block_partition(4, 5)
     with pytest.raises(InputError):
         BlockPartition(3, ((0, 1),))
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [((0.0,), (1,)), ((0,), (True,)), ((0.0,), (True,)), ((0,), ("1",)), ((0, 1.5),)],
+    ids=["float", "true", "float_and_true", "string", "fraction"],
+)
+def test_block_partition_refuses_non_integer_coordinates(blocks):
+    with pytest.raises(InputError):
+        BlockPartition(2, blocks)
+
+
+def test_block_partition_stores_integer_coordinates_as_ints():
+    partition = BlockPartition(np.int64(3), ((np.int64(2), 0), (np.int32(1),)))
+    assert partition == BlockPartition(3, ((2, 0), (1,)))
+    assert type(partition.n) is int
+    assert all(type(i) is int for block in partition.blocks for i in block)
+    with pytest.raises(InputError):
+        BlockPartition(2.0, ((0,), (1,)))
+
+
+@pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, 0, 2, "1", None], ids=repr)
+def test_near_constant_leaves_refuse_a_sign_other_than_an_int_pm1(sign):
+    with pytest.raises(InputError):
+        LeafClass(LeafKind.NEAR_CONSTANT, sign)
+
+
+def test_near_constant_sign_labels_are_stored_as_ints():
+    for sign in (1, -1, np.int64(1), np.int8(-1)):
+        label = LeafClass(LeafKind.NEAR_CONSTANT, sign)
+        assert label.sign == sign and type(label.sign) is int
 
 
 def test_block_partition_rejects_non_integer_counts():

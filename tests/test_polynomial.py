@@ -12,12 +12,15 @@ from ptflab import (
     CapExceededError,
     InputError,
     MultilinearPolynomial,
+    Rng,
     SignFunction,
     block_partition,
     block_sensitivity_identity_check,
     evaluate_on_hypercube,
     exact_alpha,
     hypercontractivity_check,
+    middle_layers_witness,
+    random_polynomial,
     sign_pm1,
     small_alpha_check,
     truth_table,
@@ -25,8 +28,17 @@ from ptflab import (
 )
 from ptflab.hypercube import all_points
 from ptflab.polynomial import ENUMERATION_BUDGET, check_enumeration, iter_bits, mask_from_indices
+from ptflab.randomized import _gaussian_form
 
-from conftest import brute_gradient, brute_influence, brute_second_moment, iter_cube, poly, random_instances
+from conftest import (
+    brute_gradient,
+    brute_influence,
+    brute_partial,
+    brute_second_moment,
+    iter_cube,
+    poly,
+    random_instances,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +206,8 @@ def test_squared_gradient_norm_edge_cases():
 
 
 def _split_of_every_partial(p):
-    """The split as built from all n partials, one partial_derivative(i) per coordinate."""
-    partials = [p.partial_derivative(i) for i in range(p.n)]
+    """The split as built from all n partials, each by its definition (a scan of every term)."""
+    partials = [brute_partial(p, i) for i in range(p.n)]
     constants = np.array([0.0 if q.degree else q.terms.get(0, 0.0) for q in partials])
     return constants, tuple((i, q) for i, q in enumerate(partials) if q.degree)
 
@@ -209,22 +221,22 @@ def _assert_split_of_every_partial(p):
     assert varying == expected_varying
 
 
-@pytest.mark.parametrize(
-    "p",
-    [
-        MultilinearPolynomial.zero(3),
-        MultilinearPolynomial.zero(0),
-        MultilinearPolynomial.constant(0, 1.5),
-        MultilinearPolynomial.constant(4, -2.0),
-        MultilinearPolynomial.coordinate_sum(6),
-        poly(5, {(0,): 3.0, (3,): -0.25, (): 1.0}),  # x1, x2 and x4 occur in no term
-        poly(6, {(0, 1): 1.0, (2,): 1.0, (3,): -1.0}),  # x4 and x5 occur in no term
-        # x1 occurs in a linear and in a higher term, x0 in none
-        poly(6, {(1, 4): 0.5, (1,): 2.0, (5,): -1.0, (2, 3, 4): 1e-300, (): 7.0}),
-    ],
-    ids=["zero", "zero_n0", "constant_n0", "constant", "coordinate_sum", "linear", "mixed",
-         "linear_and_higher"],
-)
+_SPLIT_CASES = [
+    MultilinearPolynomial.zero(3),
+    MultilinearPolynomial.zero(0),
+    MultilinearPolynomial.constant(0, 1.5),
+    MultilinearPolynomial.constant(4, -2.0),
+    MultilinearPolynomial.coordinate_sum(6),
+    poly(5, {(0,): 3.0, (3,): -0.25, (): 1.0}),  # x1, x2 and x4 occur in no term
+    poly(6, {(0, 1): 1.0, (2,): 1.0, (3,): -1.0}),  # x4 and x5 occur in no term
+    # x1 occurs in a linear and in a higher term, x0 in none
+    poly(6, {(1, 4): 0.5, (1,): 2.0, (5,): -1.0, (2, 3, 4): 1e-300, (): 7.0}),
+]
+_SPLIT_IDS = ["zero", "zero_n0", "constant_n0", "constant", "coordinate_sum", "linear", "mixed",
+              "linear_and_higher"]
+
+
+@pytest.mark.parametrize("p", _SPLIT_CASES, ids=_SPLIT_IDS)
 def test_partial_split_is_the_split_of_every_partial(p):
     _assert_split_of_every_partial(p)
 
@@ -233,6 +245,58 @@ def test_partial_split_is_the_split_of_every_partial(p):
 @settings(max_examples=150, deadline=None)
 def test_partial_split_is_the_split_of_every_partial_on_drawn_polynomials(case):
     _assert_split_of_every_partial(case[0])
+
+
+def _gaussian_form_by_term_scan(p):
+    """The Gaussian form of p alone, its linear class L found by a scan of the
+    masks: with |L| >= 2 the a_L . X_L part becomes hypot(a_L) times the lowest
+    coordinate of L, and the form is compressed onto its support."""
+    higher = degree_one = 0
+    for mask in p.terms:
+        if mask & (mask - 1):
+            higher |= mask
+        else:
+            degree_one |= mask
+    linear_only = degree_one & ~higher
+    linear = list(iter_bits(linear_only))
+    if len(linear) < 2:
+        return p
+    terms = {m: c for m, c in p.terms.items() if not m & linear_only}
+    terms[1 << linear[0]] = math.hypot(*(p.terms[1 << i] for i in linear))
+    return MultilinearPolynomial(p.n, terms).compress_support()[0]
+
+
+def _assert_the_index_answers_as_the_term_scans(p):
+    """Every reader of the coordinate index (``_terms_of``) against its
+    definition as a scan of all the terms, bit for bit."""
+    assert sum(map(len, p._terms_of)) == sum(m.bit_count() for m in p.terms)
+    assert [p.partial_derivative(i) for i in range(p.n)] == [brute_partial(p, i) for i in range(p.n)]
+    influences = np.array(
+        [sum(c * c for m, c in p.terms.items() if m & 1 << i) for i in range(p.n)], dtype=np.float64
+    )
+    assert p.influences().tobytes() == influences.tobytes()
+    assert [p.influence(i) for i in range(p.n)] == p.influences().tolist()
+    assert p.support == tuple(i for i in range(p.n) if any(m & 1 << i for m in p.terms))
+    _assert_split_of_every_partial(p)
+    (form,), expected = _gaussian_form(p), _gaussian_form_by_term_scan(p)
+    assert form.n == expected.n
+    assert [(m, c.hex()) for m, c in form.terms.items()] == [(m, c.hex()) for m, c in expected.terms.items()]
+
+
+@pytest.mark.parametrize(
+    "p",
+    # the drawn coefficients make each influence's rounding depend on its summation order
+    [*_SPLIT_CASES, middle_layers_witness(101, 2), random_polynomial(12, 3, 80, Rng(5))],
+    ids=[*_SPLIT_IDS, "middle_layers_witness", "drawn"],
+)
+def test_the_coordinate_index_answers_as_the_term_scans(p):
+    _assert_the_index_answers_as_the_term_scans(p)
+
+
+@given(kernel_cases())
+@settings(max_examples=150, deadline=None)
+def test_the_coordinate_index_answers_as_the_term_scans_on_drawn_polynomials(case):
+    _assert_the_index_answers_as_the_term_scans(case[0])
 
 
 @pytest.mark.parametrize(
@@ -507,6 +571,39 @@ def test_constructor_refuses_bool_dimension_and_keys(n, terms):
         MultilinearPolynomial(n, terms)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: MultilinearPolynomial(3, {1: "2.5"}),
+        lambda: MultilinearPolynomial(3, {1: True}),
+        lambda: MultilinearPolynomial(3, {1: False}),
+        lambda: MultilinearPolynomial(3, {1: None}),
+        lambda: MultilinearPolynomial.from_vars(3, {(0,): "1"}),
+        lambda: MultilinearPolynomial.constant(3, True),
+        lambda: MultilinearPolynomial(3, {1: 1.0}).scale("2"),
+        lambda: MultilinearPolynomial(3, {1: 1.0}).scale(True),
+        lambda: MultilinearPolynomial(3, {1: 1.0}) * "3",
+        lambda: "3" * MultilinearPolynomial(3, {1: 1.0}),
+        lambda: MultilinearPolynomial(3, {1: 1.0}) + True,
+    ],
+    ids=["string", "true", "false", "none", "from_vars_string", "constant_true", "scale_string",
+         "scale_true", "times_string", "string_times", "plus_true"],
+)
+def test_string_and_bool_coefficients_are_refused(call):
+    with pytest.raises(InputError, match="real number"):
+        call()
+
+
+def test_real_coefficients_of_any_type_are_their_floats():
+    expected = MultilinearPolynomial(2, {0b01: 2.5, 0b11: -3.0, 0: 0.25})
+    for one, two, three in [(np.float64(2.5), np.int64(-3), np.float32(0.25)),
+                            (Fraction(5, 2), -3, Fraction(1, 4))]:
+        p = MultilinearPolynomial(2, {0b01: one, 0b11: two, 0: three})
+        assert p == expected
+        assert all(type(c) is float for c in p.terms.values())
+        assert p.scale(np.float64(2.0)) == p * 2 == expected.scale(2.0)
+
+
 def test_add_and_sub_take_real_numbers_as_constants():
     p = poly(2, {(0, 1): 1.0, (0,): 0.5, (): -0.25})
     one = MultilinearPolynomial.constant(2, 1.0)
@@ -556,6 +653,17 @@ def test_compress_support_onto_a_shared_support():
     for bad in [(3,), (3, 7, 7)]:
         with pytest.raises(InputError):
             p.compress_support(bad)
+
+
+@pytest.mark.parametrize(
+    "support",
+    [(3, 5.0, 7), (3, 5, 7.0), (True, 3, 7), (-1, 3, 7), (3, 7, 10), (3, "5", 7)],
+    ids=["float", "float_in_support", "bool", "negative", "beyond_n", "string"],
+)
+def test_compress_support_refuses_a_support_of_non_coordinates(support):
+    p = MultilinearPolynomial(10, {(1 << 3) | (1 << 7): 2.0})
+    with pytest.raises(InputError):
+        p.compress_support(support)
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,17 @@ from ptflab import (
 from ptflab.decompose import BlockPartition
 from ptflab.polynomial import KERNEL_ROWS, mask_from_indices
 from ptflab.hypercube import evaluate_on_hypercube
-from ptflab.randomized import _BATCH_ELEMENTS, _batch_rows, _batches, _draw, _gaussian_form, _width
+from ptflab.randomized import (
+    _BATCH_ELEMENTS,
+    _batch_rows,
+    _batches,
+    _draw,
+    _gaussian_form,
+    _partial_tables,
+    _width,
+)
 
-from conftest import brute_alpha, brute_gradient, poly, random_instances
+from conftest import brute_alpha, brute_gradient, brute_partial, poly, random_instances
 
 
 def normal_cdf(x):
@@ -479,11 +487,25 @@ def test_exact_alpha_scale_invariant():
 
 
 def test_exact_alpha_builds_its_own_partials(partial_derivative_calls):
-    # the oracle shares no derivative cache with estimate_alpha, the estimator it checks
+    # the oracle shares no derivative cache with estimate_alpha, the estimator it
+    # checks: it takes its partials off the dense coefficients, not partial_derivative
     p = poly(4, {(0, 1): 1.0, (2,): 0.5})  # already a unit form
     exact_alpha(p)
-    assert partial_derivative_calls == [0, 1, 2, 3]
+    assert partial_derivative_calls == []
     assert set(vars(p)) == {"n", "terms"}  # no derivative cache left on p
+    tables = _partial_tables(p)
+    for i in range(p.n):
+        assert tables[i].tobytes() == evaluate_on_hypercube(brute_partial(p, i)).tobytes()
+
+
+def test_exact_alpha_partial_tables_are_the_tables_of_the_partials():
+    cases = [p for _, p in random_instances(61, 60, n_range=(1, 10))]
+    cases += [_ZEROS, middle_layers_witness(6, 2), MultilinearPolynomial.zero(0), poly(3, {(): 2.0})]
+    for p in cases:
+        tables = _partial_tables(p)
+        assert tables.shape == (p.n, 1 << p.n)
+        for i in range(p.n):  # bit for bit, signs of 0 too
+            assert tables[i].tobytes() == evaluate_on_hypercube(brute_partial(p, i)).tobytes()
 
 
 def test_exact_alpha_cap():
