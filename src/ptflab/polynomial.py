@@ -372,9 +372,7 @@ class MultilinearPolynomial:
         ``InputError`` when the coefficient squares of p overflow
         (:meth:`moments`), so no squared partial coefficient does.
         """
-        coords = None if coords is None else list(coords)
-        for i in coords or ():
-            self._check_index(i)
+        coords = None if coords is None else [self._check_index(i) for i in coords]
         self.moments()
         return self._partial_sum(_as_array(points, self.n, 2), coords)
 
@@ -411,7 +409,7 @@ class MultilinearPolynomial:
     def partial_derivative(self, i: int) -> "MultilinearPolynomial":
         """d_i p: the terms that the coordinate index (:attr:`_terms_of`) files
         under x_i, each with x_i taken out."""
-        self._check_index(i)
+        i = self._check_index(i)
         bit = 1 << i
         return MultilinearPolynomial(self.n, {mask ^ bit: coeff for mask, coeff in self._terms_of[i]})
 
@@ -427,9 +425,10 @@ class MultilinearPolynomial:
         """
         fixed = negated = 0
         for i, value in assignment.items():
-            self._check_index(i)
-            if isinstance(value, bool) or value not in (-1, 1):
-                raise InputError(f"restriction value must be -1 or +1, got {value!r}")
+            i = self._check_index(i)
+            value = _integer(value, "restriction value", -1, 1)
+            if value == 0:
+                raise InputError("restriction value must be -1 or +1, got 0")
             fixed |= 1 << i
             if value == -1:
                 negated |= 1 << i
@@ -460,8 +459,7 @@ class MultilinearPolynomial:
 
     def influence(self, i: int) -> float:
         """Squared L2 norm of the i-th partial derivative: :meth:`influences` at i, bit for bit."""
-        self._check_index(i)
-        return _square_sum(self._terms_of[i])
+        return _square_sum(self._terms_of[self._check_index(i)])
 
     def influences(self) -> np.ndarray:
         """Every influence: the coefficient squares of each coordinate's
@@ -625,9 +623,9 @@ class MultilinearPolynomial:
 
     # ------------------------------------------------------------------
 
-    def _check_index(self, i: int) -> None:
-        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < self.n:
-            raise InputError(f"coordinate index {i!r} is not an integer in [0, {self.n})")
+    def _check_index(self, i: int) -> int:
+        """``i`` as a Python int in [0, n), refused as :func:`_integer` refuses it."""
+        return _integer(i, "coordinate index", 0, self.n - 1)
 
     def _check_same_space(self, other: "MultilinearPolynomial") -> None:
         if self.n != other.n:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -9,7 +10,15 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ptflab import LeafKind, MultilinearPolynomial, Rng, middle_layers_witness, random_polynomial
+from ptflab import (
+    LeafKind,
+    MultilinearPolynomial,
+    Rng,
+    SignFunction,
+    average_sensitivity_exact,
+    middle_layers_witness,
+    random_polynomial,
+)
 from ptflab import cli, decompose
 from ptflab.cli import SuiteRow, _bundle_exit_code, _row, main, run_suite
 
@@ -296,6 +305,19 @@ def test_suite_csv_format(runner, tmp_path):
     lines = out.read_bytes().decode().strip().split("\r\n")
     assert lines[0] == "check,instance,kind,status,value,reference,detail"
     assert len(lines) > 7
+    # each CSV row is the JSON row of the same run without its extra payload:
+    # a missing number is empty, a string as it is, a number its repr
+    result = runner.invoke(main, ["suite", "--suite", "gl", "--seed", "7"])
+    assert result.exit_code == 0
+    json_rows = json.loads(result.stdout)["rows"]
+    header, *csv_rows = csv.reader(lines)
+    assert len(csv_rows) == len(json_rows)
+    assert any("extra" in row for row in json_rows)
+    for cells, row in zip(csv_rows, json_rows):
+        assert set(row) - {"extra"} == set(header)
+        for name, cell in zip(header, cells):
+            value = row[name]
+            assert cell == ("" if value is None else value if isinstance(value, str) else repr(value))
 
 
 def test_suite_repeat_is_byte_identical(runner, tmp_path):
@@ -375,6 +397,45 @@ def test_leaf_soundness_fails_on_wrong_enumerated_labels(monkeypatch):
     rows = run_suite("decompose", 7, 1_000, 0.1, 0.05, 0.05, 1.0, 3, 1)
     (row,) = [row for row in rows if row.check == "leaf_soundness"]
     assert row.status == "fail"
+
+
+def test_no_seeded_stream_of_the_suite_is_drawn_twice(monkeypatch):
+    # two draws on one stream would share their random numbers; recording the
+    # generators at run time also covers computed streams such as child(4 + idx)
+    draws = []
+    generator, chunk_generator = Rng.generator, Rng.chunk_generator
+
+    def recorded(draw):
+        def call(self, *chunk):
+            draws.append((self.seed, self.stream, *chunk))
+            return draw(self, *chunk)
+
+        return call
+
+    monkeypatch.setattr(Rng, "generator", recorded(generator))
+    monkeypatch.setattr(Rng, "chunk_generator", recorded(chunk_generator))
+    run_suite("all", 7, 2_000, 0.1, 0.05, 0.05, 1.0, 3, 1)
+    assert draws and len(draws) == len(set(draws))
+
+
+def test_the_decompose_section_builds_one_tree_per_instance(monkeypatch):
+    # tree sensitivity, the success rate and leaf soundness read the trees of one sweep
+    trees = []
+
+    def counted(p, config):
+        trees.append(p)
+        return build(p, config)
+
+    build = cli.build_regularity_tree
+    monkeypatch.setattr(cli, "build_regularity_tree", counted)
+    rows = run_suite("decompose", 7, 2_000, 0.1, 0.05, 0.05, 1.0, 3, 1)
+    stream = Rng(7).child(cli._SECTIONS["decompose"][0]).child(2)
+    sweep = [p for _, p in cli.sweep_instances(stream, 20, n_range=(6, 12))]
+    assert trees == sweep
+    tree_rows = [row for row in rows if row.check == "tree_sensitivity"]
+    assert [row.instance for row in tree_rows] == [f"instance={k}" for k in range(20)]
+    assert all(row.status == "pass" for row in tree_rows)
+    assert [row.value for row in tree_rows] == [average_sensitivity_exact(SignFunction(p)) for p in sweep]
 
 
 def test_numpy_scalars_in_rows_print_as_their_python_values(runner, tmp_path, monkeypatch):

@@ -360,7 +360,8 @@ def test_restrict_examples():
 
 def test_restrict_validates():
     p = poly(2, {(0,): 1.0})
-    for assignment in ({5: 1}, {-1: 1}, {0.0: 1}, {0: 2}, {0: 0}, {1: 1, 0: -2}):
+    bad = ({5: 1}, {-1: 1}, {0.0: 1}, {0: 2}, {0: 0}, {1: 1, 0: -2}, {0: 1.0}, {0: np.float64(-1.0)})
+    for assignment in bad:
         with pytest.raises(InputError):
             p.restrict(assignment)
 
@@ -370,6 +371,7 @@ def test_restrict_validates():
     [
         lambda p: p.restrict({True: -1}),
         lambda p: p.restrict({0: True}),
+        lambda p: p.restrict({0: np.True_}),
         lambda p: p.partial_derivative(True),
         lambda p: p.partial_derivative(False),
         lambda p: p.influence(True),
@@ -377,13 +379,31 @@ def test_restrict_validates():
         lambda p: MultilinearPolynomial.from_vars(p.n, {(True,): 1.0}),
     ],
     ids=[
-        "restrict_index", "restrict_value", "partial_true", "partial_false", "influence",
-        "gradient", "from_vars",
+        "restrict_index", "restrict_value", "restrict_numpy_bool_value", "partial_true",
+        "partial_false", "influence", "gradient", "from_vars",
     ],
 )
 def test_bool_coordinates_and_values_are_refused(call):
     with pytest.raises(InputError):
         call(MultilinearPolynomial.coordinate_sum(3))
+
+
+def test_numpy_integer_indices_answer_as_int_ones():
+    p = random_polynomial(6, 3, 20, Rng(3))
+    points = np.array(list(iter_cube(6)), dtype=float)
+    for i in range(p.n):
+        j = np.int64(i)
+        for q, expected in (
+            (p.partial_derivative(j), p.partial_derivative(i)),
+            (p.restrict({j: np.int64(-1)}), p.restrict({i: -1})),
+        ):
+            # equal numpy and int keys hash alike: the masks must be Python ints too
+            assert q == expected and all(type(mask) is int for mask in q.terms)
+        assert p.influence(j) == p.influence(i)
+    coords = [1, 4, 5]
+    assert np.array_equal(
+        p.squared_gradient_norm(points, np.array(coords)), p.squared_gradient_norm(points, coords)
+    )
 
 
 def test_restrict_is_the_correctly_rounded_exact_sum():
